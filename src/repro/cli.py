@@ -474,7 +474,9 @@ def cmd_simulate(args) -> int:
     if _engine_arg(args) == "vectorized":
         from repro.sim.vec import vec_blockers
 
-        blockers = vec_blockers(SimConfig(retry=retry, reroute=reroute), probe=probe)
+        blockers = vec_blockers(
+            SimConfig(retry=retry, reroute=reroute), net=net, probe=probe
+        )
         if args.faults:
             blockers.append("fault schedule (--faults)")
         if args.failover:
@@ -636,7 +638,7 @@ def _add_recovery_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--max-retries", type=int, default=3, metavar="N",
                    help="retransmission budget per packet (default 3)")
     g.add_argument("--reroute", action="store_true",
-                   help="recompute + swap CDG-certified tables around failures")
+                   help="recompute + swap certified deadlock-free tables around failures")
     g.add_argument("--detection-delay", type=int, default=32, metavar="CYC",
                    help="cycles from fault to detection (default 32)")
     g.add_argument("--reconvergence-delay", type=int, default=64, metavar="CYC",

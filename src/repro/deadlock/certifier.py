@@ -32,8 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.network.graph import Network
-from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes
-from repro.routing.validate import validate_routing
+from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes, routes_for_pairs
+from repro.routing.validate import sample_pairs, validate_routing
 
 __all__ = [
     "ChannelOrderCertificate",
@@ -125,7 +125,7 @@ def _dependency_edges(routes: RouteSet) -> tuple[list[str], dict[str, set[str]]]
     return list(channels), succ
 
 
-def _extract_cycle(remaining: set[str], succ: dict[str, set[str]]) -> tuple[str, ...]:
+def _extract_cycle(remaining: set, succ: dict) -> tuple:
     """Extract one dependency cycle from the channels Kahn could not order.
 
     Walks *predecessors*: every stalled channel has at least one stalled
@@ -168,6 +168,12 @@ def certify_channel_order(
     witness -- that is what makes this strictly stronger, as evidence,
     than the boolean CDG cycle check it agrees with.
 
+    Tables the array walker reads (exact ``RoutingTable`` /
+    ``ArrayRoutingTable``, see :mod:`repro.routing.walk`) are validated and
+    routed in one vectorized walk, and Kahn runs on link indices.  Link
+    indices follow sorted link ids, so the tie-break, the certificate and
+    the counterexample are identical to the per-route walk's.
+
     Args:
         net: the network.
         tables: routing tables; required unless ``routes`` is given.
@@ -182,35 +188,42 @@ def certify_channel_order(
     """
     if tables is None and routes is None:
         raise ValueError("certify_channel_order needs tables or routes")
+    walk = None
     if tables is not None:
         report = validate_routing(net, tables, pairs=pairs, sample=sample, seed=seed)
+        walk = report.walk
         deliverable = report.ok
         failures = tuple(report.failures[:10])
     else:
         deliverable = True
         failures = ()
-    if routes is None:
+    labels: tuple[str, ...] | None = None
+    if routes is None and walk is not None:
+        channels: list = walk.channels.tolist() if deliverable else []
+        succ: dict = {}
         if deliverable:
-            if pairs is None and sample is None:
-                routes = all_pairs_routes(net, tables)
+            for held, waited in walk.dependencies.tolist():
+                succ.setdefault(held, []).append(waited)
+        labels = net.indices().link_ids
+    else:
+        if routes is None:
+            if deliverable:
+                if pairs is None and sample is None:
+                    routes = all_pairs_routes(net, tables)
+                else:
+                    walk_pairs = pairs if pairs is not None else sample_pairs(net, sample, seed)
+                    routes = routes_for_pairs(net, tables, walk_pairs)
             else:
-                from repro.routing.base import routes_for_pairs
-                from repro.routing.validate import sample_pairs
-
-                walk = pairs if pairs is not None else sample_pairs(net, sample, seed)
-                routes = routes_for_pairs(net, tables, walk)
-        else:
-            routes = RouteSet()
-
-    channels, succ = _dependency_edges(routes)
+                routes = RouteSet()
+        channels, succ = _dependency_edges(routes)
     num_dependencies = sum(len(s) for s in succ.values())
 
-    indegree: dict[str, int] = {c: 0 for c in channels}
+    indegree: dict = {c: 0 for c in channels}
     for waiting in succ.values():
         for waited in waiting:
             indegree[waited] += 1
     ready = deque(sorted(c for c, d in indegree.items() if d == 0))
-    order: list[str] = []
+    order: list = []
     while ready:
         channel = ready.popleft()
         order.append(channel)
@@ -220,20 +233,21 @@ def certify_channel_order(
             if indegree[waited] == 0:
                 ready.append(waited)
 
+    certificate = counterexample = None
     if len(order) == len(channels):
+        if labels is not None:
+            order = [labels[c] for c in order]
         certificate = ChannelOrderCertificate(tuple(order))
-        counterexample = None
-        deadlock_free = True
     else:
-        certificate = None
         remaining = {c for c in channels if indegree[c] > 0}
         counterexample = _extract_cycle(remaining, succ)
-        deadlock_free = False
+        if labels is not None:
+            counterexample = tuple(labels[c] for c in counterexample)
 
     return OrderCertification(
         network=net.name,
         deliverable=deliverable,
-        deadlock_free=deadlock_free,
+        deadlock_free=certificate is not None,
         num_channels=len(channels),
         num_dependencies=num_dependencies,
         certificate=certificate,

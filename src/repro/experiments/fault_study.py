@@ -19,8 +19,8 @@ that buys, in two parts:
 **Recovery (dynamic)**, on both Table 2 topologies (the 4-2 fat tree and
 the fat fractahedron): live traffic runs through one fail/repair episode
 with the full recovery stack on -- NIC timeout/retry with exponential
-backoff, online re-routing (CDG-certified tables recomputed around the
-failed links and atomically swapped in), and second-fabric failover for
+backoff, online re-routing (certified deadlock-free tables recomputed
+around the failed links and atomically swapped in), and second-fabric failover for
 packets whose retry budget expires.  Each row reports delivered /
 retried / dropped / failed-over counts, the number of table swaps, the
 time to reconvergence, the failover latency, and the post-recovery

@@ -207,6 +207,9 @@ class RoutingTableCache:
         self._lowered: dict[tuple[str, int], LoweredTable] = {}
         #: fragment key -> per-group column block (hierarchical builder)
         self._fragments: dict[str, Any] = {}
+        #: content key -> a result derived from this cache's tables (the
+        #: recovery layer's certification verdicts); cleared with them
+        self._memo: dict[str, Any] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -332,6 +335,17 @@ class RoutingTableCache:
         with self._lock:
             self._fragments.setdefault(key, fragment)
 
+    # -- derived results (recovery certification) ------------------------
+    def memo_get(self, key: str) -> Any | None:
+        """A result memoized under ``key`` by :meth:`memo_put`, or None."""
+        with self._lock:
+            return self._memo.get(key)
+
+    def memo_put(self, key: str, value: Any) -> Any:
+        """Memoize ``value`` under ``key``; first writer wins (returned)."""
+        with self._lock:
+            return self._memo.setdefault(key, value)
+
     def record_level_seconds(self, label: str, seconds: float) -> None:
         """Attribute builder time to one hierarchy level (or stage)."""
         with self._lock:
@@ -345,6 +359,7 @@ class RoutingTableCache:
             self._key_by_id.clear()
             self._lowered.clear()
             self._fragments.clear()
+            self._memo.clear()
             self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -376,6 +391,6 @@ def cached_tables(
     experiment drivers used to repeat: identical inputs return the
     identical table object without re-running BFS/compilation.
     """
-    return (cache or DEFAULT_CACHE).get_or_build(
+    return (DEFAULT_CACHE if cache is None else cache).get_or_build(
         net, algorithm=algorithm, disables=disables, **params
     )

@@ -13,8 +13,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from repro.network.graph import Network
 from repro.routing.base import RoutingError, RoutingTable, compute_route
+from repro.routing.walk import PairWalk, walk_all_pairs, walk_pairs, walkable
 
 __all__ = ["RoutingReport", "sample_pairs", "validate_routing"]
 
@@ -27,6 +30,10 @@ class RoutingReport:
     failures: list[str] = field(default_factory=list)
     max_router_hops: int = 0
     max_links: int = 0
+    #: the array walk the report was computed from (None when the tables
+    #: took the per-pair walk); the channel-order certifier reads its
+    #: channels and dependencies instead of walking the routes again
+    walk: PairWalk | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -89,36 +96,83 @@ def validate_routing(
             mode for fabrics where the all-pairs walk is quadratic in the
             thousands of end nodes.  Ignored when ``pairs`` is given.
         seed: sample seed.
+
+    Tables the array walker reads (:func:`~repro.routing.walk.walkable`)
+    are walked all pairs at once; only the pairs it flags -- and, under a
+    ``max_router_hops`` bound, the pairs over it -- are re-walked through
+    :func:`~repro.routing.base.compute_route`, in pair order, so failure
+    messages, their order and any raised error match the per-pair walk
+    exactly.  Other table types take the per-pair walk.
     """
-    report = RoutingReport()
-    if pairs is None:
-        if sample is not None:
-            pairs = sample_pairs(net, sample, seed)
-        else:
-            # lazy: the all-pairs walk previously materialized the whole
-            # quadratic cross product up front before checking a single route
+    if pairs is None and sample is not None:
+        pairs = sample_pairs(net, sample, seed)
+    if not walkable(tables):
+        if pairs is None:
+            # lazy: never materialize the quadratic cross product
             ends = net.end_node_ids()
             pairs = ((s, d) for s in ends for d in ends if s != d)
+        report = RoutingReport()
+        for src, dst in pairs:
+            report.pairs_checked += 1
+            _check_pair(net, tables, src, dst, max_router_hops, require_simple, report)
+        return report
 
-    for src, dst in pairs:
-        report.pairs_checked += 1
-        try:
-            route = compute_route(net, tables, src, dst)
-        except RoutingError as exc:
-            report.failures.append(f"{src}->{dst}: {exc}")
-            continue
-        if route.nodes[-1] != dst:
-            report.failures.append(f"{src}->{dst}: terminated at {route.nodes[-1]}")
-            continue
-        if require_simple and len(set(route.nodes)) != len(route.nodes):
-            report.failures.append(f"{src}->{dst}: revisits a node {route.nodes}")
-            continue
-        if max_router_hops is not None and route.router_hops > max_router_hops:
-            report.failures.append(
-                f"{src}->{dst}: {route.router_hops} router hops "
-                f"exceeds bound {max_router_hops}"
-            )
-            continue
-        report.max_router_hops = max(report.max_router_hops, route.router_hops)
-        report.max_links = max(report.max_links, len(route.links))
+    if pairs is None:
+        walk = walk_all_pairs(net, tables)
+        ends = net.end_node_ids()
+
+        def pair(i: int) -> tuple[str, str]:
+            return _pair_at(ends, i)
+    else:
+        pairs = list(pairs)
+        ei = net.indices().end_index
+        walk = walk_pairs(
+            net,
+            tables,
+            np.fromiter((ei.get(s, -1) for s, _ in pairs), np.int64, len(pairs)),
+            np.fromiter((ei.get(d, -1) for _, d in pairs), np.int64, len(pairs)),
+        )
+        pair = pairs.__getitem__
+    report = RoutingReport(pairs_checked=int(walk.ok.size), walk=walk)
+    passed = walk.ok.copy()
+    if max_router_hops is not None:
+        passed &= walk.router_hops <= max_router_hops
+    for i in np.flatnonzero(~passed).tolist():
+        src, dst = pair(i)
+        _check_pair(net, tables, src, dst, max_router_hops, require_simple, report)
+    if passed.any():
+        top = int(walk.router_hops[passed].max())
+        report.max_router_hops = max(report.max_router_hops, top)
+        report.max_links = max(report.max_links, top + 1)
     return report
+
+
+def _check_pair(
+    net: Network,
+    tables: RoutingTable,
+    src: str,
+    dst: str,
+    max_router_hops: int | None,
+    require_simple: bool,
+    report: RoutingReport,
+) -> None:
+    """Walk one pair through ``compute_route`` and record the outcome."""
+    try:
+        route = compute_route(net, tables, src, dst)
+    except RoutingError as exc:
+        report.failures.append(f"{src}->{dst}: {exc}")
+        return
+    if route.nodes[-1] != dst:
+        report.failures.append(f"{src}->{dst}: terminated at {route.nodes[-1]}")
+        return
+    if require_simple and len(set(route.nodes)) != len(route.nodes):
+        report.failures.append(f"{src}->{dst}: revisits a node {route.nodes}")
+        return
+    if max_router_hops is not None and route.router_hops > max_router_hops:
+        report.failures.append(
+            f"{src}->{dst}: {route.router_hops} router hops "
+            f"exceeds bound {max_router_hops}"
+        )
+        return
+    report.max_router_hops = max(report.max_router_hops, route.router_hops)
+    report.max_links = max(report.max_links, len(route.links))

@@ -194,11 +194,12 @@ def preferred_engine(net: Network, config: SimConfig, traffic: Any) -> str:
 
     Only array-expressible runs qualify: anything that is not a
     :class:`~repro.sim.vec.UniformPlan` or trips
-    :func:`~repro.sim.vec.vec_blockers` answers ``"compiled"`` (callers
+    :func:`~repro.sim.vec.vec_blockers` -- config-level features and the
+    engine's capacity limits on ``net`` -- answers ``"compiled"`` (callers
     with hooks -- probes, traces, recovery -- must also pass them through
-    ``vec_blockers`` themselves; this checks config-level blockers only).
+    ``vec_blockers`` themselves).
     """
-    if type(traffic) is not UniformPlan or vec_blockers(config):
+    if type(traffic) is not UniformPlan or vec_blockers(config, net=net):
         # exact type: UniformPlan subclasses may override build(), which
         # the array fast path ignores -- they go compiled, deterministically
         return "compiled"
@@ -253,6 +254,13 @@ def execute_batch(specs: Sequence[SimSpec]) -> list[RunResult]:
     for idxs in groups.values():
         first = specs[idxs[0]]
         net, tables = first.resolve()
+        if vec_blockers(first.config, net=net, replicas=len(idxs)):
+            # past a capacity limit as one batch: each spec picks its own
+            # engine (an explicit "vectorized" that cannot fit one replica
+            # raises there, naming the limit)
+            for i in idxs:
+                out[i] = execute(specs[i])
+            continue
         if (
             len(idxs) == 1
             and first.config.engine != "vectorized"

@@ -107,9 +107,9 @@ class ReroutePolicy:
     Every fault-schedule transition is detected ``detection_delay`` cycles
     after it happens (modelling timeout-driven fault detection); a new
     deadlock-free routing table is then compiled with the down links
-    disabled, CDG-verified, and atomically swapped in after a further
-    ``reconvergence_delay`` cycles (modelling table distribution to every
-    router).  See :func:`repro.sim.recovery.recompute_recovery_tables` for
+    disabled, certified by the channel-order check, and atomically
+    swapped in after a further ``reconvergence_delay`` cycles (modelling
+    table distribution to every router).  See :func:`repro.sim.recovery.recompute_recovery_tables` for
     the algorithm ladder and :class:`repro.sim.recovery.RecoveryManager`
     for the runtime wiring.
 

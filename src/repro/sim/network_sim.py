@@ -698,6 +698,7 @@ class WormholeSim:
                 # array fast path would ignore -- they stay compiled
                 if type(traffic) is UniformPlan and not vec_blockers(
                     cfg,
+                    net=net,
                     vc_select=vc_select,
                     fault=fault,
                     trace=trace,
@@ -721,6 +722,7 @@ class WormholeSim:
 
             vb = vec_blockers(
                 cfg,
+                net=net,
                 vc_select=vc_select,
                 fault=fault,
                 trace=trace,

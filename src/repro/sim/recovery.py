@@ -14,12 +14,14 @@ recovery layer on top of the wormhole simulator:
 * **Online re-routing** (:class:`~repro.sim.engine.ReroutePolicy`): every
   fault transition triggers, after a detection delay, recompilation of a
   deadlock-free routing table with the failed links disabled
-  (:func:`recompute_recovery_tables`), CDG-verified through the existing
-  certification machinery, and atomically swapped in after a
-  reconvergence delay.  Recomputation is memoized through the
-  content-keyed :class:`~repro.routing.cache.RoutingTableCache`, whose
-  keys already include the disable set -- a sweep re-encountering the
-  same failure set pays the compile once.
+  (:func:`recompute_recovery_tables`), certified deadlock-free by the
+  linear channel-order check
+  (:func:`~repro.deadlock.certifier.certify_channel_order`), and
+  atomically swapped in after a reconvergence delay.  Recomputation and
+  its verdict are memoized in the content-keyed
+  :class:`~repro.routing.cache.RoutingTableCache`, whose keys already
+  include the disable set -- a sweep re-encountering the same failure set
+  pays the compile and the certification once.
 
 * **Dual-fabric failover** (:class:`FailoverPlan`): packets that exhaust
   their retry budget retarget to the second fabric; the plan models the
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 #: Recovery routings tried in order; the first whose tables certify
-#: (deliverable + CDG-acyclic) wins.  Shortest-path keeps routes minimal
+#: (deliverable + an ascending channel order exists) wins.  Shortest-path keeps routes minimal
 #: when the survivors happen to be cycle-free; up*/down* is the provably
 #: deadlock-free fallback on any connected remnant.
 RECOVERY_ALGORITHMS: tuple[str, ...] = ("shortest_path", "up_down")
@@ -77,11 +79,6 @@ class RecoveredTables:
         return self.tables is not None and self.deliverable and self.acyclic
 
 
-#: (cache key of the winning attempt) -> RecoveredTables; certification is
-#: as expensive as compilation, so it is memoized alongside the tables.
-_RECOVERY_MEMO: dict[str, RecoveredTables] = {}
-
-
 def recompute_recovery_tables(
     net: Network,
     down_links: set[str] | frozenset[str],
@@ -93,23 +90,25 @@ def recompute_recovery_tables(
     Only router-to-router links can be routed around (a dead injection or
     ejection cable isolates its end node outright), so the disable set is
     restricted to those.  Each candidate algorithm's result is certified
-    -- every ordered pair deliverable over a simple path *and* the channel
-    dependency graph acyclic -- and the first certified result wins.  If
-    none certifies (e.g. the surviving fabric is disconnected) the last
-    attempt is returned with its failure flags so callers can decide to
-    keep the old tables.
+    -- every ordered pair deliverable over a simple path *and* an
+    ascending channel order over the routes -- and the first certified
+    result wins.  If none certifies (e.g. the surviving fabric is
+    disconnected) the last attempt is returned with its failure flags so
+    callers can decide to keep the old tables.
 
-    Both the tables and the certification verdict are memoized on the
-    cache's content key, so a sweep hitting the same (network, failure
-    set) point recomputes nothing.
+    Both the tables and the certification verdict are memoized in
+    ``cache`` under its content key, so a sweep hitting the same (network,
+    failure set) point recomputes nothing, and ``cache.clear()`` forgets
+    both together.
     """
-    cache = cache or DEFAULT_CACHE
+    # "is None", not "or": an empty cache has len() 0 and would be swapped out
+    cache = DEFAULT_CACHE if cache is None else cache
     router_links = {l.link_id for l in net.router_links()}
     ds = DisableSet(sorted(set(down_links) & router_links))
     last: RecoveredTables | None = None
     for algorithm in algorithms:
         key = cache.key(net, algorithm, None, ds)
-        memo = _RECOVERY_MEMO.get(key)
+        memo = cache.memo_get(key)
         if memo is not None:
             if memo.certified:
                 return memo
@@ -122,11 +121,9 @@ def recompute_recovery_tables(
             result = RecoveredTables(
                 None, algorithm, False, False, frozenset(ds.link_ids())
             )
-            _RECOVERY_MEMO[key] = result
-            last = result
+            last = cache.memo_put(key, result)
             continue
-        result = _certify(net, tables, algorithm, ds)
-        _RECOVERY_MEMO[key] = result
+        result = cache.memo_put(key, _certify(net, tables, algorithm, ds))
         if result.certified:
             return result
         last = result
@@ -137,9 +134,10 @@ def recompute_recovery_tables(
 def _certify(
     net: Network, tables: RoutingTable, algorithm: str, ds: DisableSet
 ) -> RecoveredTables:
-    from repro.deadlock.analysis import certify_deadlock_free
+    from repro.deadlock.certifier import certify_channel_order
 
-    result = certify_deadlock_free(net, tables)
+    # undeliverable tables certify an empty route set, which reads acyclic
+    result = certify_channel_order(net, tables)
     return RecoveredTables(
         tables=tables,
         algorithm=algorithm,
@@ -206,7 +204,7 @@ class RecoveryManager:
         self.reroute = reroute
         self.fault = fault
         self.failover = failover
-        self.cache = cache or DEFAULT_CACHE
+        self.cache = DEFAULT_CACHE if cache is None else cache
         #: reroute event log: one dict per detection, with its outcome
         self.events: list[dict[str, Any]] = []
         #: ids of packets retargeted to the second fabric
@@ -329,10 +327,11 @@ class RecoveryManager:
     def _baseline_recovered(self) -> RecoveredTables:
         """Certify (once) and return the pre-fault tables for a full repair."""
         key = self.cache.key(self.net, "baseline-restore", None, None)
-        memo = _RECOVERY_MEMO.get(key)
+        memo = self.cache.memo_get(key)
         if memo is None:
-            memo = _certify(self.net, self.base_tables, "baseline", DisableSet())
-            _RECOVERY_MEMO[key] = memo
+            memo = self.cache.memo_put(
+                key, _certify(self.net, self.base_tables, "baseline", DisableSet())
+            )
         return memo
 
     def _apply_due_swaps(self, sim: "WormholeSim", cycle: int) -> None:

@@ -139,6 +139,8 @@ class UniformPlan:
 def vec_blockers(
     config: SimConfig,
     *,
+    net: Network | None = None,
+    replicas: int = 1,
     vc_select=None,
     fault=None,
     trace=None,
@@ -151,9 +153,29 @@ def vec_blockers(
     """Features of a run the vectorized engine does not model.
 
     An empty list means the run is expressible as array kernels; anything
-    named here needs the reference or compiled engine.
+    named here needs the reference or compiled engine.  Given ``net`` (and
+    the batch's ``replicas``), the engine's capacity limits are checked
+    too: the flit code's destination field (:data:`MAX_ENDS`) and the
+    int32 flat-index range of the step kernels.  Every engine decision --
+    ``auto`` dispatch, batching, an explicit ``engine="vectorized"``, the
+    core itself -- asks this one function.
     """
     blockers: list[str] = []
+    if net is not None:
+        ends = net.num_end_nodes
+        if ends > MAX_ENDS:
+            blockers.append(
+                f"{ends} end nodes (the flit code addresses at most "
+                f"MAX_ENDS={MAX_ENDS} destinations; use engine='compiled')"
+            )
+        channels = net.num_links * config.vc_count
+        depth = config.buffer_depth
+        if replicas * max(channels * (1 << max(depth - 1, 0).bit_length()), ends) >= 1 << 31:
+            blockers.append(
+                f"{replicas} replicas x {channels} channels x buffer depth "
+                f"{depth} (past the kernels' int32 index range; run fewer "
+                "replicas per batch or use engine='compiled')"
+            )
     if config.switching != "wormhole":
         blockers.append(f"switching={config.switching!r}")
     if config.router_delay:
@@ -361,7 +383,7 @@ class VecCore:
         self.net = net
         self.tables = tables
         self.config = cfg = config or SimConfig()
-        bad = vec_blockers(cfg)
+        bad = vec_blockers(cfg, net=net, replicas=len(streams))
         if bad:
             raise ValueError("vectorized engine does not support: " + ", ".join(bad))
         if not streams:
@@ -375,17 +397,6 @@ class VecCore:
         self.S = S = len(cn.end_ids)
         self.V = cfg.vc_count
         self.D = D = cfg.buffer_depth
-        if S > MAX_ENDS:
-            raise ValueError(
-                f"vectorized engine supports at most {MAX_ENDS} end nodes (got {S})"
-            )
-        # int32 index arithmetic throughout the step kernels, including
-        # flat FIFO slots (replica * channels * padded depth)
-        if B * max(C * (1 << max(D - 1, 0).bit_length()), S) >= 1 << 31:
-            raise ValueError(
-                "vectorized engine limits replicas x channels x buffer "
-                f"depth to int32 range (got {B} x {C} x {D})"
-            )
 
         # ---- static per-channel facts as arrays
         self._ch_router = np.array(cn.ch_router, dtype=np.int32)

@@ -3,7 +3,7 @@
 ``fault_recovery.json`` pins one small deterministic configuration of
 ``fault_study.run`` -- the dual-fabric availability row *and* the full
 dynamic-recovery episode (timeout/retry, online re-routing with
-CDG-certified table swaps, dual-fabric failover) for both Table 2
+certified table swaps, dual-fabric failover) for both Table 2
 topologies.  Any drift in the recovery pipeline -- detection timing,
 swap scheduling, retry accounting, the seed-derivation scheme, or the
 recomputed tables themselves -- shows up as a diff here.

@@ -1,0 +1,234 @@
+"""The array route walker agrees with the per-pair ``compute_route`` walk.
+
+Validation and channel-order certification take the array walk for exact
+``RoutingTable`` / ``ArrayRoutingTable`` objects and the per-pair walk for
+anything else.  A do-nothing subclass therefore *is* the oracle: the same
+entries, forced down the per-pair path.  Every field of the
+``RoutingReport`` and ``OrderCertification`` must match, including the
+failure messages, their order, and any error a broken table raises.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.deadlock.certifier import certify_channel_order
+from repro.experiments.fig1_deadlock import build, clockwise_tables
+from repro.network.graph import NetworkError
+from repro.routing.base import ArrayRoutingTable, RoutingTable, all_pairs_routes
+from repro.routing.cache import cached_tables
+from repro.routing.dimension_order import dimension_order_tables
+from repro.routing.validate import validate_routing
+from repro.routing.walk import walk_all_pairs, walkable
+from repro.topology.mesh import mesh
+from repro.topology.registry import available_topologies, build_topology
+
+#: One small instance of every registered topology (the CI smoke's map).
+PARAMS = {
+    "mesh": {"shape": (3, 3)},
+    "torus": {"shape": (4, 4)},
+    "ring": {"num_routers": 6},
+    "star": {"num_leaves": 5},
+    "binary_tree": {"depth": 3},
+    "butterfly": {"arity": 2, "stages": 3},
+    "kary_tree": {"arity": 3, "depth": 2},
+    "hypercube": {"dimensions": 3},
+    "ccc": {"dimensions": 3},
+    "shuffle_exchange": {"dimensions": 3},
+    "fully_connected": {"num_routers": 5},
+    "hyperx": {"shape": (3, 3)},
+    "dragonfly": {"groups": 5, "routers_per_group": 2, "global_per_router": 2},
+    "fat_tree": {"height": 3, "down": 4, "up": 2},
+    "thin_fractahedron": {"levels": 2},
+    "fat_fractahedron": {"levels": 2},
+}
+
+
+class _SlowDict(RoutingTable):
+    """Same entries, not an exact type: forces the per-pair walk."""
+
+
+class _SlowArray(ArrayRoutingTable):
+    """Same port matrix, not an exact type: forces the per-pair walk."""
+
+
+def oracle(tables: RoutingTable) -> RoutingTable:
+    if type(tables) is ArrayRoutingTable:
+        return _SlowArray(tables._idx, tables.ports)
+    return _SlowDict({r: tables.entries(r) for r in tables.routers()})
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (NetworkError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(net, tables, **kwargs):
+    slow = oracle(tables)
+    assert walkable(tables) and not walkable(slow)
+    assert outcome(validate_routing, net, tables, **kwargs) == outcome(
+        validate_routing, net, slow, **kwargs
+    )
+    kwargs.pop("max_router_hops", None)
+    fast = outcome(certify_channel_order, net, tables, **kwargs)
+    assert fast == outcome(certify_channel_order, net, slow, **kwargs)
+    return fast
+
+
+def test_params_cover_every_topology():
+    assert set(PARAMS) == set(available_topologies())
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_registered_topologies(name):
+    net = build_topology(name, **PARAMS[name])
+    tables = cached_tables(net)
+    cert = assert_same(net, tables)
+    assert cert.deliverable
+    assert_same(net, tables, max_router_hops=2)
+    assert_same(net, tables, sample=25, seed=11)
+
+
+def test_walk_fields_match_the_route_set():
+    net = build_topology("fat_fractahedron", levels=1)
+    tables = cached_tables(net)
+    walk = walk_all_pairs(net, tables)
+    routes = list(all_pairs_routes(net, tables))
+    link_ids = net.indices().link_ids
+    assert walk.ok.all()
+    assert walk.router_hops.tolist() == [r.router_hops for r in routes]
+    assert walk.link_counts.tolist() == [len(r.links) for r in routes]
+    assert [link_ids[c] for c in walk.channels] == sorted({l for r in routes for l in r.links})
+    deps = {(link_ids[h], link_ids[w]) for h, w in walk.dependencies.tolist()}
+    assert deps == {d for r in routes for d in zip(r.links, r.links[1:])}
+    assert walk.dependencies.tolist() == sorted(walk.dependencies.tolist())
+
+
+def test_fig1_clockwise_ring_counterexample():
+    net = build()
+    cert = assert_same(net, clockwise_tables(net))
+    assert cert.deliverable and not cert.deadlock_free
+    assert cert.counterexample
+
+
+def test_array_tables_are_never_lowered(monkeypatch):
+    net = build_topology("fat_fractahedron", levels=2)
+    tables = cached_tables(net)
+    assert type(tables) is ArrayRoutingTable
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certification lowered the full table")
+
+    monkeypatch.setattr(ArrayRoutingTable, "lower", refuse)
+    assert certify_channel_order(net, tables).certified
+
+
+# -- hand-broken tables ------------------------------------------------
+
+
+def _mesh():
+    net = mesh((3, 3), nodes_per_router=1)
+    return net, dimension_order_tables(net)
+
+
+def _forms(tables, net):
+    """The broken table as a dict table and as an array table."""
+    return tables, ArrayRoutingTable.from_table(tables, net.indices())
+
+
+def _first_hop(net, tables, src, dst):
+    router = net.attached_router(src)
+    return router, tables.lookup(router, dst)
+
+
+@pytest.mark.parametrize("form", [0, 1])
+def test_missing_entry(form):
+    net, tables = _mesh()
+    ends = net.end_node_ids()
+    router, _ = _first_hop(net, tables, ends[0], ends[-1])
+    entries = {r: tables.entries(r) for r in tables.routers()}
+    del entries[router][ends[-1]]
+    broken = _forms(RoutingTable(entries), net)[form]
+    report = assert_same(net, broken)
+    assert not report.deliverable and "no entry" in report.failures[0]
+
+
+@pytest.mark.parametrize("form", [0, 1])
+def test_loop(form):
+    net, tables = _mesh()
+    ends = net.end_node_ids()
+    broken = tables.copy()
+    # bounce the packet between the source's router and its next router
+    router, port = _first_hop(net, tables, ends[0], ends[-1])
+    nxt = net.out_link_on_port(router, port)
+    back = next(l for l in net.out_links(nxt.dst) if l.dst == router)
+    broken.set(nxt.dst, ends[-1], back.src_port)
+    report = assert_same(net, _forms(broken, net)[form])
+    assert any("routing loop" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("form", [0, 1])
+def test_uncabled_port(form):
+    net, tables = _mesh()
+    ends = net.end_node_ids()
+    broken = tables.copy()
+    router, _ = _first_hop(net, tables, ends[0], ends[-1])
+    assert net.used_ports(router) < net.node(router).num_ports
+    broken.set(router, ends[-1], net.node(router).num_ports - 1)
+    got = assert_same(net, _forms(broken, net)[form])
+    assert got[0] is NetworkError
+
+
+@pytest.mark.parametrize("form", [0, 1])
+def test_wrong_end_node(form):
+    net, tables = _mesh()
+    ends = net.end_node_ids()
+    broken = tables.copy()
+    # the source's router ejects traffic for ends[-1] back to the source
+    other = net.attached_router(ends[0])
+    wrong = next(l for l in net.out_links(other) if l.dst == ends[0])
+    broken.set(other, ends[-1], wrong.src_port)
+    report = assert_same(net, _forms(broken, net)[form])
+    assert any("non-router, non-destination" in f for f in report.failures)
+
+
+def test_hop_bound_violation():
+    net, tables = _mesh()
+    for bound in (0, 1, 2, 3):
+        assert_same(net, tables, max_router_hops=bound)
+    report = validate_routing(net, tables, max_router_hops=2)
+    assert any("exceeds bound 2" in f for f in report.failures)
+
+
+def test_explicit_pairs_with_unknown_ids_and_routers():
+    net, tables = _mesh()
+    ends, routers = net.end_node_ids(), net.router_ids()
+    pairs = [(ends[0], ends[1]), (routers[0], ends[1]), (ends[2], ends[2]), (ends[3], routers[4])]
+    assert_same(net, tables, pairs=pairs)
+    assert outcome(validate_routing, net, tables, pairs=[("nope", ends[0])])[0] is NetworkError
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    form=st.sampled_from([0, 1]),
+    edits=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(-1, 7)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_random_corruptions_agree(form, edits):
+    net, tables = _mesh()
+    routers, ends = net.router_ids(), net.end_node_ids()
+    entries = {r: tables.entries(r) for r in routers}
+    for r, e, port in edits:
+        if port < 0:
+            entries[routers[r]].pop(ends[e], None)
+        else:
+            entries[routers[r]][ends[e]] = port
+    assert_same(net, _forms(RoutingTable(entries), net)[form])

@@ -257,3 +257,54 @@ class TestSubclassPlanDispatch:
         net, tables = small
         with pytest.raises(TypeError, match="subclass"):
             VecCore(net, tables, [_SkewedPlan(0.05, 4, 7)], CFG)
+
+
+class TestCapacityLimits:
+    """The vectorized engine's hard limits are checked where an engine is
+    chosen -- ``auto`` dispatch, batching, an explicit request -- not only
+    deep inside ``VecCore``."""
+
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        import repro.sim.vec as vec
+        from repro.core.fractahedron import fat_fractahedron
+
+        net = fat_fractahedron(2)
+        tables = cached_tables(net)
+        plan = UniformPlan(0.2, 4, 7)
+        # busy enough that the cost model picks vectorized when unconstrained
+        assert api.preferred_engine(net, CFG, plan) == "vectorized"
+        monkeypatch.setattr(vec, "MAX_ENDS", net.num_end_nodes - 1)
+        return net, tables, plan
+
+    def test_auto_picks_compiled(self, capped):
+        net, tables, plan = capped
+        assert api.preferred_engine(net, CFG, plan) == "compiled"
+        assert api.make_sim(net, tables, plan, CFG).engine == "compiled"
+
+    def test_forced_vectorized_names_limit_and_remedy(self, capped):
+        net, tables, plan = capped
+        config = dataclasses.replace(CFG, engine="vectorized")
+        with pytest.raises(ValueError, match=r"MAX_ENDS=63.*engine='compiled'"):
+            api.make_sim(net, tables, plan, config)
+
+    def test_core_raises_the_same_blocker(self, capped):
+        from repro.sim.vec import VecCore
+
+        net, tables, plan = capped
+        with pytest.raises(ValueError, match=r"MAX_ENDS=63"):
+            VecCore(net, tables, [plan], CFG)
+
+    def test_batch_past_a_limit_runs_per_spec(self, capped):
+        net, tables, _ = capped
+        specs = [
+            api.SimSpec((net, tables), UniformPlan(0.05, 4, s), CFG, cycles=100)
+            for s in range(3)
+        ]
+        assert {r.engine for r in api.execute_batch(specs)} == {"compiled"}
+
+    def test_int32_range_counts_replicas(self, small):
+        net, _ = small
+        assert vec_blockers(CFG, net=net) == []
+        (blocker,) = vec_blockers(CFG, net=net, replicas=1 << 30)
+        assert "int32" in blocker and "fewer replicas" in blocker

@@ -6,8 +6,9 @@ The contract under test (see ``repro/sim/recovery.py``):
   switches;
 * a send-side timeout removes the whole worm -- retransmissions can never
   deadlock behind their own dead flits;
-* every online-recomputed routing table is CDG-certified before the swap,
-  for every topology the Table 2 comparison uses;
+* every online-recomputed routing table is certified (channel order)
+  before the swap, and the CDG check agrees, for every topology the
+  Table 2 comparison uses;
 * recovery sweeps are bit-identical between serial and parallel runs.
 """
 
@@ -316,6 +317,41 @@ class TestRecomputedTablesCertified:
         recovered = recompute_recovery_tables(net, down)
         assert not recovered.certified
         assert recovered.tables is None
+
+
+class TestRecoveryMemoPerCache:
+    """Certified recovery results live in the cache that built their
+    tables, and ``clear()`` forgets them together with the tables."""
+
+    @staticmethod
+    def _known(cache, net, tables):
+        # only tables a cache handed out get their lowering memoized
+        return cache.get_or_lower(net, tables) is cache.get_or_lower(net, tables)
+
+    def test_two_caches_and_a_clear(self):
+        from repro.routing.cache import RoutingTableCache
+
+        net, _ = mesh33()
+        link = net.router_links()[0]
+        down = frozenset({link.link_id, link.reverse_id})
+        a, b = RoutingTableCache(), RoutingTableCache()
+
+        ra = recompute_recovery_tables(net, down, cache=a)
+        assert ra.certified and a.stats.misses >= 1
+        misses = a.stats.misses
+        assert recompute_recovery_tables(net, down, cache=a) is ra
+        assert a.stats.misses == misses
+
+        rb = recompute_recovery_tables(net, down, cache=b)
+        assert rb.certified and b.stats.misses >= 1
+        assert rb.tables is not ra.tables
+        assert self._known(b, net, rb.tables)
+
+        a.clear()
+        again = recompute_recovery_tables(net, down, cache=a)
+        assert again is not ra and again.certified
+        assert a.stats.misses >= 1
+        assert self._known(a, net, again.tables)
 
 
 class TestRecoveryDeterminism:
