@@ -120,6 +120,13 @@ def cmd_experiments(_args) -> int:
     return 0
 
 
+def _experiment_report(name: str) -> str:
+    """One experiment's report text; module level, so it ships to workers."""
+    from repro.experiments.registry import get_experiment
+
+    return get_experiment(name).report()
+
+
 def cmd_run(args) -> int:
     from repro.experiments.registry import (
         ExperimentConfig,
@@ -152,10 +159,12 @@ def cmd_run(args) -> int:
         # Whole experiments are the unit of parallelism for `run all`.
         from repro.sim.parallel import SweepRunner
 
-        runner = SweepRunner(jobs)
-        reports = runner.run_experiment_reports(names)
-        for name in names:
-            print(reports[name])
+        with SweepRunner(jobs) as runner:
+            reports = runner.map(
+                _experiment_report, names, labels=[f"report {n}" for n in names]
+            )
+        for report in reports:
+            print(report)
             print()
         print(runner.stats.report())
         return 0
@@ -174,23 +183,34 @@ def _engine_arg(args) -> str:
 
 
 def cmd_sweep(args) -> int:
-    """Latency curve / saturation search through the parallel runner."""
+    """Latency curve / saturation search / recovery sweep, fanned over
+    the parallel runner; ``--metrics-out`` adds phase spans and counters."""
+    import functools
     import time
 
+    from repro.obs.metrics import MetricRegistry
     from repro.sim.parallel import SweepRunner
-    from repro.sim.sweep import find_saturation
+    from repro.sim.sweep import (
+        curve_points,
+        find_saturation,
+        recovery_curve,
+        sample_point,
+    )
 
     _engine_arg(args)
-    net = _build(args.topology, args.param)
-    tables = _routing_for(net)
-    runner = SweepRunner(args.jobs)
+    metrics = MetricRegistry()
     start = time.perf_counter()
+    with metrics.span("table_build"):
+        net = _build(args.topology, args.param)
+        tables = _routing_for(net)
+    runner = SweepRunner(args.jobs)
     if args.faults:
         # recovery sweep: one fail/repair episode per failure count
         retry, reroute = _recovery_policies(args)
         counts = tuple(int(k) for k in args.faults.split(","))
-        points = runner.recovery_curve(
-            (net, tables),
+        points = recovery_curve(
+            net,
+            tables,
             counts,
             rate=args.rate,
             cycles=args.cycles,
@@ -200,8 +220,10 @@ def cmd_sweep(args) -> int:
             retry=retry,
             reroute=reroute,
             failover=args.failover,
+            runner=runner,
             engine=args.engine,
         )
+        runner.close()
         print(f"{net.name} recovery sweep @ rate {args.rate}:")
         print("  faults  delivered  retried  failover  dropped  swaps  post-recovery")
         for p in points:
@@ -229,20 +251,43 @@ def cmd_sweep(args) -> int:
             )
             _write_metrics_file(
                 args.metrics_out,
-                [manifest] + _point_rows(points) + runner.metrics.rows(),
+                [manifest] + _point_rows(points) + metrics.rows(),
             )
         return 0
     rates = tuple(float(r) for r in args.rates.split(","))
-    points = runner.latency_curve(
-        (net, tables),
-        rates,
-        cycles=args.cycles,
-        packet_size=args.packet_size,
-        seed=args.seed,
-        switching=args.switching,
-        engine=args.engine,
-        sample_interval=args.sample_interval,
-    )
+    sample_rows: list[dict[str, Any]] = []
+    if args.sample_interval:
+        # probed points: the same curve, executed per spec with a probe
+        # created in the worker; rows come back in submission order
+        sample = functools.partial(sample_point, args.sample_interval)
+
+        def executor(specs):
+            observed = runner.map(
+                sample, specs, labels=[f"{net.name} rate={r:g}" for r in rates]
+            )
+            with metrics.span("merge"):
+                sample_rows.extend(row for _, rows in observed for row in rows)
+                metrics.counter("probe_samples", sweep=net.name).inc(
+                    sum(len(rows) for _, rows in observed)
+                )
+            return [result for result, _ in observed]
+
+    else:
+        executor = runner.execute_batch
+    metrics.counter("sweep_points", sweep=net.name).inc(len(rates))
+    with metrics.span("simulate"):
+        points = curve_points(
+            net,
+            tables,
+            rates,
+            cycles=args.cycles,
+            packet_size=args.packet_size,
+            seed=args.seed,
+            switching=args.switching,
+            engine=args.engine,
+            run_batch=executor,
+        )
+    runner.close()
     print(f"{net.name} ({args.switching}):")
     print("  offered   accepted    avg lat    p99 lat")
     for p in points:
@@ -257,6 +302,7 @@ def cmd_sweep(args) -> int:
             tables,
             cycles=args.cycles,
             packet_size=args.packet_size,
+            seed=args.seed,
             switching=args.switching,
             engine=args.engine,
         )
@@ -289,8 +335,8 @@ def cmd_sweep(args) -> int:
             args.metrics_out,
             [manifest]
             + _point_rows(points)
-            + runner.sample_rows
-            + runner.metrics.rows(),
+            + sample_rows
+            + metrics.rows(),
         )
     return 0
 

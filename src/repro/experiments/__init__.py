@@ -5,14 +5,7 @@ protocol through the registry (``run(config) -> ExperimentResult`` plus a
 printable ``report()``); the CLI, the parallel runner and the
 reproduction artifact all dispatch through
 :func:`repro.experiments.registry.get_experiment`.
-
-The historical entry point -- ``ALL_EXPERIMENTS[name].run()`` returning a
-plain dict -- keeps working through a deprecated shim over the registry;
-new code should use the registry directly.
 """
-
-import warnings
-from typing import Iterator, Mapping
 
 from repro.experiments import (  # noqa: F401 - re-exported module namespace
     ablations,
@@ -39,41 +32,7 @@ from repro.experiments.registry import (  # noqa: F401 - public API
     register_experiment,
 )
 
-
-class _DeprecatedExperimentMap(Mapping):
-    """``ALL_EXPERIMENTS``-shaped view over the registry (deprecated).
-
-    Lookups return the legacy driver *module* (so ``.run()``/``.report()``
-    keep their historical plain-dict/str signatures) and emit a
-    ``DeprecationWarning`` pointing at the registry.
-    """
-
-    def _warn(self) -> None:
-        warnings.warn(
-            "ALL_EXPERIMENTS is deprecated; use "
-            "repro.experiments.registry.get_experiment(name) "
-            "(run(config) returns a typed ExperimentResult)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, name: str):
-        self._warn()
-        experiment = registry.get_experiment(name)
-        return getattr(experiment, "module", experiment)
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(registry.experiment_names())
-
-    def __len__(self) -> int:
-        return len(registry.experiment_names())
-
-
-ALL_EXPERIMENTS = _DeprecatedExperimentMap()
-
 __all__ = [
-    "ALL_EXPERIMENTS",
     "Experiment",
     "ExperimentConfig",
     "ExperimentResult",

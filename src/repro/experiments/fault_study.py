@@ -36,7 +36,9 @@ from repro.routing.base import all_pairs_routes
 from repro.routing.cache import cached_tables
 from repro.servernet.fabric import DualFabric
 from repro.sim.engine import RetryPolicy, ReroutePolicy
-from repro.sim.parallel import NetworkSpec, SweepRunner, derive_seed
+from repro.sim.api import NetworkSpec, resolve_target
+from repro.sim.parallel import SweepRunner, derive_seed
+from repro.sim.sweep import recovery_curve
 
 __all__ = ["RECOVERY_TOPOLOGIES", "run", "report", "single_fabric_availability"]
 
@@ -159,8 +161,10 @@ def run_recovery(
     runner = runner or SweepRunner(jobs)
     out: list[dict] = []
     for name, spec in RECOVERY_TOPOLOGIES.items():
-        points = runner.recovery_curve(
-            spec,
+        net, tables = resolve_target(spec)
+        points = recovery_curve(
+            net,
+            tables,
             failure_counts,
             rate=RECOVERY_RATE,
             cycles=RECOVERY_CYCLES,
@@ -171,7 +175,7 @@ def run_recovery(
             retry=RECOVERY_RETRY,
             reroute=RECOVERY_REROUTE,
             failover=True,
-            label=name,
+            runner=runner,
         )
         for point in points:
             point["topology"] = name

@@ -47,7 +47,8 @@ from repro.routing.validate import validate_routing
 from repro.sim import SimConfig, UniformPlan
 from repro.sim import api
 from repro.sim.engine import RetryPolicy, ReroutePolicy
-from repro.sim.parallel import NetworkSpec, derive_seed
+from repro.sim.api import NetworkSpec
+from repro.sim.parallel import SweepRunner, derive_seed
 from repro.sim.sweep import find_saturation, recovery_curve
 
 __all__ = ["MODERN_TOPOLOGIES", "run", "report"]
@@ -233,30 +234,31 @@ def run(cycles: int = 500, recovery_cycles: int = 600, jobs: int = 1) -> dict:
     saturation = []
     recovery = []
     parity = []
-    for name, spec in MODERN_TOPOLOGIES.items():
-        net, tables = spec.build()
-        saturation.append(
-            {
-                "name": name,
-                "saturation_rate": find_saturation(
-                    net, tables, cycles=cycles, resolution=0.01, max_rate=0.4
-                ),
-            }
-        )
-        for row in recovery_curve(
-            net,
-            tables,
-            (2,),
-            rate=0.03,
-            cycles=recovery_cycles,
-            fault_cycle=recovery_cycles // 4,
-            repair_cycle=3 * recovery_cycles // 4,
-            retry=RECOVERY_RETRY,
-            reroute=RECOVERY_REROUTE,
-            jobs=jobs,
-        ):
-            recovery.append({"name": name} | row)
-        parity.append(_parity_row(name, spec, cycles))
+    with SweepRunner(jobs) as runner:
+        for name, spec in MODERN_TOPOLOGIES.items():
+            net, tables = spec.build()
+            saturation.append(
+                {
+                    "name": name,
+                    "saturation_rate": find_saturation(
+                        net, tables, cycles=cycles, resolution=0.01, max_rate=0.4
+                    ),
+                }
+            )
+            for row in recovery_curve(
+                net,
+                tables,
+                (2,),
+                rate=0.03,
+                cycles=recovery_cycles,
+                fault_cycle=recovery_cycles // 4,
+                repair_cycle=3 * recovery_cycles // 4,
+                retry=RECOVERY_RETRY,
+                reroute=RECOVERY_REROUTE,
+                runner=runner,
+            ):
+                recovery.append({"name": name} | row)
+            parity.append(_parity_row(name, spec, cycles))
 
     by_scheme = {(r["name"], r["routing"], r["virtual_channels"]): r for r in certification}
     return {

@@ -15,9 +15,6 @@ reproduction artifact, the parallel runner -- re-implemented dispatch,
   forwarded only when the underlying ``run()`` accepts them.
 * :func:`get_experiment` / :func:`experiment_names` are what the CLI and
   ``reproduce`` dispatch through.
-
-The legacy ``repro.experiments.ALL_EXPERIMENTS`` mapping still works as a
-deprecated shim over this registry (see ``repro/experiments/__init__.py``).
 """
 
 from __future__ import annotations

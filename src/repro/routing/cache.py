@@ -294,6 +294,13 @@ class RoutingTableCache:
                 self.stats.seconds_saved += self._build_cost.setdefault(k, elapsed)
             return winner
 
+    def content_key(self, tables: RoutingTable) -> str | None:
+        """The content key ``tables`` was built under, if this cache built
+        them; ``None`` for table objects it never handed out."""
+        with self._lock:
+            known = self._key_by_id.get(id(tables))
+        return known[1] if known is not None and known[0] is tables else None
+
     def get_or_lower(self, net: Network, tables: RoutingTable, vc_count: int = 1) -> LoweredTable:
         """Lowered (integer-indexed) form of ``tables``, memoized by content.
 
@@ -304,17 +311,15 @@ class RoutingTableCache:
         one lowering is valid for every structurally identical network.
         Unknown table objects are lowered fresh on every call.
         """
-        with self._lock:
-            known = self._key_by_id.get(id(tables))
-            if known is not None and known[0] is tables:
-                lk = (known[1], vc_count)
+        key = self.content_key(tables)
+        lk = (key, vc_count)
+        if key is not None:
+            with self._lock:
                 got = self._lowered.get(lk)
-                if got is not None and got.num_entries == tables.num_entries():
-                    return got
-            else:
-                lk = None
+            if got is not None and got.num_entries == tables.num_entries():
+                return got
         lowered = tables.lower(net, vc_count)
-        if lk is not None:
+        if key is not None:
             with self._lock:
                 lowered = self._lowered.setdefault(lk, lowered)
         return lowered

@@ -23,8 +23,11 @@ contract and by test (``tests/sim/test_engine_equivalence.py``,
 ``tests/sim/test_vec_engine.py``).
 
 Prefer the facade in :mod:`repro.sim.api` -- :class:`SimSpec` plus
-:func:`repro.sim.api.run` / :func:`repro.sim.api.run_batch` -- over
-constructing :class:`WormholeSim` directly.
+:func:`repro.sim.api.execute` / :func:`repro.sim.api.execute_batch`, or
+:func:`repro.sim.api.make_sim` when hooks are needed -- over constructing
+:class:`WormholeSim` directly.  Curves and saturation searches live in
+:mod:`repro.sim.sweep`; :class:`SweepRunner` fans their points over
+worker processes.
 """
 
 from repro.sim.compile import CompiledNet, SimCore, compile_network
@@ -52,12 +55,10 @@ from repro.sim.sweep import (
     LoadPoint,
     curve_points,
     find_saturation,
-    latency_curve,
     measure_point,
     recovery_curve,
 )
 from repro.sim.parallel import (
-    NetworkSpec,
     SweepRunner,
     SweepStats,
     TaskTiming,
@@ -65,7 +66,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.vec import UniformPlan, VecCore, VecSim, vec_blockers
 from repro.sim import api
-from repro.sim.api import RunResult, SimSpec, make_sim, run, run_batch
+from repro.sim.api import NetworkSpec, RunResult, SimSpec, make_sim
 
 __all__ = [
     "CompiledNet",
@@ -77,8 +78,6 @@ __all__ = [
     "api",
     "curve_points",
     "make_sim",
-    "run",
-    "run_batch",
     "vec_blockers",
     "DeadlockDetected",
     "FailoverPlan",
@@ -112,7 +111,6 @@ __all__ = [
     "compile_network",
     "explicit_traffic",
     "find_saturation",
-    "latency_curve",
     "hotspot_traffic",
     "pairs_traffic",
     "permutation_traffic",

@@ -1,24 +1,20 @@
 """The single public entrypoint for running wormhole simulations.
 
-Before this module, callers reached the simulator through three divergent
-surfaces -- :class:`~repro.sim.network_sim.WormholeSim` construction with
-ad-hoc kwargs, the ``repro.sim.sweep`` free functions, and the
-:class:`~repro.sim.parallel.SweepRunner` methods -- each with its own
-argument spelling.  This module replaces the ad-hoc kwargs with one
-hashable value object:
+One hashable value object describes a run, and two functions execute it:
 
 * :class:`SimSpec` -- network + traffic + config + run length, frozen and
   hashable, so a measurement point can key caches, travel to worker
   processes, and round-trip through equality checks;
-* :func:`run` / :func:`run_batch` -- execute one spec (or a list of
-  specs) and return per-spec :class:`~repro.sim.stats.SimStats`;
-* :func:`execute` / :func:`execute_batch` -- the same, but returning
-  :class:`RunResult` with the packet records and the resolved engine
-  (curve summaries need per-packet latencies, not just counters);
+* :class:`NetworkSpec` -- the picklable ``(network, tables)`` recipe a
+  spec may carry instead of a literal pair (see :func:`resolve_target`);
+* :func:`execute` / :func:`execute_batch` -- execute one spec (or a list
+  of specs) and return :class:`RunResult` with the stats, the packet
+  records and the resolved engine (curve summaries need per-packet
+  latencies, not just counters);
 * :func:`make_sim` -- the blessed constructor for callers that need a
   live simulator object (probes, recovery managers, traces).
 
-``run_batch`` is one place the vectorized engine pays off: specs that
+``execute_batch`` is one place the vectorized engine pays off: specs that
 share a ``(network, config, cycles, drain)`` group and carry an
 array-expressible traffic plan advance together in a single
 :class:`~repro.sim.vec.VecCore` batch -- one kernel pass per cycle for
@@ -38,13 +34,14 @@ from typing import Any, Sequence
 
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
+from repro.routing.cache import cached_tables
 from repro.sim.engine import SimConfig
 from repro.sim.network_sim import WormholeSim
-from repro.sim.parallel import NetworkSpec, resolve_target
 from repro.sim.stats import SimStats
 from repro.sim.vec import UniformPlan, VecCore, vec_blockers
 
 __all__ = [
+    "NetworkSpec",
     "RunResult",
     "SimSpec",
     "execute",
@@ -52,9 +49,52 @@ __all__ = [
     "expected_occupancy",
     "make_sim",
     "preferred_engine",
-    "run",
-    "run_batch",
+    "resolve_target",
 ]
+
+
+@dataclass(frozen=True)
+class NetworkSpec:
+    """A picklable recipe for (network, routing tables).
+
+    Workers rebuild from the spec through the topology registry and the
+    routing-table cache instead of unpickling a full network, so a grid of
+    tasks over the same topology compiles its tables once per worker.
+    """
+
+    topology: str
+    params: tuple[tuple[str, Any], ...] = ()
+    algorithm: str | None = None
+
+    @classmethod
+    def make(
+        cls, topology: str, algorithm: str | None = None, **params: Any
+    ) -> "NetworkSpec":
+        return cls(topology, tuple(sorted(params.items())), algorithm)
+
+    def build(self) -> tuple[Network, RoutingTable]:
+        from repro.topology.registry import build_topology
+
+        net = build_topology(self.topology, **dict(self.params))
+        return net, cached_tables(net, algorithm=self.algorithm)
+
+
+#: Per-process memo of built specs (populated inside workers).
+_SPEC_MEMO: dict[NetworkSpec, tuple[Network, RoutingTable]] = {}
+
+
+def resolve_target(
+    target: "NetworkSpec | tuple[Network, RoutingTable]",
+) -> tuple[Network, RoutingTable]:
+    """Materialize a run target: a spec (rebuilt once per process) or a
+    literal ``(network, tables)`` pair (shipped by value)."""
+    if isinstance(target, NetworkSpec):
+        got = _SPEC_MEMO.get(target)
+        if got is None:
+            got = _SPEC_MEMO[target] = target.build()
+        return got
+    net, tables = target
+    return net, tables
 
 
 @dataclass(frozen=True)
@@ -62,9 +102,8 @@ class SimSpec:
     """A hashable, self-contained description of one simulation run.
 
     Attributes:
-        network: what to simulate on -- a
-            :class:`~repro.sim.parallel.NetworkSpec` (hashable recipe,
-            rebuilt through the routing-table cache; required for specs
+        network: what to simulate on -- a :class:`NetworkSpec` (hashable
+            recipe, rebuilt through the routing-table cache; required for specs
             used as dict keys or shipped to workers) or a literal
             ``(network, tables)`` pair for callers that already hold one.
         traffic: the offered load -- a :class:`~repro.sim.vec.UniformPlan`
@@ -113,9 +152,9 @@ def make_sim(
     """The blessed simulator constructor.
 
     Identical to calling :class:`~repro.sim.network_sim.WormholeSim`, but
-    going through here keeps call sites on the public facade (constructing
-    ``WormholeSim`` from ``repro.experiments`` warns) and gives hook-using
-    callers -- probes, traces, recovery managers -- one place to pass them.
+    going through here keeps call sites on the public facade and gives
+    hook-using callers -- probes, traces, recovery managers -- one place
+    to pass them.
     """
     return WormholeSim(net, tables, traffic, config, **hooks)
 
@@ -143,11 +182,6 @@ def execute(spec: SimSpec) -> RunResult:
     sim.run(spec.cycles, drain=spec.drain)
     stats = sim.finalize()
     return RunResult(stats=stats, packets=dict(sim.packets), engine=sim.engine)
-
-
-def run(spec: SimSpec) -> SimStats:
-    """Run one spec and return its :class:`~repro.sim.stats.SimStats`."""
-    return execute(spec).stats
 
 
 #: Calibrated per-cycle step costs in microseconds, fit on the fat
@@ -280,7 +314,3 @@ def execute_batch(specs: Sequence[SimSpec]) -> list[RunResult]:
             )
     return out  # type: ignore[return-value]
 
-
-def run_batch(specs: Sequence[SimSpec]) -> list[SimStats]:
-    """Run many specs (batched where possible); stats in input order."""
-    return [r.stats for r in execute_batch(specs)]

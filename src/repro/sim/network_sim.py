@@ -35,8 +35,6 @@ Two engines implement this cycle:
 
 from __future__ import annotations
 
-import sys
-import warnings
 from typing import TYPE_CHECKING, Callable
 
 from repro.deadlock.waitfor import WaitForGraph
@@ -641,8 +639,7 @@ class WormholeSim:
     the recovery layer and the tests.
 
     Prefer constructing simulations through :mod:`repro.sim.api`
-    (``make_sim`` / ``run`` / ``run_batch``); experiment drivers calling
-    this constructor directly get a :class:`DeprecationWarning`.
+    (``make_sim`` / ``execute`` / ``execute_batch``).
     """
 
     def __init__(
@@ -661,15 +658,6 @@ class WormholeSim:
         probe: "SimProbe | None" = None,
     ) -> None:
         cfg = config or SimConfig()
-        caller = sys._getframe(1).f_globals.get("__name__", "")
-        if caller.startswith("repro.experiments"):
-            warnings.warn(
-                "experiment drivers should build simulations through "
-                "repro.sim.api (make_sim/run/run_batch), not WormholeSim "
-                "directly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         blockers: list[str] = []
         if cfg.switching != "wormhole":
             blockers.append(f"switching={cfg.switching!r}")

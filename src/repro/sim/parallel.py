@@ -1,6 +1,6 @@
-"""Parallel sweep execution with deterministic per-task seeding.
+"""Process fan-out with deterministic per-task seeding.
 
-Every saturation search, latency curve and experiment grid decomposes into
+Every latency curve, recovery curve and experiment grid decomposes into
 independent simulation tasks (one per offered rate, per topology, per
 failure count...).  :class:`SweepRunner` fans those tasks over a
 :class:`concurrent.futures.ProcessPoolExecutor` and guarantees the results
@@ -10,14 +10,16 @@ are **bit-identical to a serial run**:
   from the base seed and the task's identity (never from its submission
   order or worker assignment);
 * tasks share nothing at runtime -- networks and routing tables either
-  travel by value or are rebuilt in the worker through the content-keyed
-  :class:`~repro.routing.cache.RoutingTableCache`;
+  travel by value or are rebuilt in the worker from a
+  :class:`~repro.sim.api.NetworkSpec`;
 * results are returned in submission order regardless of completion order.
 
 ``jobs=1`` runs the exact same task functions in-process, so "serial" is
 literally the degenerate case of "parallel" and the determinism tests in
 ``tests/sim/test_parallel_determinism.py`` hold by construction *and* by
-measurement.
+measurement.  The runner knows nothing about simulation beyond
+:meth:`SweepRunner.execute_batch`; the curves themselves live in
+:mod:`repro.sim.sweep`.
 
 Each task also reports its own wall-clock time; :class:`SweepStats`
 aggregates them so the speedup of a parallel run is observable
@@ -33,13 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.network.graph import Network
-from repro.obs.metrics import MetricRegistry
-from repro.routing.base import RoutingTable
-from repro.routing.cache import cached_tables
-
 __all__ = [
-    "NetworkSpec",
     "SweepRunner",
     "SweepStats",
     "TaskTiming",
@@ -63,50 +59,6 @@ def derive_seed(base_seed: int, *parts: Any) -> int:
         h.update(b"\x1f")
         h.update(repr(part).encode())
     return int.from_bytes(h.digest()[:8], "big") >> 1
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """A picklable recipe for (network, routing tables).
-
-    Workers rebuild from the spec through the topology registry and the
-    routing-table cache instead of unpickling a full network, so a grid of
-    tasks over the same topology compiles its tables once per worker.
-    """
-
-    topology: str
-    params: tuple[tuple[str, Any], ...] = ()
-    algorithm: str | None = None
-
-    @classmethod
-    def make(
-        cls, topology: str, algorithm: str | None = None, **params: Any
-    ) -> "NetworkSpec":
-        return cls(topology, tuple(sorted(params.items())), algorithm)
-
-    def build(self) -> tuple[Network, RoutingTable]:
-        from repro.topology.registry import build_topology
-
-        net = build_topology(self.topology, **dict(self.params))
-        return net, cached_tables(net, algorithm=self.algorithm)
-
-
-#: Per-process memo of built specs (populated inside workers).
-_SPEC_MEMO: dict[NetworkSpec, tuple[Network, RoutingTable]] = {}
-
-
-def resolve_target(
-    target: "NetworkSpec | tuple[Network, RoutingTable]",
-) -> tuple[Network, RoutingTable]:
-    """Materialize a sweep target: a spec (rebuilt once per process) or a
-    literal ``(network, tables)`` pair (shipped by value)."""
-    if isinstance(target, NetworkSpec):
-        got = _SPEC_MEMO.get(target)
-        if got is None:
-            got = _SPEC_MEMO[target] = target.build()
-        return got
-    net, tables = target
-    return net, tables
 
 
 @dataclass(frozen=True)
@@ -174,146 +126,6 @@ def _timed_call(job: tuple[Callable[[Any], Any], Any, str]) -> tuple[Any, TaskTi
     return result, TaskTiming(label, time.perf_counter() - start, os.getpid())
 
 
-@dataclass(frozen=True)
-class _MeasureTask:
-    """One point of a latency curve, fully self-describing and picklable."""
-
-    target: Any
-    rate: float
-    cycles: int
-    packet_size: int
-    seed: int
-    saturation_factor: float
-    switching: str
-    zero_load: float
-    # Engine selection travels with the task but never enters the seed:
-    # both engines are bit-identical, so results match either way.
-    engine: str = "auto"
-    # Probe sampling period in cycles; 0 = no in-run sampling.  Like the
-    # engine, it never enters the seed: samples observe the run, they do
-    # not perturb it.
-    sample_interval: int = 0
-
-
-def _run_measure_observed(task: _MeasureTask) -> dict[str, Any]:
-    """Measure one sampled curve point, plus the probe's timeline rows.
-
-    The probe is created *inside* the worker and its rows travel back with
-    the point, so sample streams attach to their point regardless of which
-    process ran it -- the runner reassembles them in submission order,
-    keeping ``jobs=N`` output bit-identical to ``jobs=1``.
-    """
-    from repro.obs.probe import SimProbe
-    from repro.sim.sweep import measure_point
-
-    net, tables = resolve_target(task.target)
-    probe = SimProbe(task.sample_interval) if task.sample_interval else None
-    point = measure_point(
-        net,
-        tables,
-        task.rate,
-        task.cycles,
-        task.packet_size,
-        task.seed,
-        task.zero_load,
-        task.saturation_factor,
-        task.switching,
-        task.engine,
-        probe=probe,
-    )
-    samples = probe.timeline_rows(rate=task.rate) if probe is not None else []
-    return {"point": point, "samples": samples}
-
-
-def _run_execute(spec):
-    """Execute one :class:`repro.sim.api.SimSpec` (the per-point curve task).
-
-    The module-level counterpart of :func:`repro.sim.api.execute`, so a
-    spec can travel to a pool worker and run there.
-    """
-    from repro.sim import api
-
-    return api.execute(spec)
-
-
-def _run_execute_batch(specs):
-    """Execute a whole spec list as one task (the in-process batched path).
-
-    Keeps the batched :func:`repro.sim.api.execute_batch` call inside
-    :meth:`SweepRunner.map` so it is clocked like any other task.
-    """
-    from repro.sim import api
-
-    return api.execute_batch(specs)
-
-
-@dataclass(frozen=True)
-class _RecoveryTask:
-    """One fault-recovery measurement, fully self-describing and picklable.
-
-    The retry/reroute policies are frozen dataclasses and travel by value;
-    the fault schedule itself is *not* shipped -- it is re-derived inside
-    the worker from ``(seed, "faults", failures)``, the same identity the
-    serial path uses, which is what keeps jobs=N bit-identical to jobs=1.
-    """
-
-    target: Any
-    failures: int
-    rate: float
-    cycles: int
-    packet_size: int
-    seed: int
-    fault_cycle: "int | None"
-    repair_cycle: "int | None"
-    retry: Any
-    reroute: Any
-    failover: bool
-    engine: str = "auto"
-
-
-def _run_recovery(task: _RecoveryTask) -> dict[str, Any]:
-    from repro.sim.recovery import simulate_with_recovery
-
-    net, tables = resolve_target(task.target)
-    result = simulate_with_recovery(
-        net,
-        tables,
-        rate=task.rate,
-        cycles=task.cycles,
-        packet_size=task.packet_size,
-        seed=task.seed,
-        faults=task.failures,
-        fault_cycle=task.fault_cycle,
-        repair_cycle=task.repair_cycle,
-        retry=task.retry,
-        reroute=task.reroute,
-        failover=task.failover,
-        engine=task.engine,
-    )
-    result["failures"] = task.failures
-    return result
-
-
-def _run_saturation(job: tuple[Any, dict[str, Any]]) -> float:
-    from repro.sim.sweep import find_saturation
-
-    target, kwargs = job
-    net, tables = resolve_target(target)
-    return find_saturation(net, tables, **kwargs)
-
-
-def _run_experiment(name: str) -> Any:
-    from repro.experiments.registry import get_experiment
-
-    return get_experiment(name).run().data
-
-
-def _run_experiment_report(name: str) -> str:
-    from repro.experiments.registry import get_experiment
-
-    return get_experiment(name).report()
-
-
 class SweepRunner:
     """Fans independent simulation tasks over a process pool.
 
@@ -330,12 +142,6 @@ class SweepRunner:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.stats = SweepStats(jobs=jobs)
-        #: phase timing (table build / simulate / merge) and sweep counters;
-        #: export via ``self.metrics.rows()`` (see repro.obs.metrics)
-        self.metrics = MetricRegistry()
-        #: probe timeline rows collected by sampled sweeps, in submission
-        #: order (see ``latency_curve(sample_interval=...)``)
-        self.sample_rows: list[dict[str, Any]] = []
 
     def _executor(self) -> ProcessPoolExecutor:
         # One pool for the runner's lifetime: workers stay warm, so
@@ -360,9 +166,6 @@ class SweepRunner:
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         self.close()
 
-    # ------------------------------------------------------------------
-    # generic fan-out
-    # ------------------------------------------------------------------
     def map(
         self,
         fn: Callable[[Any], Any],
@@ -389,188 +192,19 @@ class SweepRunner:
         self.stats.timings.extend(t for _, t in pairs)
         return [r for r, _ in pairs]
 
-    # ------------------------------------------------------------------
-    # sweep primitives
-    # ------------------------------------------------------------------
-    def latency_curve(
-        self,
-        target: "NetworkSpec | tuple[Network, RoutingTable]",
-        rates: Sequence[float],
-        cycles: int = 2000,
-        packet_size: int = 8,
-        seed: int = 1996,
-        saturation_factor: float = 3.0,
-        switching: str = "wormhole",
-        engine: str = "auto",
-        label: str = "",
-        sample_interval: int = 0,
-    ) -> list:
-        """Measure every offered rate concurrently; order follows ``rates``.
+    def execute_batch(self, specs: Sequence[Any]) -> list[Any]:
+        """:func:`repro.sim.api.execute_batch` over the pool.
 
-        Each rate's task seed is ``derive_seed(seed, "rate", repr(rate),
-        "switching", switching)`` -- a function of the point's identity
-        only, so any subset of the same grid reproduces the same points.
-
-        ``sample_interval > 0`` attaches a :class:`repro.obs.SimProbe` to
-        every point's simulation; the per-link utilization timelines land
-        on :attr:`sample_rows` in submission order (bit-identical across
-        job counts and engines).  Phase timing (table build / simulate /
-        merge) folds into :attr:`metrics` either way.
-
-        A thin wrapper over :func:`repro.sim.sweep.curve_points`: this
-        method only chooses the executor (per-point pool tasks when
-        ``jobs > 1``, one batched :func:`repro.sim.api.execute_batch` call
-        otherwise) and keeps the runner's timing/metrics bookkeeping.
+        ``jobs=1`` runs every spec as one chunk, so eligible specs still
+        batch into one vectorized kernel; ``jobs>1`` runs one spec per
+        task.  Results come back in input order and are bit-identical
+        either way.  Pass this method as ``run_batch`` to
+        :func:`repro.sim.sweep.curve_points`.
         """
-        from repro.sim.sweep import _zero_load_latency, curve_points
+        from repro.sim.api import execute_batch
 
-        with self.metrics.span("table_build"):
-            net, tables = resolve_target(target)
-            zero = _zero_load_latency(net, tables, packet_size)
-        name = label or net.name
-        labels = [f"{name} {switching} rate={r:g}" for r in rates]
-        self.metrics.counter("sweep_points", sweep=name).inc(len(labels))
-        if sample_interval:
-            tasks = [
-                _MeasureTask(
-                    target=target if isinstance(target, NetworkSpec) else (net, tables),
-                    rate=float(rate),
-                    cycles=cycles,
-                    packet_size=packet_size,
-                    seed=derive_seed(
-                        seed, "rate", repr(float(rate)), "switching", switching
-                    ),
-                    saturation_factor=saturation_factor,
-                    switching=switching,
-                    zero_load=zero,
-                    engine=engine,
-                    sample_interval=sample_interval,
-                )
-                for rate in rates
-            ]
-            with self.metrics.span("simulate"):
-                observed = self.map(_run_measure_observed, tasks, labels=labels)
-            with self.metrics.span("merge"):
-                points = []
-                for bundle in observed:
-                    points.append(bundle["point"])
-                    self.sample_rows.extend(bundle["samples"])
-                self.metrics.counter("probe_samples", sweep=name).inc(
-                    sum(len(b["samples"]) for b in observed)
-                )
-            return points
-
-        if self.jobs > 1:
-            def executor(specs):
-                return self.map(_run_execute, specs, labels=labels)
-        else:
-            def executor(specs):
-                specs = list(specs)
-                batch_label = f"{name} {switching} batch x{len(specs)}"
-                return self.map(_run_execute_batch, [specs], labels=[batch_label])[0]
-
-        with self.metrics.span("simulate"):
-            return curve_points(
-                net,
-                tables,
-                rates,
-                cycles=cycles,
-                packet_size=packet_size,
-                seed=seed,
-                saturation_factor=saturation_factor,
-                switching=switching,
-                engine=engine,
-                run_batch=executor,
-                zero_load=zero,
-                network=target if isinstance(target, NetworkSpec) else None,
-            )
-
-    def recovery_curve(
-        self,
-        target: "NetworkSpec | tuple[Network, RoutingTable]",
-        failure_counts: Sequence[int],
-        rate: float = 0.05,
-        cycles: int = 1000,
-        packet_size: int = 8,
-        seed: int = 1996,
-        fault_cycle: "int | None" = None,
-        repair_cycle: "int | None" = None,
-        retry: Any = None,
-        reroute: Any = None,
-        failover: bool = False,
-        engine: str = "auto",
-        label: str = "",
-    ) -> list[dict[str, Any]]:
-        """One fault-recovery measurement per failure count, in parallel.
-
-        Each point offers the same traffic (the base seed) against
-        ``failures`` random cable faults chosen from ``derive_seed(seed,
-        "faults", failures)`` -- the fault set is a function of the point's
-        identity, never of scheduling, so serial and parallel runs agree
-        bit-for-bit.  See :func:`repro.sim.recovery.simulate_with_recovery`
-        for the per-point metrics returned.
-        """
-        if not label:
-            if isinstance(target, NetworkSpec):
-                label = target.topology
-            else:
-                label = resolve_target(target)[0].name
-        tasks = [
-            _RecoveryTask(
-                target=target,
-                failures=int(k),
-                rate=float(rate),
-                cycles=cycles,
-                packet_size=packet_size,
-                seed=seed,
-                fault_cycle=fault_cycle,
-                repair_cycle=repair_cycle,
-                retry=retry,
-                reroute=reroute,
-                failover=failover,
-                engine=engine,
-            )
-            for k in failure_counts
-        ]
-        return self.map(
-            _run_recovery,
-            tasks,
-            labels=[f"{label} recovery k={k}" for k in failure_counts],
-        )
-
-    def find_saturation_grid(
-        self,
-        targets: dict[str, "NetworkSpec | tuple[Network, RoutingTable]"],
-        **kwargs: Any,
-    ) -> dict[str, float]:
-        """Run one saturation search per topology, searches in parallel.
-
-        A single binary search is inherently sequential (each probe depends
-        on the last), so the unit of parallelism is the topology.
-        """
-        names = list(targets)
-        values = self.map(
-            _run_saturation,
-            [(targets[n], dict(kwargs)) for n in names],
-            labels=[f"find_saturation {n}" for n in names],
-        )
-        return dict(zip(names, values))
-
-    # ------------------------------------------------------------------
-    # experiment grids
-    # ------------------------------------------------------------------
-    def run_experiments(self, names: Sequence[str]) -> dict[str, Any]:
-        """Fan whole experiment drivers (their ``run()``) over the pool."""
-        results = self.map(
-            _run_experiment, list(names), labels=[f"experiment {n}" for n in names]
-        )
-        return dict(zip(names, results))
-
-    def run_experiment_reports(self, names: Sequence[str]) -> dict[str, str]:
-        """Like :meth:`run_experiments` but collecting ``report()`` text."""
-        results = self.map(
-            _run_experiment_report,
-            list(names),
-            labels=[f"report {n}" for n in names],
-        )
-        return dict(zip(names, results))
+        specs = list(specs)
+        if self.jobs == 1:
+            return self.map(execute_batch, [specs], [f"batch x{len(specs)}"])[0]
+        chunks = self.map(execute_batch, [[spec] for spec in specs])
+        return [result for (result,) in chunks]

@@ -325,14 +325,20 @@ class RecoveryManager:
         self.events.append(event)
 
     def _baseline_recovered(self) -> RecoveredTables:
-        """Certify (once) and return the pre-fault tables for a full repair."""
-        key = self.cache.key(self.net, "baseline-restore", None, None)
-        memo = self.cache.memo_get(key)
-        if memo is None:
-            memo = self.cache.memo_put(
-                key, _certify(self.net, self.base_tables, "baseline", DisableSet())
-            )
-        return memo
+        """Certify and return the pre-fault tables for a full repair.
+
+        The verdict is memoized under the tables' content key, so every
+        manager over the same cached tables certifies them once; tables
+        the cache did not build have no content key and certify per repair.
+        """
+        key = self.cache.content_key(self.base_tables)
+        if key is not None:
+            key += "|baseline-restore"
+            memo = self.cache.memo_get(key)
+            if memo is not None:
+                return memo
+        recovered = _certify(self.net, self.base_tables, "baseline", DisableSet())
+        return recovered if key is None else self.cache.memo_put(key, recovered)
 
     def _apply_due_swaps(self, sim: "WormholeSim", cycle: int) -> None:
         for due in sorted(c for c in self._swaps if c <= cycle):

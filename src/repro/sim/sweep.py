@@ -1,21 +1,25 @@
-"""Load sweeps and saturation search.
+"""Load sweeps, saturation search and recovery sweeps.
 
 The quantitative summary of a topology's "ability to handle load
 imbalances" (§3.0) is its saturation point: the offered load where
 latency departs from the zero-load regime.  :func:`find_saturation`
-binary-searches it; :func:`latency_curve` produces the classic
-latency-vs-offered-load series the §4.0 benchmark prints.
+binary-searches it; :func:`curve_points` produces the classic
+latency-vs-offered-load series the §4.0 benchmark prints, and
+:func:`recovery_curve` the fault-recovery metrics per failure count.
 
-Both go through :class:`repro.sim.parallel.SweepRunner`: every measured
-point is an independent task with a seed derived from its identity
-(:func:`repro.sim.parallel.derive_seed`), so ``jobs=4`` returns results
-bit-identical to ``jobs=1``.
+This module is the only home of that logic.  Every measured point is an
+independent task with a seed derived from its identity
+(:func:`repro.sim.parallel.derive_seed`), so fanning the points over a
+:class:`repro.sim.parallel.SweepRunner` -- ``run_batch=runner.execute_batch``
+for curves, ``runner=`` for recovery sweeps -- returns results
+bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -27,9 +31,9 @@ __all__ = [
     "LoadPoint",
     "curve_points",
     "find_saturation",
-    "latency_curve",
     "measure_point",
     "recovery_curve",
+    "sample_point",
 ]
 
 
@@ -103,42 +107,30 @@ def measure_point(
     factor: float,
     switching: str = "wormhole",
     engine: str = "auto",
-    probe=None,
 ) -> LoadPoint:
     """Simulate one offered rate and classify it against the zero-load bar.
 
     Pure in all arguments (the traffic RNG is seeded here), which is what
-    lets the parallel runner execute points in any process, in any order.
-    ``engine`` selects the simulator implementation only -- it never enters
-    the seed derivation, because the engines are bit-identical.  ``probe``
-    optionally attaches a :class:`repro.obs.SimProbe` for in-run sampling.
+    lets a saturation search probe points in any order.  ``engine``
+    selects the simulator implementation only -- it never enters the seed
+    derivation, because the engines are bit-identical.
 
-    A thin wrapper over :mod:`repro.sim.api` plus the shared
+    A thin wrapper over :func:`repro.sim.api.execute` plus the shared
     :func:`_window_summary` measure-window logic (see :func:`curve_points`
     for the batched many-rates form).
     """
     from repro.sim import api
     from repro.sim.vec import UniformPlan
 
-    cfg = _point_config(packet_size, switching, engine)
-    if probe is not None:
-        # probes need a live simulator hook; vec-ineligible by definition
-        sim = api.make_sim(
-            net, tables, UniformPlan(rate, packet_size, seed).build(net), cfg,
-            probe=probe,
+    packets = api.execute(
+        api.SimSpec(
+            network=(net, tables),
+            traffic=UniformPlan(rate, packet_size, seed),
+            config=_point_config(packet_size, switching, engine),
+            cycles=cycles,
+            drain=False,
         )
-        sim.run(cycles, drain=False)
-        packets = sim.packets
-    else:
-        packets = api.execute(
-            api.SimSpec(
-                network=(net, tables),
-                traffic=UniformPlan(rate, packet_size, seed),
-                config=cfg,
-                cycles=cycles,
-                drain=False,
-            )
-        ).packets
+    ).packets
     return _window_summary(
         packets, rate, cycles, zero_load, factor, net.num_end_nodes
     )
@@ -163,16 +155,16 @@ def curve_points(
     Builds one :class:`repro.sim.api.SimSpec` per rate (seeded from the
     point's identity, as always) and executes them through ``run_batch``
     -- by default :func:`repro.sim.api.execute_batch`, which advances all
-    vec-eligible points as one batched kernel; the parallel runner passes
-    its process-pool executor instead.  Both :func:`latency_curve` and
-    :meth:`repro.sim.parallel.SweepRunner.latency_curve` are thin wrappers
-    over this function, so the warmup/measure-window logic
-    (:func:`_window_summary`) has a single source of truth.
+    vec-eligible points as one batched kernel.  Pass
+    :meth:`repro.sim.parallel.SweepRunner.execute_batch` to fan the points
+    over worker processes, or a :func:`sample_point` executor to attach a
+    probe to every point; the warmup/measure-window logic
+    (:func:`_window_summary`) stays here either way.
 
     ``network`` optionally carries the hashable
-    :class:`~repro.sim.parallel.NetworkSpec` recipe the ``(net, tables)``
-    pair was built from; specs then ship the recipe to worker processes,
-    which rebuild it through the memoized routing-table cache instead of
+    :class:`~repro.sim.api.NetworkSpec` recipe the ``(net, tables)`` pair
+    was built from; specs then ship the recipe to worker processes, which
+    rebuild it through the memoized routing-table cache instead of
     unpickling the full network.
     """
     from repro.sim import api
@@ -214,42 +206,45 @@ def _zero_load_latency(net: Network, tables: RoutingTable, packet_size: int) -> 
     return stats.mean + 1 + packet_size - 2
 
 
-def latency_curve(
-    net: Network,
-    tables: RoutingTable,
-    rates: tuple[float, ...],
-    cycles: int = 2000,
-    packet_size: int = 8,
-    seed: int = 1996,
-    saturation_factor: float = 3.0,
-    switching: str = "wormhole",
-    jobs: int = 1,
-    engine: str = "auto",
-) -> list[LoadPoint]:
-    """Measure steady-state latency at each offered rate.
+def sample_point(sample_interval: int, spec) -> tuple[Any, list[dict[str, Any]]]:
+    """Execute one curve spec with a :class:`repro.obs.SimProbe` attached.
 
-    ``jobs > 1`` fans the rates over a process pool; the series is
-    bit-identical to the serial one because each point's seed depends only
-    on the point (see :mod:`repro.sim.parallel`).
+    Returns the :class:`~repro.sim.api.RunResult` and the probe's timeline
+    rows.  Bind the interval with :func:`functools.partial` and fan the
+    specs with :meth:`repro.sim.parallel.SweepRunner.map`: the probe is
+    created inside the worker and its rows travel back with the point, so
+    reassembling them in submission order keeps ``jobs=N`` output
+    bit-identical to ``jobs=1``.  Probes need a live simulator hook, so
+    sampled points never join a vectorized batch.
     """
-    from repro.sim.parallel import SweepRunner
+    from repro.obs.probe import SimProbe
+    from repro.sim import api
 
-    return SweepRunner(jobs).latency_curve(
-        (net, tables),
-        rates,
-        cycles=cycles,
-        packet_size=packet_size,
-        seed=seed,
-        saturation_factor=saturation_factor,
-        switching=switching,
-        engine=engine,
+    net, tables = spec.resolve()
+    probe = SimProbe(sample_interval)
+    sim = api.make_sim(net, tables, spec.build_traffic(net), spec.config, probe=probe)
+    sim.run(spec.cycles, drain=spec.drain)
+    result = api.RunResult(
+        stats=sim.finalize(), packets=dict(sim.packets), engine=sim.engine
     )
+    return result, probe.timeline_rows(rate=spec.traffic.rate)
+
+
+def _recovery_point(
+    net: Network, tables: RoutingTable, failures: int, **options: Any
+) -> dict:
+    """One point of :func:`recovery_curve` (module level, so it pickles)."""
+    from repro.sim.recovery import simulate_with_recovery
+
+    result = simulate_with_recovery(net, tables, faults=failures, **options)
+    result["failures"] = failures
+    return result
 
 
 def recovery_curve(
     net: Network,
     tables: RoutingTable,
-    failure_counts: tuple[int, ...],
+    failure_counts: Sequence[int],
     rate: float = 0.05,
     cycles: int = 1000,
     packet_size: int = 8,
@@ -259,33 +254,41 @@ def recovery_curve(
     retry=None,
     reroute=None,
     failover: bool = False,
-    jobs: int = 1,
+    runner=None,
     engine: str = "auto",
 ) -> list[dict]:
     """Fault-recovery metrics at each failure count (see
     :func:`repro.sim.recovery.simulate_with_recovery`).
 
-    ``jobs > 1`` fans the failure counts over a process pool; fault sets
-    and traffic are derived from each point's identity, so the series is
-    bit-identical to the serial one.
+    Each point offers the same traffic (the base seed) against
+    ``failures`` random cable faults chosen from ``derive_seed(seed,
+    "faults", failures)`` -- the fault set is a function of the point's
+    identity, never of scheduling.  Pass a
+    :class:`~repro.sim.parallel.SweepRunner` to fan the points over its
+    workers (serial in-process otherwise); the series is bit-identical
+    either way.
     """
     from repro.sim.parallel import SweepRunner
 
-    with SweepRunner(jobs) as runner:
-        return runner.recovery_curve(
-            (net, tables),
-            failure_counts,
-            rate=rate,
-            cycles=cycles,
-            packet_size=packet_size,
-            seed=seed,
-            fault_cycle=fault_cycle,
-            repair_cycle=repair_cycle,
-            retry=retry,
-            reroute=reroute,
-            failover=failover,
-            engine=engine,
-        )
+    point = functools.partial(
+        _recovery_point,
+        net,
+        tables,
+        rate=float(rate),
+        cycles=cycles,
+        packet_size=packet_size,
+        seed=seed,
+        fault_cycle=fault_cycle,
+        repair_cycle=repair_cycle,
+        retry=retry,
+        reroute=reroute,
+        failover=failover,
+        engine=engine,
+    )
+    counts = [int(k) for k in failure_counts]
+    return (runner or SweepRunner()).map(
+        point, counts, labels=[f"{net.name} recovery k={k}" for k in counts]
+    )
 
 
 def find_saturation(

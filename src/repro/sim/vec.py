@@ -32,11 +32,11 @@ keyword (``"auto"`` crosses over at :data:`ACTIVE_SCAN_MAX`):
   sorted merge of freshly occupied channels, a mask-compress of drained
   ones -- so per-cycle cost scales with occupancy, not network size.
 
-Both are bit-identical to ``dense=True`` full-width stepping (property
-test: ``tests/properties/test_vec_active_set_properties.py``).  An empty
-active set (equivalently, zero backlog and no in-flight packets in scan
-mode) fast-forwards the run loop to the next admission cycle, the same
-idle-cycle shortcut ``SimCore`` has.
+Both are bit-identical to the reference interpreter, replica by replica
+(property test: ``tests/properties/test_vec_active_set_properties.py``).
+An empty active set (equivalently, zero backlog and no in-flight packets
+in scan mode) fast-forwards the run loop to the next admission cycle, the
+same idle-cycle shortcut ``SimCore`` has.
 
 Layout
 ------
@@ -365,9 +365,8 @@ class VecCore:
     stats of an independent single run.
 
     ``active_set`` selects the sparse stepping discipline (``"auto"`` /
-    ``"scan"`` / ``"index"``; see the module docstring) and ``dense=True``
-    restores full-width kernels -- both knobs exist for the property
-    suite and benchmarks; every mode is bit-identical.
+    ``"scan"`` / ``"index"``; see the module docstring) -- the knob exists
+    for the property suite and benchmarks; every mode is bit-identical.
     """
 
     def __init__(
@@ -377,7 +376,6 @@ class VecCore:
         streams: Sequence["TrafficGenerator | UniformPlan"],
         config: SimConfig | None = None,
         *,
-        dense: bool = False,
         active_set: str = "auto",
     ) -> None:
         self.net = net
@@ -455,10 +453,7 @@ class VecCore:
 
         # ---- active sets: sorted compressed index arrays the sparse step
         # kernels gather/scatter over instead of the full (B*C,) width.
-        # ``dense`` disables them (full-width scans every cycle) so the
-        # property suite can diff both stepping modes bit-for-bit.
-        self._dense = bool(dense)
-        # active-set derivation mode: below the crossover a full-width
+        # Active-set derivation mode: below the crossover a full-width
         # boolean scan re-derives the occupied/armed index arrays each
         # cycle (a handful of linear passes); above it the incremental
         # sorted-merge upkeep wins because scans grow with B*C while
@@ -945,16 +940,12 @@ class VecCore:
                 if not act.any():
                     break
             if (
-                not self._dense
-                and (
-                    (not self._occ_idx.size and not self._armed_idx.size)
-                    if not self._scan
-                    # armed implies backlog > 0 (the count drops only at
-                    # last-flit injection) and occupied implies in-flight
-                    # packets, so two scalar reductions decide idleness
-                    else not self._backlog.any()
-                    and not (self._pi != self._pd).any()
-                )
+                (not self._occ_idx.size and not self._armed_idx.size)
+                if not self._scan
+                # armed implies backlog > 0 (the count drops only at
+                # last-flit injection) and occupied implies in-flight
+                # packets, so two scalar reductions decide idleness
+                else not self._backlog.any() and not (self._pi != self._pd).any()
             ):
                 # idle-cycle fast-forward (cf. SimCore._fast_forward): no
                 # flit queued and no source armed anywhere, so every cycle
@@ -999,7 +990,6 @@ class VecCore:
         fifo = self._fifo
         fifo_len = self._fifo_len
         fl2 = fifo_len.reshape(B, C)
-        dense = self._dense
         scan = self._scan
 
         # single-replica fast path: per-replica reductions (bincounts keyed
@@ -1039,7 +1029,7 @@ class VecCore:
                         self._pcreated.reshape(-1)[
                             b_of * np.int64(self._pcap) + pids
                         ] = cycle
-                    if not dense and not scan:
+                    if not scan:
                         # arm immediately: this cycle's latch phase must
                         # see sources the admission just gave work; fidx
                         # repeats a source that admitted several packets
@@ -1056,7 +1046,7 @@ class VecCore:
         # ---- inject phase 2: idle sources latch the next queued packet
         scode = self._scode
         sflat = scode.reshape(-1)
-        if dense or scan:
+        if scan:
             can_start = (sflat < 0) & (self._qstart < self._qtail)
             if not all_alive:
                 can_start &= np.repeat(act, S)
@@ -1086,9 +1076,9 @@ class VecCore:
         # ---- route phase: desired output per occupied input buffer.
         # The occupied set is (replica, channel)-sorted like the
         # reference's sorted(occupied) -- maintained incrementally, or
-        # recomputed by full-width scan in dense mode; every occupied
+        # recomputed by full-width scan in scan mode; every occupied
         # buffer produces exactly one request.
-        if dense or scan:
+        if scan:
             occ = fl2 > 0
             if not all_alive:
                 occ &= act[:, None]
@@ -1131,7 +1121,7 @@ class VecCore:
         ro = cur  # (cur is a fresh gather; heads were patched in place)
 
         # ---- inject phase 3 (decision): space check against pre-move state
-        if dense or scan:
+        if scan:
             ready = sflat >= 0
             if not all_alive:
                 ready &= np.repeat(act, S)
@@ -1314,7 +1304,7 @@ class VecCore:
                 if nlast:
                     lpos = ipos[last]
                     self._backlog[0] -= nlast
-                    if not dense and not scan:
+                    if not scan:
                         src_touch.append(lpos)
                 moved0 += ipos.size
             else:
@@ -1324,7 +1314,7 @@ class VecCore:
                 if last.any():
                     lpos = ipos[last]
                     self._backlog -= ibl[1::2]
-                    if not dense and not scan:
+                    if not scan:
                         src_touch.append(lpos)
                 moved_b += ibl[0::2] + ibl[1::2]
 
@@ -1335,7 +1325,7 @@ class VecCore:
             slot = (self._fhead.take(push_ch) + fl_o) & (self._Dp - 1)
             self._fifo_flat[push_ch * self._Dp + slot] = push_codes
             fifo_len[push_ch] = fl_o + 1
-            if not dense and not scan:
+            if not scan:
                 # a push occupies its channel iff it found it empty AND the
                 # channel is not already a member (popped-to-zero inputs
                 # that were re-filled this cycle stay in the set)
@@ -1347,7 +1337,7 @@ class VecCore:
         # sorted sets and re-derive membership from post-move state.  Cost
         # is O(active log active), never O(B*C): upkeep scales with what
         # the cycle moved, not with the network width.
-        if not dense and not scan:
+        if not scan:
             occ = self._occ_idx
             if parts is not None and len(parts):
                 # only popped channels can empty, and every pop is in occ
@@ -1391,7 +1381,7 @@ class VecCore:
         if b1:
             # scalar bookkeeping for the lone (alive) replica
             self._fmoved[0] += moved0
-            if dense or scan:
+            if scan:
                 occ0 = int(np.count_nonzero(fifo_len))
             else:
                 occ0 = self._occ_idx.size
@@ -1419,7 +1409,7 @@ class VecCore:
             self._cycle = cycle + 1
             return
         self._fmoved += moved_b
-        if dense or scan:
+        if scan:
             occ_cnt = np.count_nonzero(fl2, axis=1)
         elif self._occ_idx.size:
             occ_cnt = np.bincount(self._occ_idx // C, minlength=B)

@@ -95,21 +95,3 @@ class TestModuleExperiment:
     def test_description_is_first_doc_line(self):
         assert get_experiment("faults").description.startswith("§1.0:")
 
-
-class TestDeprecationShim:
-    def test_all_experiments_warns_and_matches_registry(self):
-        from repro.experiments import ALL_EXPERIMENTS
-
-        with pytest.warns(DeprecationWarning, match="ALL_EXPERIMENTS"):
-            legacy = ALL_EXPERIMENTS["fig1"]
-        assert legacy is get_experiment("fig1").module
-        with pytest.warns(DeprecationWarning):
-            assert set(ALL_EXPERIMENTS) == set(experiment_names())
-
-    def test_legacy_module_still_runs(self):
-        from repro.experiments import ALL_EXPERIMENTS
-
-        with pytest.warns(DeprecationWarning):
-            module = ALL_EXPERIMENTS["fig1"]
-        result = module.run()
-        assert result["dor_delivered"] == 4

@@ -79,15 +79,27 @@ def test_disabled_probe_is_default():
 
 
 def test_sweep_timelines_identical_across_job_counts():
-    from repro.sim.parallel import NetworkSpec, SweepRunner
+    import functools
+
+    from repro.sim.api import NetworkSpec, resolve_target
+    from repro.sim.parallel import SweepRunner
+    from repro.sim.sweep import curve_points, sample_point
 
     spec = NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1)
     results = {}
     for jobs in (1, 4):
-        runner = SweepRunner(jobs)
-        points = runner.latency_curve(
-            spec, (0.01, 0.05), cycles=400, sample_interval=100
-        )
-        results[jobs] = (points, runner.sample_rows)
+        rows = []
+        with SweepRunner(jobs) as runner:
+
+            def sampled(specs):
+                observed = runner.map(functools.partial(sample_point, 100), specs)
+                rows.extend(row for _, sample in observed for row in sample)
+                return [result for result, _ in observed]
+
+            points = curve_points(
+                *resolve_target(spec), (0.01, 0.05), cycles=400,
+                run_batch=sampled, network=spec,
+            )
+        results[jobs] = (points, rows)
     assert results[1] == results[4]
     assert results[1][1], "sampling produced no rows"

@@ -12,6 +12,8 @@ Two families of invariants:
   probed rate below the returned saturation point is unsaturated.
 """
 
+import functools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,14 @@ from repro.sim.parallel import SweepRunner, derive_seed
 from repro.topology.hypercube import hypercube
 from repro.topology.mesh import mesh
 from repro.topology.ring import ring
+
+
+def _saturation(target, **kwargs):
+    """One saturation search per runner task (module level, so it pickles)."""
+    from repro.sim.api import resolve_target
+    from repro.sim.sweep import find_saturation
+
+    return find_saturation(*resolve_target(target), **kwargs)
 
 
 @st.composite
@@ -145,14 +155,15 @@ class TestSaturationBracket:
             assert not point.saturated, f"saturated below bracket at {rate}"
 
     def test_saturation_through_runner_matches_direct(self):
-        from repro.sim.parallel import NetworkSpec, SweepRunner
+        from repro.sim.api import NetworkSpec
         from repro.sim.sweep import find_saturation
 
         net = mesh((3, 3), nodes_per_router=1)
         tables = dimension_order_tables(net)
         direct = find_saturation(net, tables, cycles=600, resolution=0.02)
         spec = NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1)
-        via_runner = SweepRunner(2).find_saturation_grid(
-            {"m": spec}, cycles=600, resolution=0.02
-        )["m"]
+        with SweepRunner(2) as runner:
+            (via_runner,) = runner.map(
+                functools.partial(_saturation, cycles=600, resolution=0.02), [spec]
+            )
         assert direct == via_runner

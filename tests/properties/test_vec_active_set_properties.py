@@ -1,21 +1,24 @@
-"""Property: active-set stepping is bit-identical to dense stepping.
+"""Property: both active-set step disciplines match the reference engine.
 
-The vectorized core keeps three step disciplines: ``dense`` (every phase
-kernel sweeps the full ``(B*C,)`` width), ``active_set="scan"``
+The vectorized core keeps two step disciplines: ``active_set="scan"``
 (occupied/armed sets re-derived by full-width boolean scans each cycle)
 and ``active_set="index"`` (compressed index arrays maintained
-incrementally).  All three must produce the field-complete
+incrementally).  Both must produce, for every replica, the field-complete
 ``stats_signature`` -- every counter, every latency sample, every
-per-packet stamp -- for every replica, whatever the occupancy pattern
-(bursty explicit schedules, uniform plans, silence), batch size, or idle
-window (which exercises the fast-forward path the active sets key).
+per-packet stamp -- of the reference interpreter run alone on the same
+stream, whatever the occupancy pattern (bursty explicit schedules,
+uniform plans, silence), batch size, or idle window (which exercises the
+fast-forward path the active sets key).
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.parity import stats_signature
 from repro.routing.cache import cached_tables
+from repro.sim.api import make_sim
 from repro.sim.engine import SimConfig
 from repro.sim.traffic import explicit_traffic
 from repro.sim.vec import UniformPlan, VecCore
@@ -46,6 +49,20 @@ def _make_stream(spec):
         return lambda: plan
     schedule = [(c, ENDS[s], ENDS[d], n) for c, s, d, n in spec if s != d]
     return lambda: explicit_traffic(schedule)
+
+
+def _reference_signatures(factories, cycles, drain):
+    """The oracle: each replica's stream run alone on the reference engine."""
+    out = []
+    for factory in factories:
+        stream = factory()
+        if isinstance(stream, UniformPlan):
+            stream = stream.build(NET)
+        sim = make_sim(NET, TABLES, stream, replace(CFG, engine="reference"))
+        sim.run(cycles, drain=drain)
+        sim.finalize()
+        out.append(stats_signature(sim))
+    return out
 
 
 def _signatures(factories, cycles, drain, **core_kw):
@@ -86,10 +103,10 @@ _replica = st.one_of(_events, _plan)
     cycles=st.integers(10, 200),
     drain=st.booleans(),
 )
-def test_active_set_bit_identical_to_dense(specs, cycles, drain):
+def test_active_set_bit_identical_to_reference(specs, cycles, drain):
     factories = [_make_stream(s) for s in specs]
-    dense = _signatures(factories, cycles, drain, dense=True)
+    reference = _reference_signatures(factories, cycles, drain)
     index = _signatures(factories, cycles, drain, active_set="index")
     scan = _signatures(factories, cycles, drain, active_set="scan")
-    assert index == dense
-    assert scan == dense
+    assert index == reference
+    assert scan == reference

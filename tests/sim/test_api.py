@@ -1,6 +1,5 @@
-"""The repro.sim.api facade: SimSpec value semantics, run/run_batch
-parity, batching eligibility, and the deprecation fence around direct
-WormholeSim construction from experiment drivers."""
+"""The repro.sim.api facade: SimSpec value semantics, execute /
+execute_batch parity, batching eligibility, and config validation."""
 
 import dataclasses
 import warnings
@@ -10,9 +9,8 @@ import pytest
 from repro.obs.parity import compare_signatures, stats_signature
 from repro.routing.cache import cached_tables
 from repro.sim import api
+from repro.sim.api import NetworkSpec
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
-from repro.sim.parallel import NetworkSpec
 from repro.sim.traffic import uniform_traffic
 from repro.sim.vec import UniformPlan, vec_blockers
 from repro.topology.mesh import mesh
@@ -67,8 +65,8 @@ class TestRunParity:
     def test_run_equals_run_batch_of_one(self, small):
         net, tables = small
         spec = spec_for((net, tables))
-        solo = api.run(spec)
-        batched = api.run_batch([spec])
+        solo = api.execute(spec).stats
+        batched = [r.stats for r in api.execute_batch([spec])]
         assert len(batched) == 1
         assert solo == batched[0]
 
@@ -115,7 +113,7 @@ class TestRunParity:
         results = api.execute_batch(mixed)
         assert len(results) == len(mixed)
         for spec, res in zip(mixed, results):
-            assert res.stats == api.run(spec)
+            assert res.stats == api.execute(spec).stats
 
 
 class TestBatchingEligibility:
@@ -174,20 +172,6 @@ class TestConfigValidationAndDeprecation:
                 cfg,
                 on_deliver=lambda *a: [],
             )
-
-    def test_direct_construction_from_experiments_warns(self, small):
-        net, tables = small
-        # compile a caller whose module claims to be an experiment driver:
-        # the fence keys on the constructing frame's __name__
-        fake_globals = {"__name__": "repro.experiments.fake"}
-        exec(
-            "def build(cls, net, tables, traffic, cfg):\n"
-            "    return cls(net, tables, traffic, cfg)\n",
-            fake_globals,
-        )
-        traffic = uniform_traffic(net.end_node_ids(), 0.02, 4, 1)
-        with pytest.warns(DeprecationWarning, match="repro.sim.api"):
-            fake_globals["build"](WormholeSim, net, tables, traffic, CFG)
 
     def test_make_sim_does_not_warn(self, small):
         net, tables = small

@@ -9,14 +9,32 @@ store-and-forward), saturation grids, and the rewired experiment drivers.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.routing.dimension_order import dimension_order_tables
-from repro.sim.parallel import NetworkSpec, SweepRunner, derive_seed
-from repro.sim.sweep import latency_curve
+from repro.sim.api import NetworkSpec, resolve_target
+from repro.sim.parallel import SweepRunner, derive_seed
+from repro.sim.sweep import curve_points, find_saturation
 from repro.topology.mesh import mesh
 
 RATES = (0.01, 0.05, 0.12)
+
+
+def fanned_curve(net, tables, rates, jobs=1, network=None, **kwargs):
+    """A curve fanned over a ``jobs``-worker runner."""
+    with SweepRunner(jobs) as runner:
+        return curve_points(
+            net, tables, rates, run_batch=runner.execute_batch, network=network,
+            **kwargs,
+        )
+
+
+def saturation(target, **kwargs):
+    """One saturation search per task (module level, so it pickles)."""
+    net, tables = resolve_target(target)
+    return find_saturation(net, tables, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +70,10 @@ class TestDeriveSeed:
 class TestCurveDeterminism:
     def test_serial_equals_parallel(self, small, switching):
         net, tables = small
-        serial = latency_curve(
+        serial = fanned_curve(
             net, tables, RATES, cycles=600, switching=switching, jobs=1
         )
-        parallel = latency_curve(
+        parallel = fanned_curve(
             net, tables, RATES, cycles=600, switching=switching, jobs=3
         )
         # LoadPoint is a frozen dataclass of floats/bools: == is bit-equality
@@ -65,10 +83,10 @@ class TestCurveDeterminism:
         """A point's value depends on its rate, not its slot in the grid:
         sweeping a subset reproduces the same LoadPoints."""
         net, tables = small
-        full = latency_curve(
+        full = fanned_curve(
             net, tables, RATES, cycles=600, switching=switching, jobs=1
         )
-        subset = latency_curve(
+        subset = fanned_curve(
             net, tables, RATES[1:], cycles=600, switching=switching, jobs=1
         )
         assert full[1:] == subset
@@ -80,8 +98,10 @@ class TestRunnerDeterminism:
         the worker must measure identical points."""
         net, tables = small
         spec = NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1)
-        from_pair = SweepRunner(2).latency_curve((net, tables), RATES, cycles=600)
-        from_spec = SweepRunner(2).latency_curve(spec, RATES, cycles=600)
+        from_pair = fanned_curve(net, tables, RATES, jobs=2, cycles=600)
+        from_spec = fanned_curve(
+            *resolve_target(spec), RATES, jobs=2, network=spec, cycles=600
+        )
         assert from_pair == from_spec
 
     def test_saturation_grid_serial_equals_parallel(self, small):
@@ -90,12 +110,11 @@ class TestRunnerDeterminism:
             "mesh": (net, tables),
             "mesh-spec": NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1),
         }
-        serial = SweepRunner(1).find_saturation_grid(
-            targets, cycles=600, resolution=0.02
-        )
-        parallel = SweepRunner(2).find_saturation_grid(
-            targets, cycles=600, resolution=0.02
-        )
+        search = functools.partial(saturation, cycles=600, resolution=0.02)
+        with SweepRunner(1) as runner:
+            serial = dict(zip(targets, runner.map(search, targets.values())))
+        with SweepRunner(2) as runner:
+            parallel = dict(zip(targets, runner.map(search, targets.values())))
         assert serial == parallel
         # both targets are the same network, so they must agree too
         assert serial["mesh"] == serial["mesh-spec"]
@@ -107,7 +126,8 @@ class TestRunnerDeterminism:
     def test_timing_stats_cover_every_task(self, small):
         net, tables = small
         runner = SweepRunner(2)
-        runner.latency_curve((net, tables), RATES, cycles=300)
+        curve_points(net, tables, RATES, cycles=300, run_batch=runner.execute_batch)
+        runner.close()
         assert len(runner.stats.timings) == len(RATES)
         assert runner.stats.task_seconds > 0
         assert runner.stats.wall_seconds > 0

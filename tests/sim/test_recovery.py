@@ -354,11 +354,57 @@ class TestRecoveryMemoPerCache:
         assert self._known(a, net, again.tables)
 
 
+class TestBaselineRestorePerTables:
+    """A full repair restores the manager's *own* base tables, also when
+    managers over differently routed tables share one cache."""
+
+    def test_full_repair_restores_own_tables(self):
+        from repro.routing.cache import RoutingTableCache
+        from repro.sim.recovery import RecoveryManager
+        from repro.sim.traffic import uniform_traffic
+
+        net, _ = mesh33()
+        cache = RoutingTableCache()
+        dor = cache.get_or_build(net, "dimension_order")
+        sp = cache.get_or_build(net, "shortest_path")
+        assert set(dor.items()) != set(sp.items())
+        link = net.router_links()[0]
+        for tables in (dor, sp):
+            fault = (
+                FaultSchedule()
+                .fail_link(link.link_id, 20)
+                .fail_link(link.reverse_id, 20)
+                .repair_link(link.link_id, 80)
+                .repair_link(link.reverse_id, 80)
+            )
+            manager = RecoveryManager(
+                net,
+                tables,
+                reroute=ReroutePolicy(detection_delay=4, reconvergence_delay=8),
+                fault=fault,
+                cache=cache,
+            )
+            sim = WormholeSim(
+                net,
+                tables,
+                uniform_traffic(net.end_node_ids(), 0.02, 4, 3),
+                SimConfig(raise_on_deadlock=False),
+                fault=fault,
+                recovery=manager,
+            )
+            sim.run(200, drain=False)
+            restore = manager.events[-1]
+            assert restore["down_links"] == [] and restore["swapped_at"] is not None
+            assert sim.tables is tables
+
+
 class TestRecoveryDeterminism:
     """Serial and parallel recovery sweeps must agree bit-for-bit."""
 
     def test_jobs2_matches_serial(self):
-        from repro.sim.parallel import NetworkSpec, SweepRunner
+        from repro.sim.api import NetworkSpec, resolve_target
+        from repro.sim.parallel import SweepRunner
+        from repro.sim.sweep import recovery_curve
 
         spec = NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1)
         kwargs = dict(
@@ -373,9 +419,9 @@ class TestRecoveryDeterminism:
             failover=True,
         )
         with SweepRunner(1) as serial:
-            a = serial.recovery_curve(spec, **kwargs)
+            a = recovery_curve(*resolve_target(spec), runner=serial, **kwargs)
         with SweepRunner(2) as parallel:
-            b = parallel.recovery_curve(spec, **kwargs)
+            b = recovery_curve(*resolve_target(spec), runner=parallel, **kwargs)
         assert a == b
 
     def test_repeated_serial_runs_identical(self):

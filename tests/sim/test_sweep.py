@@ -4,7 +4,7 @@ import pytest
 
 import repro.sim.sweep as sweep_mod
 from repro.routing.dimension_order import dimension_order_tables
-from repro.sim.sweep import LoadPoint, find_saturation, latency_curve
+from repro.sim.sweep import LoadPoint, curve_points, find_saturation
 from repro.topology.mesh import mesh
 
 
@@ -16,7 +16,7 @@ def small():
 
 def test_latency_curve_monotone_in_the_large(small):
     net, tables = small
-    points = latency_curve(net, tables, rates=(0.01, 0.3), cycles=1200)
+    points = curve_points(net, tables, rates=(0.01, 0.3), cycles=1200)
     assert points[0].avg_latency < points[1].avg_latency
     assert not points[0].saturated
     assert points[0].accepted_flits_per_node_cycle <= (
@@ -29,7 +29,7 @@ def test_find_saturation_brackets(small):
     sat = find_saturation(net, tables, cycles=1200, resolution=0.01)
     assert 0.0 < sat < 0.5
     # below the returned rate the network is unsaturated
-    (point,) = latency_curve(net, tables, rates=(max(sat - 0.01, 0.001),), cycles=1200)
+    (point,) = curve_points(net, tables, rates=(max(sat - 0.01, 0.001),), cycles=1200)
     assert not point.saturated
 
 

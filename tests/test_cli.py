@@ -78,3 +78,17 @@ def test_build_save_and_inspect(tmp_path, capsys):
     assert main(["inspect", path]) == 0
     out = capsys.readouterr().out
     assert "deadlock_free=True" in out
+
+
+def test_sweep_saturation_honours_seed(capsys):
+    from repro.routing.cache import cached_tables
+    from repro.sim.sweep import find_saturation
+    from repro.topology.mesh import mesh
+
+    net = mesh((3, 3))
+    expected = find_saturation(net, cached_tables(net), cycles=600, seed=42)
+    args = ["sweep", "mesh", "--param", "shape=3,3", "--rates", "0.01",
+            "--cycles", "600", "--saturation", "--seed", "42"]
+    assert main(args) == 0
+    assert f"saturation rate: {expected:.4f}" in capsys.readouterr().out
+    assert expected != find_saturation(net, cached_tables(net), cycles=600)
