@@ -59,7 +59,7 @@ def main() -> None:
     ringnet = ring(4, nodes_per_router=1)
     from repro.routing.base import RoutingTable
 
-    cw = RoutingTable()
+    cw = RoutingTable(ringnet)
     for dest in ringnet.end_node_ids():
         dr = ringnet.attached_router(dest)
         ej = [l for l in ringnet.out_links(dr) if l.dst == dest][0]

@@ -256,14 +256,12 @@ def general_tables(net: Network) -> RoutingTable:
     address bits differ, descend matching one child index per level with
     at most one lateral hop per assembly -- is evaluated per *router* over
     the whole destination address vector at once, filling one row of a
-    dense :class:`~repro.routing.base.ArrayRoutingTable`.  The old
+    :class:`~repro.routing.base.RoutingTable` port matrix.  The old
     per-(destination, router) Python walk re-scanned every router's port
     list for every one of its ``R x E`` entries, which is what made
     depth-3 fabrics take seconds and depth-4 minutes.
     """
     import numpy as np
-
-    from repro.routing.base import ArrayRoutingTable
 
     levels = net.attrs.get("levels")
     fat = net.attrs.get("fat")
@@ -284,7 +282,7 @@ def general_tables(net: Network) -> RoutingTable:
     value, dest_port = np.divmod(a2, d)
     dest_tetra, dest_corner = np.divmod(value, m)
 
-    table = ArrayRoutingTable(idx)
+    table = RoutingTable(net)
     ports_mat = table.ports
     end_ids = idx.end_ids
 

@@ -168,11 +168,11 @@ def certify_channel_order(
     witness -- that is what makes this strictly stronger, as evidence,
     than the boolean CDG cycle check it agrees with.
 
-    Tables the array walker reads (exact ``RoutingTable`` /
-    ``ArrayRoutingTable``, see :mod:`repro.routing.walk`) are validated and
-    routed in one vectorized walk, and Kahn runs on link indices.  Link
-    indices follow sorted link ids, so the tie-break, the certificate and
-    the counterexample are identical to the per-route walk's.
+    Tables the array walker reads (exact ``RoutingTable``, see
+    :mod:`repro.routing.walk`) are validated and routed in one vectorized
+    walk, and Kahn runs on link indices.  Link indices follow sorted link
+    ids, so the tie-break, the certificate and the counterexample are
+    identical to the per-route walk's.
 
     Args:
         net: the network.

@@ -167,7 +167,7 @@ def vc_ring_demo(packet_size: int = 16) -> dict:
     """Ring + clockwise routing: deadlocks on 1 VC, drains with dateline VCs."""
     net = ring(4, nodes_per_router=1)
     # Clockwise-only tables (every router forwards to (i+1) mod 4).
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_router = net.attached_router(dest)
         ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]

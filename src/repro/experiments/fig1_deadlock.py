@@ -42,7 +42,7 @@ def clockwise_tables(net: Network) -> RoutingTable:
     cycle.
     """
     nxt = {LOOP[i]: LOOP[(i + 1) % 4] for i in range(4)}
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_router = net.attached_router(dest)
         ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]

@@ -114,7 +114,7 @@ def load_fabric(
     net = network_from_dict(doc)
     tables = None
     if "tables" in doc:
-        tables = RoutingTable(doc["tables"])
+        tables = RoutingTable(net, doc["tables"])
     disables = None
     if "disabled_turns" in doc:
         disables = TurnSet(tuple(t) for t in doc["disabled_turns"])

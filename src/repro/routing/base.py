@@ -9,7 +9,7 @@ in-order delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -17,8 +17,6 @@ import numpy as np
 from repro.network.graph import Network
 
 __all__ = [
-    "ArrayRoutingTable",
-    "LoweredTable",
     "Route",
     "RouteSet",
     "RoutingError",
@@ -71,253 +69,168 @@ class Route:
         return len(self.links)
 
 
+#: Largest port a table entry can name (the int16 matrix cell's range).
+MAX_PORT = 32767
+
+
 class RoutingTable:
     """Per-router destination-indexed forwarding tables.
 
     ``table[router][dest] -> output port``.  Destinations are end-node ids;
     entries exist for every destination a router may have to forward toward,
     including locally-attached ones (whose entry names the ejection port).
+
+    The entries live in one dense ``int16`` matrix,
+    ``ports[router_index, end_index]`` over the indices of the network the
+    table was built on, with ``-1`` where the router has no entry for that
+    destination.  Two bytes per cell keeps a depth-4 fractahedron's ~65M
+    entries at ~130 MB, and lowering to the simulator IR is one gather.
     """
 
-    def __init__(self, entries: Mapping[str, Mapping[str, int]] | None = None) -> None:
-        self._entries: dict[str, dict[str, int]] = {
-            r: dict(d) for r, d in (entries or {}).items()
-        }
+    def __init__(
+        self, net: Network, entries: Mapping[str, Mapping[str, int]] | None = None
+    ) -> None:
+        self._idx = idx = net.indices()
+        self.ports = np.full((len(idx.router_ids), len(idx.end_ids)), -1, dtype=np.int16)
+        for router, dests in (entries or {}).items():
+            for dest, port in dests.items():
+                self.set(router, dest, port)
 
     def set(self, router: str, dest: str, port: int) -> None:
-        self._entries.setdefault(router, {})[dest] = port
-
-    def lookup(self, router: str, dest: str) -> int:
-        try:
-            return self._entries[router][dest]
-        except KeyError:
-            raise RoutingError(f"router {router!r} has no entry for dest {dest!r}") from None
-
-    def has_entry(self, router: str, dest: str) -> bool:
-        return router in self._entries and dest in self._entries[router]
-
-    def routers(self) -> list[str]:
-        return list(self._entries)
-
-    def entries(self, router: str) -> dict[str, int]:
-        """Copy of one router's table."""
-        return dict(self._entries.get(router, {}))
-
-    def items(self) -> Iterator[tuple[str, str, int]]:
-        for router, dests in self._entries.items():
-            for dest, port in dests.items():
-                yield router, dest, port
-
-    def num_entries(self) -> int:
-        return sum(len(d) for d in self._entries.values())
-
-    def used_output_ports(self, router: str) -> set[int]:
-        """Ports a router ever forwards onto (for disable synthesis)."""
-        return set(self._entries.get(router, {}).values())
-
-    def copy(self) -> "RoutingTable":
-        return RoutingTable(self._entries)
-
-    def lower(self, net: Network, vc_count: int = 1) -> "LoweredTable":
-        """Lower the string-keyed table onto a network's integer indices.
-
-        Produces the flat ``router_index x end_index`` array the compiled
-        simulator core routes from: each cell holds the *base channel*
-        ``link_index * vc_count`` of the outgoing link the entry forwards
-        onto, or ``-1`` when the router has no entry for that destination
-        (or the entry names an uncabled port).  ``-1`` cells are resolved
-        through the original table at runtime so the exact
-        :class:`RoutingError` / ``NetworkError`` diagnostics of the
-        reference engine are preserved.
-        """
-        from repro.network.graph import NetworkError
-
-        idx = net.indices()
-        rows = np.full((len(idx.router_ids), len(idx.end_ids)), -1, dtype=np.int32)
-        for router, dests in self._entries.items():
-            r = idx.router_index.get(router)
-            if r is None:
-                continue
-            row = rows[r]
-            for dest, port in dests.items():
-                e = idx.end_index.get(dest)
-                if e is None:
-                    continue
-                try:
-                    link = net.out_link_on_port(router, port)
-                except NetworkError:
-                    continue
-                row[e] = idx.link_index[link.link_id] * vc_count
-        return LoweredTable(
-            rows=rows,
-            version=idx.version,
-            vc_count=vc_count,
-            num_entries=self.num_entries(),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<RoutingTable {len(self._entries)} routers, {self.num_entries()} entries>"
-
-
-def _port_link_lut(net: Network, idx) -> "np.ndarray":
-    """Per-router ``port -> link index`` lookup (-1 where uncabled).
-
-    One pass over the links replaces the per-entry ``out_link_on_port``
-    calls of the dict lowering path, which is what keeps lowering linear
-    in table *size* rather than in Python-level dict traffic.
-    """
-    max_ports = max((net.node(r).num_ports for r in idx.router_ids), default=1)
-    lut = np.full((len(idx.router_ids), max_ports), -1, dtype=np.int32)
-    router_index = idx.router_index
-    for li, lid in enumerate(idx.link_ids):
-        link = net.link(lid)
-        r = router_index.get(link.src)
-        if r is not None:
-            lut[r, link.src_port] = li
-    return lut
-
-
-class ArrayRoutingTable(RoutingTable):
-    """A routing table stored as one dense ``router x end`` port matrix.
-
-    Same contract as :class:`RoutingTable` (it *is* one, by subclass), but
-    the entries live in a single ``int16`` numpy array indexed by the
-    network's dense integer indices instead of nested per-router dicts.
-    At fractahedron depth 4 (8K+ end nodes, ~100M entries) the dict form
-    needs gigabytes of hash tables; the matrix needs two bytes per cell
-    and lowers to the compiled IR with pure vector ops.
-
-    ``ports[router_index, end_index]`` holds the output port, or ``-1``
-    where the router has no entry for that destination.
-    """
-
-    def __init__(self, indices, ports: "np.ndarray | None" = None) -> None:
-        # No super().__init__: the dict store is replaced wholesale.
-        self._idx = indices
-        if ports is None:
-            ports = np.full(
-                (len(indices.router_ids), len(indices.end_ids)), -1, dtype=np.int16
-            )
-        self.ports = ports
-
-    @classmethod
-    def from_table(cls, table: RoutingTable, indices) -> "ArrayRoutingTable":
-        """Densify any routing table onto a network's indices."""
-        out = cls(indices)
-        ports = out.ports
-        ri, ei = indices.router_index, indices.end_index
-        for router, dest, port in table.items():
-            r, e = ri.get(router), ei.get(dest)
-            if r is not None and e is not None:
-                ports[r, e] = port
-        return out
-
-    # -- mutation ------------------------------------------------------
-    def set(self, router: str, dest: str, port: int) -> None:
-        try:
-            r = self._idx.router_index[router]
-            e = self._idx.end_index[dest]
-        except KeyError:
+        if not self.ports.flags.writeable:
             raise RoutingError(
-                f"{router!r}/{dest!r} not indexed by this ArrayRoutingTable"
-            ) from None
+                "routing table is frozen (shared by the routing-table cache); "
+                "edit a .copy() instead"
+            )
+        if not 0 <= port <= MAX_PORT:
+            raise RoutingError(f"port {port!r} outside 0-{MAX_PORT}")
+        r = self._idx.router_index.get(router)
+        e = self._idx.end_index.get(dest)
+        if r is None or e is None:
+            raise RoutingError(f"{router!r}/{dest!r} not indexed by this RoutingTable")
         self.ports[r, e] = port
 
-    # -- queries (identical semantics to the dict form) ----------------
+    def freeze(self) -> "RoutingTable":
+        """Make the table read-only (``set`` raises); returns ``self``."""
+        self.ports.flags.writeable = False
+        return self
+
     def lookup(self, router: str, dest: str) -> int:
         r = self._idx.router_index.get(router)
         e = self._idx.end_index.get(dest)
         if r is not None and e is not None:
-            port = self.ports[r, e]
+            port = self.ports.item(r, e)
             if port >= 0:
-                return int(port)
+                return port
         raise RoutingError(f"router {router!r} has no entry for dest {dest!r}")
 
     def has_entry(self, router: str, dest: str) -> bool:
         r = self._idx.router_index.get(router)
         e = self._idx.end_index.get(dest)
-        return r is not None and e is not None and self.ports[r, e] >= 0
+        return r is not None and e is not None and self.ports.item(r, e) >= 0
 
     def routers(self) -> list[str]:
         used = (self.ports >= 0).any(axis=1)
-        return [r for r, u in zip(self._idx.router_ids, used) if u]
+        return [r for r, u in zip(self._idx.router_ids, used.tolist()) if u]
 
     def entries(self, router: str) -> dict[str, int]:
+        """Copy of one router's table."""
         r = self._idx.router_index.get(router)
         if r is None:
             return {}
         row = self.ports[r]
+        cols = np.flatnonzero(row >= 0)
         end_ids = self._idx.end_ids
-        return {end_ids[e]: int(row[e]) for e in np.flatnonzero(row >= 0)}
+        return {end_ids[e]: p for e, p in zip(cols.tolist(), row[cols].tolist())}
 
     def items(self) -> Iterator[tuple[str, str, int]]:
         router_ids, end_ids = self._idx.router_ids, self._idx.end_ids
         rs, es = np.nonzero(self.ports >= 0)
-        for r, e in zip(rs.tolist(), es.tolist()):
-            yield router_ids[r], end_ids[e], int(self.ports[r, e])
+        for r, e, port in zip(rs.tolist(), es.tolist(), self.ports[rs, es].tolist()):
+            yield router_ids[r], end_ids[e], port
 
     def num_entries(self) -> int:
-        return int((self.ports >= 0).sum())
+        return int(np.count_nonzero(self.ports >= 0))
 
     def used_output_ports(self, router: str) -> set[int]:
+        """Ports a router ever forwards onto (for disable synthesis)."""
         r = self._idx.router_index.get(router)
         if r is None:
             return set()
         row = self.ports[r]
         return set(np.unique(row[row >= 0]).tolist())
 
-    def copy(self) -> "ArrayRoutingTable":
-        return ArrayRoutingTable(self._idx, self.ports.copy())
+    def copy(self) -> "RoutingTable":
+        """An editable copy (also of a frozen table)."""
+        out = object.__new__(type(self))
+        out._idx, out.ports = self._idx, self.ports.copy()
+        return out
 
-    # -- lowering ------------------------------------------------------
-    def lower(self, net: Network, vc_count: int = 1) -> "LoweredTable":
-        idx = net.indices()
-        if (
-            idx.router_ids != tuple(self._idx.router_ids)
-            or idx.end_ids != tuple(self._idx.end_ids)
-        ):
-            # Indexed against a different structure: fall back to the
-            # generic per-entry path (correct, just not vectorized).
-            return RoutingTable(
-                {r: self.entries(r) for r in self.routers()}
-            ).lower(net, vc_count)
-        lut = _port_link_lut(net, idx)
-        ports = self.ports
-        valid = (ports >= 0) & (ports < lut.shape[1])
-        safe = np.where(valid, ports, 0).astype(np.int32)
-        links = np.take_along_axis(lut, safe, axis=1)
-        rows = np.where(valid & (links >= 0), links * vc_count, -1).astype(np.int32)
-        return LoweredTable(
-            rows=rows,
-            version=idx.version,
-            vc_count=vc_count,
-            num_entries=self.num_entries(),
-        )
+    def ports_on(self, net: Network) -> np.ndarray:
+        """The port matrix indexed by ``net.indices()``.
+
+        ``ports`` itself when the network still has the router and end ids
+        the table was built on; otherwise a copy re-indexed by id, where
+        entries for ids the network no longer has drop out and ids the
+        table never saw have none.
+        """
+        idx, own = net.indices(), self._idx
+        if idx.router_ids == own.router_ids and idx.end_ids == own.end_ids:
+            return self.ports
+        padded = np.full((self.ports.shape[0] + 1, self.ports.shape[1] + 1), -1, np.int16)
+        padded[:-1, :-1] = self.ports
+        # ids the table lacks map to -1: the padding row / column
+        rows = np.array([own.router_index.get(r, -1) for r in idx.router_ids], np.intp)
+        cols = np.array([own.end_index.get(e, -1) for e in idx.end_ids], np.intp)
+        return padded[rows[:, None], cols]
+
+    def lower(self, net: Network, vc_count: int = 1) -> np.ndarray:
+        """Lower the table onto a network's integer indices.
+
+        Produces the flat ``router_index x end_index`` int32 array the
+        compiled and vectorized engines route from: each cell holds the
+        *base channel* ``link_index * vc_count`` of the outgoing link the
+        entry forwards onto, or ``-1`` when the router has no entry for
+        that destination (or the entry names an uncabled port).  ``-1``
+        cells are resolved through the table at runtime so the exact
+        :class:`RoutingError` / ``NetworkError`` diagnostics of the
+        reference engine are preserved.
+        """
+        lut = _port_link_lut(net, vc_count)
+        ports = self.ports_on(net)
+        return _gather(lut, np.arange(ports.shape[0])[:, None], ports)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<ArrayRoutingTable {self.ports.shape[0]} routers x "
+            f"<RoutingTable {self.ports.shape[0]} routers x "
             f"{self.ports.shape[1]} dests, {self.num_entries()} entries>"
         )
 
 
-@dataclass(frozen=True)
-class LoweredTable:
-    """A routing table lowered to dense integer indices (see ``lower``).
+def _port_link_lut(net: Network, vc_count: int = 1) -> np.ndarray:
+    """Per-router ``port -> link_index * vc_count`` lookup.
 
-    ``rows[router_index][end_index]`` is the base output channel
-    (``link_index * vc_count``) or ``-1``.  The matrix stays a single
-    int32 array end to end: a 16K-end fabric's table is a few hundred MB
-    boxed into Python lists but tens of MB as the array, and route
-    lookups happen once per worm head per hop, so scalar array indexing
-    is never the per-cycle bottleneck.  ``version`` and ``num_entries``
-    let holders detect stale lowerings after topology or table mutation.
+    Indexed by ``net.indices()``; ``-1`` where a port is uncabled, and one
+    extra trailing ``-1`` column that :func:`_gather` sends every absent
+    entry and out-of-range port to.  One pass over the links replaces a
+    per-entry ``out_link_on_port`` call.
     """
+    idx = net.indices()
+    max_ports = max((net.node(r).num_ports for r in idx.router_ids), default=0)
+    lut = np.full((len(idx.router_ids), max_ports + 1), -1, dtype=np.int32)
+    router_index = idx.router_index
+    for li, lid in enumerate(idx.link_ids):
+        link = net.link(lid)
+        r = router_index.get(link.src)
+        if r is not None:
+            lut[r, link.src_port] = li * vc_count
+    return lut
 
-    rows: "np.ndarray"
-    version: int
-    vc_count: int
-    num_entries: int
+
+def _gather(lut: np.ndarray, routers: np.ndarray, ports: np.ndarray) -> np.ndarray:
+    """``lut`` entry for each port leaving the matching router (``-1``:
+    no entry, or a port past the widest router's last)."""
+    return lut[routers, np.minimum(ports, lut.shape[1] - 1)]
 
 
 def compute_route(net: Network, tables: RoutingTable, src: str, dst: str) -> Route:

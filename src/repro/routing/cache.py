@@ -15,9 +15,9 @@ even built by different code paths -- share a cache entry, while any
 mutation (a failed cable, an extra node) produces a fresh key.
 
 Cached tables are returned **by reference**: a hit hands back the very
-:class:`~repro.routing.base.RoutingTable` object built on the miss.
-Callers must treat cached tables as frozen; code that needs to mutate must
-``.copy()`` first.
+:class:`~repro.routing.base.RoutingTable` object built on the miss, frozen
+(``set`` raises) so that its memoized lowering can never go stale; code
+that needs to edit tables works on a ``.copy()``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.network.graph import Network
-from repro.routing.base import LoweredTable, RoutingTable
+from repro.routing.base import RoutingTable
 
 __all__ = [
     "ALGORITHMS",
@@ -204,7 +206,7 @@ class RoutingTableCache:
         #: strongly held, so the recorded ids can never be recycled.
         self._key_by_id: dict[int, tuple[RoutingTable, str]] = {}
         #: (content key, vc_count) -> lowered form (see RoutingTable.lower)
-        self._lowered: dict[tuple[str, int], LoweredTable] = {}
+        self._lowered: dict[tuple[str, int], np.ndarray] = {}
         #: fragment key -> per-group column block (hierarchical builder)
         self._fragments: dict[str, Any] = {}
         #: content key -> a result derived from this cache's tables (the
@@ -273,7 +275,7 @@ class RoutingTableCache:
             # get this cache's fragment store handed to them.
             call_params["cache"] = self
         start = time.perf_counter()
-        tables = build(net, **call_params)
+        tables = build(net, **call_params).freeze()
         elapsed = time.perf_counter() - start
         with self._lock:
             # Another thread may have raced us; keep the first entry so the
@@ -301,24 +303,26 @@ class RoutingTableCache:
             known = self._key_by_id.get(id(tables))
         return known[1] if known is not None and known[0] is tables else None
 
-    def get_or_lower(self, net: Network, tables: RoutingTable, vc_count: int = 1) -> LoweredTable:
-        """Lowered (integer-indexed) form of ``tables``, memoized by content.
+    def get_or_lower(self, net: Network, tables: RoutingTable, vc_count: int = 1) -> np.ndarray:
+        """Lowered (integer-indexed, read-only) form of ``tables``, memoized
+        by content.
 
         When ``tables`` is an object this cache handed out, the lowering is
         stored under the same content key (plus ``vc_count``) -- cached
-        tables are frozen by contract, and the key embeds the network
-        fingerprint whose canonical JSON preserves node insertion order, so
-        one lowering is valid for every structurally identical network.
-        Unknown table objects are lowered fresh on every call.
+        tables are frozen, and the key embeds the network fingerprint whose
+        canonical JSON preserves node insertion order, so one lowering is
+        valid for every structurally identical network.  Unknown table
+        objects are lowered fresh on every call.
         """
         key = self.content_key(tables)
         lk = (key, vc_count)
         if key is not None:
             with self._lock:
                 got = self._lowered.get(lk)
-            if got is not None and got.num_entries == tables.num_entries():
+            if got is not None:
                 return got
         lowered = tables.lower(net, vc_count)
+        lowered.flags.writeable = False
         if key is not None:
             with self._lock:
                 lowered = self._lowered.setdefault(lk, lowered)

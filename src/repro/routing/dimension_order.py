@@ -66,7 +66,7 @@ def dimension_order_tables(
 
     coord_to_router = {_coord(net, r): r for r in net.router_ids()}
 
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_router = net.attached_router(dest)
         dest_coord = _coord(net, dest_router)

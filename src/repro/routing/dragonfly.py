@@ -53,7 +53,7 @@ def dragonfly_minimal_tables(net: Network) -> RoutingTable:
     """
     groups = _group_of(net)
     owners = _global_owners(net, groups)
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_router = net.attached_router(dest)
         dest_group = groups[dest_router]

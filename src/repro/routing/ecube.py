@@ -40,7 +40,7 @@ def ecube_tables(net: Network, high_first: bool = False) -> RoutingTable:
 
     bit_order = range(ndim - 1, -1, -1) if high_first else range(ndim)
 
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_router = net.attached_router(dest)
         dest_addr = net.node(dest_router).attrs["haddr"]

@@ -14,8 +14,8 @@ two facts:
    destination, so the BFS in-tree depends only on the destination's
    *attached router*.  Every end node fanned out of the same router shares
    one tree: a fanout-width-2 fabric needs half the searches, and each
-   search is computed once and broadcast as a column of the dense
-   :class:`~repro.routing.base.ArrayRoutingTable` matrix.
+   search is computed once and broadcast as a column of the
+   :class:`~repro.routing.base.RoutingTable` port matrix.
 2. BFS on an unweighted graph is level-synchronous, so the whole
    dequeue/tie-break order of the reference implementation can be replayed
    with vectorized numpy passes over a pre-sorted integer CSR: within one
@@ -48,7 +48,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.network.graph import Link, Network
-from repro.routing.base import ArrayRoutingTable, RoutingError
+from repro.routing.base import RoutingError, RoutingTable
 
 __all__ = ["hier_shortest_path_tables"]
 
@@ -217,7 +217,7 @@ def hier_shortest_path_tables(
     allowed: LinkPredicate | None = None,
     dests: Iterable[str] | None = None,
     cache=None,
-) -> ArrayRoutingTable:
+) -> RoutingTable:
     """Hierarchically-built tables, bit-identical to the whole-graph BFS.
 
     Args:
@@ -231,7 +231,7 @@ def hier_shortest_path_tables(
             builds.  ``get_or_build`` passes itself automatically.
 
     Returns:
-        An :class:`~repro.routing.base.ArrayRoutingTable` whose entries
+        A :class:`~repro.routing.base.RoutingTable` whose entries
         match ``shortest_path_tables(net, allowed)`` exactly, including
         the :class:`RoutingError` raised for the first destination (in
         ``dests`` order) some router cannot reach.
@@ -245,7 +245,7 @@ def hier_shortest_path_tables(
     )
     _record_level(cache, "adjacency", time.perf_counter() - t0)
 
-    table = ArrayRoutingTable(idx)
+    table = RoutingTable(net)
     ports = table.ports
     end_order = net.end_node_ids() if dests is None else list(dests)
 

@@ -75,7 +75,7 @@ def hyperx_dor_tables(net: Network) -> RoutingTable:
     """
     coords = _coords(net)
     at = _router_at(coords)
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_router = net.attached_router(dest)
         ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]

@@ -80,7 +80,7 @@ def shortest_path_tables(
         RoutingError: if some router cannot reach some destination under the
             restriction (the disables disconnected the fabric).
     """
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     incoming = _router_in_adjacency(net, allowed)
     routers = set(net.router_ids())
     breaker = tie_break or _lex_tie_break

@@ -97,7 +97,7 @@ def up_down_tables(
         """Orientation of the link src -> dst (True when heading rootward)."""
         return (levels[dst], dst) < (levels[src], src)
 
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_router = net.attached_router(dest)
         ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]

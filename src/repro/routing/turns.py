@@ -102,7 +102,7 @@ def turn_restricted_tables(
     Raises:
         RoutingError: if the restriction makes some destination unreachable.
     """
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     routers = set(net.router_ids())
 
     def breaker(dest: str, link) -> tuple:

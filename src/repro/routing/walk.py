@@ -6,15 +6,11 @@ ordered end-node pair, so this module walks all pairs together: each
 numpy step advances every still-travelling pair by one router hop,
 reading the next link straight out of the tables.
 
-* An exact :class:`~repro.routing.base.ArrayRoutingTable` is gathered
-  from its ``ports`` matrix through the per-router port -> link lookup, so
-  a certify-only caller never materializes the full lowered matrix.
-* An exact dict :class:`~repro.routing.base.RoutingTable` is lowered
-  through :data:`~repro.routing.cache.DEFAULT_CACHE`; the simulator reuses
-  that lowering when it later swaps the same tables in.
-
-Other table types (subclasses may override ``lookup``) are not
-:func:`walkable`; callers keep the per-pair walk for them.
+The tables' ``ports`` matrix is gathered through the per-router
+port -> link lookup one hop at a time, so a certify-only caller never
+materializes the full lowered matrix.  Subclasses (which may override
+``lookup``) are not :func:`walkable`; callers keep the per-pair walk for
+them.
 
 Destination-indexed routing is deterministic per (router, destination),
 so a walk that revisits a router loops forever: a pair that arrives
@@ -32,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from repro.network.graph import Network
-from repro.routing.base import ArrayRoutingTable, RoutingTable, _port_link_lut
+from repro.routing.base import RoutingTable, _gather, _port_link_lut
 
 __all__ = ["PairWalk", "walk_all_pairs", "walk_pairs", "walkable"]
 
@@ -68,30 +64,7 @@ class PairWalk:
 
 def walkable(tables: RoutingTable) -> bool:
     """True when ``tables`` is an exact type the array walk can read."""
-    return type(tables) in (RoutingTable, ArrayRoutingTable)
-
-
-def _hop_fn(net: Network, tables: RoutingTable, idx) -> Callable:
-    """``hop(router_idx, end_idx) -> link index`` (-1: no usable entry)."""
-    if (
-        type(tables) is ArrayRoutingTable
-        and tuple(tables._idx.router_ids) == idx.router_ids
-        and tuple(tables._idx.end_ids) == idx.end_ids
-    ):
-        lut = _port_link_lut(net, idx)
-        ports, width = tables.ports, lut.shape[1]
-
-        def hop(r: np.ndarray, e: np.ndarray) -> np.ndarray:
-            p = ports[r, e]
-            usable = (p >= 0) & (p < width)
-            return np.where(usable, lut[r, np.where(usable, p, 0)], -1)
-
-        return hop
-    # dict tables (and array tables indexed against another structure)
-    from repro.routing.cache import DEFAULT_CACHE
-
-    rows = DEFAULT_CACHE.get_or_lower(net, tables, 1).rows
-    return lambda r, e: rows[r, e]
+    return type(tables) is RoutingTable
 
 
 def _link_targets(net: Network, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,7 +100,7 @@ def _walk(
     idx = net.indices()
     L = len(idx.link_ids)
     max_hops = len(idx.router_ids)
-    hop = _hop_fn(net, tables, idx)
+    ports, lut = tables.ports_on(net), _port_link_lut(net)
     dst_router, dst_end, injection = _link_targets(net, idx)
     ok = np.zeros(n, dtype=bool)
     hops = np.zeros(n, dtype=np.int32)
@@ -154,7 +127,7 @@ def _walk(
         for _ in range(max_hops):
             if not act.size:
                 break
-            link = hop(r, e)
+            link = _gather(lut, r, ports[r, e])
             has = link >= 0
             act, prev, link, e = act[has], prev[has], link[has], e[has]
             c_hops[act] += 1

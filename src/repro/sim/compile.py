@@ -277,8 +277,7 @@ class SimCore:
         # per worm head per hop, far off the per-flit hot path, and boxing
         # rows into Python lists costs more than every lookup combined on
         # thousand-router fabrics.
-        self._lowered = DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count)
-        return self._lowered.rows
+        return DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count)
 
     # ------------------------------------------------------------------
     @property

@@ -500,8 +500,7 @@ class VecCore:
     def _lower(self, tables: RoutingTable) -> np.ndarray:
         from repro.routing.cache import DEFAULT_CACHE
 
-        rows = DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count).rows
-        return rows.astype(np.int32)  # copy: never mutate the shared cache
+        return DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count)
 
     def _grow_pcap(self, need: int) -> None:
         if need > MAX_PID:

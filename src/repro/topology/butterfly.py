@@ -101,7 +101,7 @@ def butterfly_tables(net: Network) -> RoutingTable:
     def digit(row: int, position: int) -> int:
         return (row // arity**position) % arity
 
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest in net.end_node_ids():
         dest_switch = net.attached_router(dest)
         dest_row = net.node(dest_switch).attrs["row"]

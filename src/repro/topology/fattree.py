@@ -171,7 +171,7 @@ def fat_tree_tables(net: Network) -> RoutingTable:
 
     branches = {d: _branch_of(net, d) for d in net.end_node_ids()}
 
-    tables = RoutingTable()
+    tables = RoutingTable(net)
     for dest, dbranch in branches.items():
         dest_router = net.attached_router(dest)
         ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]

@@ -26,7 +26,7 @@ def test_cyclic_pair_fails_certification():
 
 def test_incomplete_tables_fail_deliverability():
     net = build()
-    result = certify_deadlock_free(net, RoutingTable())
+    result = certify_deadlock_free(net, RoutingTable(net))
     assert not result.deliverable
     assert not result.certified
     assert result.failures

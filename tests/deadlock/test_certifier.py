@@ -69,7 +69,7 @@ def test_missing_channel_is_a_violation():
 
 def test_incomplete_tables_fail_deliverability():
     net = build()
-    result = certify_channel_order(net, RoutingTable())
+    result = certify_channel_order(net, RoutingTable(net))
     assert not result.deliverable
     assert not result.certified
     assert result.failures

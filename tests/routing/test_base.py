@@ -30,7 +30,7 @@ def line_net():
 
 @pytest.fixture
 def line_tables(line_net):
-    t = RoutingTable()
+    t = RoutingTable(line_net)
     t.set("A", "n1", line_net.links_between("A", "B")[0].src_port)
     t.set("B", "n1", line_net.links_between("B", "n1")[0].src_port)
     t.set("B", "n0", line_net.links_between("B", "A")[0].src_port)
@@ -39,38 +39,69 @@ def line_tables(line_net):
 
 
 class TestRoutingTable:
-    def test_set_lookup(self):
-        t = RoutingTable()
-        t.set("R", "d", 3)
-        assert t.lookup("R", "d") == 3
-        assert t.has_entry("R", "d")
-        assert not t.has_entry("R", "other")
+    def test_set_lookup(self, line_net):
+        t = RoutingTable(line_net)
+        t.set("A", "n1", 3)
+        assert t.lookup("A", "n1") == 3
+        assert t.has_entry("A", "n1")
+        assert not t.has_entry("A", "n0")
+        assert not t.has_entry("A", "other")
 
-    def test_missing_entry_raises(self):
+    def test_missing_entry_raises(self, line_net):
         with pytest.raises(RoutingError, match="no entry"):
-            RoutingTable().lookup("R", "d")
+            RoutingTable(line_net).lookup("A", "n1")
+        with pytest.raises(RoutingError, match="no entry"):
+            RoutingTable(line_net).lookup("R", "d")
 
-    def test_entries_copy_is_isolated(self):
-        t = RoutingTable()
-        t.set("R", "d", 1)
-        entries = t.entries("R")
-        entries["d"] = 9
-        assert t.lookup("R", "d") == 1
+    def test_entries_copy_is_isolated(self, line_net):
+        t = RoutingTable(line_net)
+        t.set("A", "n1", 1)
+        entries = t.entries("A")
+        entries["n1"] = 9
+        assert t.lookup("A", "n1") == 1
 
-    def test_num_entries_and_items(self):
-        t = RoutingTable({"R": {"a": 0, "b": 1}})
+    def test_num_entries_and_items(self, line_net):
+        t = RoutingTable(line_net, {"A": {"n0": 0, "n1": 1}})
         assert t.num_entries() == 2
-        assert set(t.items()) == {("R", "a", 0), ("R", "b", 1)}
+        assert set(t.items()) == {("A", "n0", 0), ("A", "n1", 1)}
+        assert t.routers() == ["A"]
 
-    def test_used_output_ports(self):
-        t = RoutingTable({"R": {"a": 0, "b": 1, "c": 1}})
-        assert t.used_output_ports("R") == {0, 1}
+    def test_used_output_ports(self, line_net):
+        t = RoutingTable(line_net, {"A": {"n0": 1, "n1": 1}, "B": {"n0": 0}})
+        assert t.used_output_ports("A") == {1}
+        assert t.used_output_ports("R") == set()
 
-    def test_copy_independent(self):
-        t = RoutingTable({"R": {"a": 0}})
+    def test_copy_independent(self, line_net):
+        t = RoutingTable(line_net, {"A": {"n0": 0}})
         c = t.copy()
-        c.set("R", "a", 5)
-        assert t.lookup("R", "a") == 0
+        c.set("A", "n0", 5)
+        assert t.lookup("A", "n0") == 0
+
+    def test_set_rejects_unindexed_names(self, line_net):
+        t = RoutingTable(line_net)
+        with pytest.raises(RoutingError, match="not indexed"):
+            t.set("R", "n0", 0)
+        with pytest.raises(RoutingError, match="not indexed"):
+            t.set("A", "B", 0)  # a router is not a destination
+
+    @pytest.mark.parametrize("port", [-1, -2, 32768, 1 << 40])
+    def test_set_rejects_ports_outside_int16(self, line_net, port):
+        t = RoutingTable(line_net, {"A": {"n1": 1}})
+        with pytest.raises(RoutingError, match="outside 0-32767"):
+            t.set("A", "n1", port)
+        assert t.lookup("A", "n1") == 1  # the -1 sentinel never erases
+        t.set("A", "n1", 32767)
+        assert t.lookup("A", "n1") == 32767
+
+    def test_frozen_table_refuses_edits_and_copies_thaw(self, line_net):
+        t = RoutingTable(line_net, {"A": {"n1": 1}}).freeze()
+        with pytest.raises(RoutingError, match=r"\.copy\(\)"):
+            t.set("A", "n1", 0)
+        with pytest.raises(ValueError):
+            t.ports[0, 0] = 0
+        c = t.copy()
+        c.set("A", "n1", 0)
+        assert (t.lookup("A", "n1"), c.lookup("A", "n1")) == (1, 0)
 
 
 class TestComputeRoute:
@@ -90,7 +121,7 @@ class TestComputeRoute:
             compute_route(line_net, line_tables, "A", "n1")
 
     def test_loop_detected(self, line_net):
-        looping = RoutingTable()
+        looping = RoutingTable(line_net)
         # A and B bounce the packet forever
         looping.set("A", "n1", line_net.links_between("A", "B")[0].src_port)
         looping.set("B", "n1", line_net.links_between("B", "A")[0].src_port)
@@ -98,7 +129,7 @@ class TestComputeRoute:
             compute_route(line_net, looping, "n0", "n1")
 
     def test_wrong_terminal_detected(self, line_net):
-        bad = RoutingTable()
+        bad = RoutingTable(line_net)
         # route to n1 ejects back at n0 instead: a non-router, non-dest node
         bad.set("A", "n1", line_net.links_between("A", "n0")[0].src_port)
         with pytest.raises(RoutingError, match="non-router"):

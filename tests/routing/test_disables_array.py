@@ -1,14 +1,14 @@
-"""DisableSet enforcement against the dense ArrayRoutingTable form.
+"""DisableSet enforcement against the routing table's port matrix.
 
-``disables_respected`` walks ``tables.items()``; the int16 port matrix
-implements that iterator differently from the nested-dict store, so the
-§2.4 enforcement contract needs its own coverage there -- including
-through the cache's disable-keyed entries.
+``disables_respected`` walks ``tables.items()``, which the int16 port
+matrix derives from its nonzero cells, so the §2.4 enforcement contract
+needs its own coverage there -- for tables rebuilt from their entries
+and through the cache's disable-keyed entries.
 """
 
 import pytest
 
-from repro.routing.base import ArrayRoutingTable, RoutingError
+from repro.routing.base import RoutingError, RoutingTable
 from repro.routing.cache import RoutingTableCache, cached_tables
 from repro.routing.disables import DisableSet, disables_respected
 from repro.routing.shortest_path import shortest_path_tables
@@ -18,7 +18,8 @@ from repro.topology.ring import ring
 
 
 def _densify(net, tables):
-    return ArrayRoutingTable.from_table(tables, net.indices())
+    """The same entries, rebuilt through the ``entries`` constructor."""
+    return RoutingTable(net, {r: tables.entries(r) for r in tables.routers()})
 
 
 def _used_link(net, tables):
@@ -69,7 +70,7 @@ def test_array_and_dict_tables_agree_on_enforcement():
 
 def test_array_table_set_and_lookup_bounds():
     net = ring(4, nodes_per_router=1)
-    dense = ArrayRoutingTable(net.indices())
+    dense = RoutingTable(net)
     with pytest.raises(RoutingError):
         dense.set("nope", net.end_node_ids()[0], 0)
     with pytest.raises(RoutingError):

@@ -1,0 +1,143 @@
+"""Lowering a routing table is one gather, bit-identical to a per-entry walk.
+
+``reference_lower`` is the per-entry reference: it resolves every entry's
+port to its outgoing link one ``out_link_on_port`` call at a time,
+dropping entries whose router or destination the network does not index
+and entries that name an uncabled port.  ``RoutingTableCache.get_or_lower`` must produce the same int32
+matrix for every registered topology, for hand-broken tables, and for
+tables built before the network grew or shrank.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.network.graph import NetworkError
+from repro.routing.base import RoutingError, RoutingTable, compute_route
+from repro.routing.cache import RoutingTableCache, cached_tables
+from repro.topology.registry import build_topology
+from tests.routing.test_walk import PARAMS, _first_hop, _mesh
+
+
+def reference_lower(net, tables: RoutingTable, vc_count: int) -> np.ndarray:
+    idx = net.indices()
+    rows = np.full((len(idx.router_ids), len(idx.end_ids)), -1, dtype=np.int32)
+    for router, dest, port in tables.items():
+        r, e = idx.router_index.get(router), idx.end_index.get(dest)
+        if r is None or e is None:
+            continue
+        try:
+            link = net.out_link_on_port(router, port)
+        except NetworkError:
+            continue
+        rows[r, e] = idx.link_index[link.link_id] * vc_count
+    return rows
+
+
+def assert_lowers_like_reference(net, tables, cache=None):
+    cache = cache or RoutingTableCache()
+    for vc_count in (1, 2):
+        got = cache.get_or_lower(net, tables, vc_count)
+        assert got.dtype == np.int32 and not got.flags.writeable
+        assert np.array_equal(got, reference_lower(net, tables, vc_count))
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_registered_topologies(name):
+    net = build_topology(name, **PARAMS[name])
+    cache = RoutingTableCache()
+    assert_lowers_like_reference(net, cache.get_or_build(net), cache)
+
+
+def _broken():
+    """The hand-broken mesh tables of the route-walk tests, by name."""
+    net, tables = _mesh()
+    ends = net.end_node_ids()
+    router, port = _first_hop(net, tables, ends[0], ends[-1])
+    out = {}
+
+    missing = tables.copy()
+    entries = {r: missing.entries(r) for r in missing.routers()}
+    del entries[router][ends[-1]]
+    out["missing_entry"] = RoutingTable(net, entries)
+
+    uncabled = tables.copy()
+    uncabled.set(router, ends[-1], net.node(router).num_ports - 1)
+    out["uncabled_port"] = uncabled
+
+    loop = tables.copy()
+    nxt = net.out_link_on_port(router, port)
+    back = next(l for l in net.out_links(nxt.dst) if l.dst == router)
+    loop.set(nxt.dst, ends[-1], back.src_port)
+    out["loop"] = loop
+
+    wrong = tables.copy()
+    eject = next(l for l in net.out_links(router) if l.dst == ends[0])
+    wrong.set(router, ends[-1], eject.src_port)
+    out["wrong_end_node"] = wrong
+    return net, out
+
+
+@pytest.mark.parametrize("kind", ["missing_entry", "uncabled_port", "loop", "wrong_end_node"])
+def test_hand_broken_tables(kind):
+    net, broken = _broken()
+    assert_lowers_like_reference(net, broken[kind])
+
+
+def test_ports_past_the_widest_router():
+    # every torus router cables its last port, so a port clamped onto the
+    # last real column instead of the -1 one would lower to a live link
+    net = build_topology("torus", **PARAMS["torus"])
+    tables = RoutingTableCache().get_or_build(net).copy()
+    dest = net.end_node_ids()[-1]
+    for router in net.router_ids():
+        tables.set(router, dest, 32767)
+    assert_lowers_like_reference(net, tables)
+
+
+def test_tables_built_before_the_network_grew():
+    net, tables = _mesh()
+    before = net.indices()
+    net.add_router("R.extra", num_ports=4)
+    net.add_end_node("n.extra")
+    net.connect_next_free("n.extra", "R.extra")
+    net.connect_next_free(net.router_ids()[0], "R.extra")
+    assert net.indices().router_ids != before.router_ids
+    assert_lowers_like_reference(net, tables)
+    rows = tables.lower(net)
+    assert (rows[-1] == -1).all() and (rows[:, -1] == -1).all()
+
+
+def test_tables_built_before_the_network_shrank():
+    net, tables = _mesh()
+    gone_end = net.end_node_ids()[3]
+    gone_router = net.router_ids()[4]
+    for end in net.attached_end_nodes(gone_router):
+        net.remove_node(end)
+    net.remove_node(gone_router)
+    net.remove_node(gone_end)
+    assert_lowers_like_reference(net, tables)
+
+
+def test_cached_tables_are_frozen_so_their_lowering_never_goes_stale():
+    net, _ = _mesh()
+    cache = RoutingTableCache()
+    tables = cached_tables(net, cache=cache)
+    lowered = cache.get_or_lower(net, tables)
+    ends = net.end_node_ids()
+    router, port = _first_hop(net, tables, ends[0], ends[-1])
+    other = next(l.src_port for l in net.out_links(router) if l.src_port != port)
+    with pytest.raises(RoutingError, match=r"\.copy\(\)"):
+        tables.set(router, ends[-1], other)
+    with pytest.raises(ValueError):
+        tables.ports[0, 0] = other
+    assert cache.get_or_lower(net, tables) is lowered
+    assert np.array_equal(lowered, reference_lower(net, tables, 1))
+
+    edited = tables.copy()
+    edited.set(router, ends[-1], other)
+    assert compute_route(net, edited, ends[0], ends[-1]).links[1] != (
+        compute_route(net, tables, ends[0], ends[-1]).links[1]
+    )
+    assert np.array_equal(cache.get_or_lower(net, edited), reference_lower(net, edited, 1))

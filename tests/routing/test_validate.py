@@ -19,7 +19,7 @@ def test_valid_routing_reports_ok():
 
 def test_missing_entries_reported():
     net = ring(4, nodes_per_router=1)
-    report = validate_routing(net, RoutingTable())
+    report = validate_routing(net, RoutingTable(net))
     assert not report.ok
     assert len(report.failures) == 12
 
@@ -52,7 +52,7 @@ def test_revisit_detected():
     b.end_node("n1")
     b.cable("n1", "C")
     net = b.net
-    t = RoutingTable()
+    t = RoutingTable(net)
     # n0 -> n1 detours A -> B -> A?? cannot revisit via table (same entry)...
     # instead: A -> B -> C with C fine, but B -> C goes through A first is
     # impossible with dest-only tables; a genuine revisit needs a loop,
@@ -107,6 +107,6 @@ def test_sampled_validation_reproducible():
 
 def test_sampled_validation_catches_missing_entries():
     net = ring(4, nodes_per_router=1)
-    report = validate_routing(net, RoutingTable(), sample=5, seed=1)
+    report = validate_routing(net, RoutingTable(net), sample=5, seed=1)
     assert not report.ok
     assert len(report.failures) == 5

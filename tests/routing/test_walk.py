@@ -1,8 +1,7 @@
 """The array route walker agrees with the per-pair ``compute_route`` walk.
 
 Validation and channel-order certification take the array walk for exact
-``RoutingTable`` / ``ArrayRoutingTable`` objects and the per-pair walk for
-anything else.  A do-nothing subclass therefore *is* the oracle: the same
+``RoutingTable`` objects and the per-pair walk for anything else.  A do-nothing subclass therefore *is* the oracle: the same
 entries, forced down the per-pair path.  Every field of the
 ``RoutingReport`` and ``OrderCertification`` must match, including the
 failure messages, their order, and any error a broken table raises.
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from repro.deadlock.certifier import certify_channel_order
 from repro.experiments.fig1_deadlock import build, clockwise_tables
 from repro.network.graph import NetworkError
-from repro.routing.base import ArrayRoutingTable, RoutingTable, all_pairs_routes
+from repro.routing.base import RoutingTable, all_pairs_routes
 from repro.routing.cache import cached_tables
 from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.validate import validate_routing
@@ -46,18 +45,12 @@ PARAMS = {
 }
 
 
-class _SlowDict(RoutingTable):
-    """Same entries, not an exact type: forces the per-pair walk."""
-
-
-class _SlowArray(ArrayRoutingTable):
+class _Slow(RoutingTable):
     """Same port matrix, not an exact type: forces the per-pair walk."""
 
 
-def oracle(tables: RoutingTable) -> RoutingTable:
-    if type(tables) is ArrayRoutingTable:
-        return _SlowArray(tables._idx, tables.ports)
-    return _SlowDict({r: tables.entries(r) for r in tables.routers()})
+def oracle(net, tables: RoutingTable) -> RoutingTable:
+    return _Slow(net, {r: tables.entries(r) for r in tables.routers()})
 
 
 def outcome(fn, *args, **kwargs):
@@ -69,7 +62,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_same(net, tables, **kwargs):
-    slow = oracle(tables)
+    slow = oracle(net, tables)
     assert walkable(tables) and not walkable(slow)
     assert outcome(validate_routing, net, tables, **kwargs) == outcome(
         validate_routing, net, slow, **kwargs
@@ -119,12 +112,11 @@ def test_fig1_clockwise_ring_counterexample():
 def test_array_tables_are_never_lowered(monkeypatch):
     net = build_topology("fat_fractahedron", levels=2)
     tables = cached_tables(net)
-    assert type(tables) is ArrayRoutingTable
 
     def refuse(*args, **kwargs):
         raise AssertionError("certification lowered the full table")
 
-    monkeypatch.setattr(ArrayRoutingTable, "lower", refuse)
+    monkeypatch.setattr(RoutingTable, "lower", refuse)
     assert certify_channel_order(net, tables).certified
 
 
@@ -136,30 +128,23 @@ def _mesh():
     return net, dimension_order_tables(net)
 
 
-def _forms(tables, net):
-    """The broken table as a dict table and as an array table."""
-    return tables, ArrayRoutingTable.from_table(tables, net.indices())
-
-
 def _first_hop(net, tables, src, dst):
     router = net.attached_router(src)
     return router, tables.lookup(router, dst)
 
 
-@pytest.mark.parametrize("form", [0, 1])
-def test_missing_entry(form):
+def test_missing_entry():
     net, tables = _mesh()
     ends = net.end_node_ids()
     router, _ = _first_hop(net, tables, ends[0], ends[-1])
     entries = {r: tables.entries(r) for r in tables.routers()}
     del entries[router][ends[-1]]
-    broken = _forms(RoutingTable(entries), net)[form]
+    broken = RoutingTable(net, entries)
     report = assert_same(net, broken)
     assert not report.deliverable and "no entry" in report.failures[0]
 
 
-@pytest.mark.parametrize("form", [0, 1])
-def test_loop(form):
+def test_loop():
     net, tables = _mesh()
     ends = net.end_node_ids()
     broken = tables.copy()
@@ -168,24 +153,22 @@ def test_loop(form):
     nxt = net.out_link_on_port(router, port)
     back = next(l for l in net.out_links(nxt.dst) if l.dst == router)
     broken.set(nxt.dst, ends[-1], back.src_port)
-    report = assert_same(net, _forms(broken, net)[form])
+    report = assert_same(net, broken)
     assert any("routing loop" in f for f in report.failures)
 
 
-@pytest.mark.parametrize("form", [0, 1])
-def test_uncabled_port(form):
+def test_uncabled_port():
     net, tables = _mesh()
     ends = net.end_node_ids()
     broken = tables.copy()
     router, _ = _first_hop(net, tables, ends[0], ends[-1])
     assert net.used_ports(router) < net.node(router).num_ports
     broken.set(router, ends[-1], net.node(router).num_ports - 1)
-    got = assert_same(net, _forms(broken, net)[form])
+    got = assert_same(net, broken)
     assert got[0] is NetworkError
 
 
-@pytest.mark.parametrize("form", [0, 1])
-def test_wrong_end_node(form):
+def test_wrong_end_node():
     net, tables = _mesh()
     ends = net.end_node_ids()
     broken = tables.copy()
@@ -193,7 +176,7 @@ def test_wrong_end_node(form):
     other = net.attached_router(ends[0])
     wrong = next(l for l in net.out_links(other) if l.dst == ends[0])
     broken.set(other, ends[-1], wrong.src_port)
-    report = assert_same(net, _forms(broken, net)[form])
+    report = assert_same(net, broken)
     assert any("non-router, non-destination" in f for f in report.failures)
 
 
@@ -215,14 +198,13 @@ def test_explicit_pairs_with_unknown_ids_and_routers():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    form=st.sampled_from([0, 1]),
     edits=st.lists(
         st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(-1, 7)),
         min_size=1,
         max_size=6,
     ),
 )
-def test_random_corruptions_agree(form, edits):
+def test_random_corruptions_agree(edits):
     net, tables = _mesh()
     routers, ends = net.router_ids(), net.end_node_ids()
     entries = {r: tables.entries(r) for r in routers}
@@ -231,4 +213,4 @@ def test_random_corruptions_agree(form, edits):
             entries[routers[r]].pop(ends[e], None)
         else:
             entries[routers[r]][ends[e]] = port
-    assert_same(net, _forms(RoutingTable(entries), net)[form])
+    assert_same(net, RoutingTable(net, entries))
