@@ -23,6 +23,8 @@ __all__ = [
     "RoutingTable",
     "all_pairs_routes",
     "compute_route",
+    "next_channel",
+    "port_link_lut",
     "routes_for_pairs",
 ]
 
@@ -84,7 +86,8 @@ class RoutingTable:
     ``ports[router_index, end_index]`` over the indices of the network the
     table was built on, with ``-1`` where the router has no entry for that
     destination.  Two bytes per cell keeps a depth-4 fractahedron's ~65M
-    entries at ~130 MB, and lowering to the simulator IR is one gather.
+    entries at ~130 MB; the engines and the array route walk read this
+    matrix directly (:func:`next_channel`), never a widened copy.
     """
 
     def __init__(
@@ -184,22 +187,6 @@ class RoutingTable:
         cols = np.array([own.end_index.get(e, -1) for e in idx.end_ids], np.intp)
         return padded[rows[:, None], cols]
 
-    def lower(self, net: Network, vc_count: int = 1) -> np.ndarray:
-        """Lower the table onto a network's integer indices.
-
-        Produces the flat ``router_index x end_index`` int32 array the
-        compiled and vectorized engines route from: each cell holds the
-        *base channel* ``link_index * vc_count`` of the outgoing link the
-        entry forwards onto, or ``-1`` when the router has no entry for
-        that destination (or the entry names an uncabled port).  ``-1``
-        cells are resolved through the table at runtime so the exact
-        :class:`RoutingError` / ``NetworkError`` diagnostics of the
-        reference engine are preserved.
-        """
-        lut = _port_link_lut(net, vc_count)
-        ports = self.ports_on(net)
-        return _gather(lut, np.arange(ports.shape[0])[:, None], ports)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<RoutingTable {self.ports.shape[0]} routers x "
@@ -207,17 +194,20 @@ class RoutingTable:
         )
 
 
-def _port_link_lut(net: Network, vc_count: int = 1) -> np.ndarray:
-    """Per-router ``port -> link_index * vc_count`` lookup.
+def port_link_lut(net: Network, ports: np.ndarray, vc_count: int = 1) -> np.ndarray:
+    """Per-router ``port -> link_index * vc_count`` lookup for ``ports``.
 
-    Indexed by ``net.indices()``; ``-1`` where a port is uncabled, and one
-    extra trailing ``-1`` column that :func:`_gather` sends every absent
-    entry and out-of-range port to.  One pass over the links replaces a
-    per-entry ``out_link_on_port`` call.
+    Indexed by ``net.indices()``; ``-1`` where a port is uncabled.  The
+    table is wide enough for the largest port in ``ports`` plus one
+    trailing ``-1`` column, so an absent entry (``-1``, which reads the
+    last column), an uncabled port and a port past the widest router all
+    read ``-1`` with no per-lookup clamp.  One pass over the links
+    replaces a per-entry ``out_link_on_port`` call.
     """
     idx = net.indices()
     max_ports = max((net.node(r).num_ports for r in idx.router_ids), default=0)
-    lut = np.full((len(idx.router_ids), max_ports + 1), -1, dtype=np.int32)
+    top = int(ports.max()) + 1 if ports.size else 0
+    lut = np.full((len(idx.router_ids), max(max_ports, top) + 1), -1, dtype=np.int32)
     router_index = idx.router_index
     for li, lid in enumerate(idx.link_ids):
         link = net.link(lid)
@@ -227,10 +217,19 @@ def _port_link_lut(net: Network, vc_count: int = 1) -> np.ndarray:
     return lut
 
 
-def _gather(lut: np.ndarray, routers: np.ndarray, ports: np.ndarray) -> np.ndarray:
-    """``lut`` entry for each port leaving the matching router (``-1``:
-    no entry, or a port past the widest router's last)."""
-    return lut[routers, np.minimum(ports, lut.shape[1] - 1)]
+def next_channel(
+    lut: np.ndarray, ports: np.ndarray, routers: np.ndarray, dests: np.ndarray
+) -> np.ndarray:
+    """``lut[r, ports[r, e]]`` for each (router, destination end) pair: the
+    base channel a head at router ``r`` bound for end ``e`` forwards onto,
+    ``-1`` where the router has no usable entry.
+
+    Both gathers are flat ``take``s over C-contiguous matrices.  A ``-1``
+    port lands on the previous row's last column (or, for router 0, the
+    matrix's last cell), which :func:`port_link_lut` keeps ``-1``.
+    """
+    p = ports.take(routers * ports.shape[1] + dests)
+    return lut.take(routers * lut.shape[1] + p)
 
 
 def compute_route(net: Network, tables: RoutingTable, src: str, dst: str) -> Route:

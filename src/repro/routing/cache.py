@@ -16,8 +16,8 @@ mutation (a failed cable, an extra node) produces a fresh key.
 
 Cached tables are returned **by reference**: a hit hands back the very
 :class:`~repro.routing.base.RoutingTable` object built on the miss, frozen
-(``set`` raises) so that its memoized lowering can never go stale; code
-that needs to edit tables works on a ``.copy()``.
+(``set`` raises) so that its memoized route lookup can never go stale;
+code that needs to edit tables works on a ``.copy()``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable
+from repro.routing.base import RoutingTable, port_link_lut
 
 __all__ = [
     "ALGORITHMS",
@@ -201,12 +201,12 @@ class RoutingTableCache:
         self._entries: dict[str, RoutingTable] = {}
         self._build_cost: dict[str, float] = {}
         #: id(table) -> (table, content key) for tables we handed out, so a
-        #: lowering request can be keyed by the same content hash without
+        #: route-lookup request can be keyed by the same content hash without
         #: the caller re-supplying algorithm/params.  Tables in _entries are
         #: strongly held, so the recorded ids can never be recycled.
         self._key_by_id: dict[int, tuple[RoutingTable, str]] = {}
-        #: (content key, vc_count) -> lowered form (see RoutingTable.lower)
-        self._lowered: dict[tuple[str, int], np.ndarray] = {}
+        #: (content key, vc_count) -> (ports, lut) pair (see get_or_lower)
+        self._route_pairs: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         #: fragment key -> per-group column block (hierarchical builder)
         self._fragments: dict[str, Any] = {}
         #: content key -> a result derived from this cache's tables (the
@@ -303,30 +303,45 @@ class RoutingTableCache:
             known = self._key_by_id.get(id(tables))
         return known[1] if known is not None and known[0] is tables else None
 
-    def get_or_lower(self, net: Network, tables: RoutingTable, vc_count: int = 1) -> np.ndarray:
-        """Lowered (integer-indexed, read-only) form of ``tables``, memoized
-        by content.
+    def get_or_lower(
+        self, net: Network, tables: RoutingTable, vc_count: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ``(ports, lut)`` pair the engines route from,
+        memoized by content.
 
-        When ``tables`` is an object this cache handed out, the lowering is
+        ``ports`` is ``tables.ports_on(net)`` -- the table's own matrix
+        (a read-only view when the table is not frozen) while the network
+        keeps the table's ids -- and ``lut`` is
+        :func:`~repro.routing.base.port_link_lut` for ``vc_count``; the
+        next base channel is ``lut[r, ports[r, e]]``
+        (:func:`~repro.routing.base.next_channel`).  No routers x ends
+        channel matrix is built.
+
+        When ``tables`` is an object this cache handed out, the pair is
         stored under the same content key (plus ``vc_count``) -- cached
         tables are frozen, and the key embeds the network fingerprint whose
-        canonical JSON preserves node insertion order, so one lowering is
-        valid for every structurally identical network.  Unknown table
-        objects are lowered fresh on every call.
+        canonical JSON preserves node insertion order, so one pair is valid
+        for every structurally identical network.  Unknown table objects
+        get a fresh pair on every call.
         """
         key = self.content_key(tables)
         lk = (key, vc_count)
         if key is not None:
             with self._lock:
-                got = self._lowered.get(lk)
+                got = self._route_pairs.get(lk)
             if got is not None:
                 return got
-        lowered = tables.lower(net, vc_count)
-        lowered.flags.writeable = False
+        ports = tables.ports_on(net)
+        if ports.flags.writeable:
+            ports = ports.view()
+            ports.flags.writeable = False
+        lut = port_link_lut(net, ports, vc_count)
+        lut.flags.writeable = False
+        pair = (ports, lut)
         if key is not None:
             with self._lock:
-                lowered = self._lowered.setdefault(lk, lowered)
-        return lowered
+                pair = self._route_pairs.setdefault(lk, pair)
+        return pair
 
     # -- fragment store (hierarchical builds) --------------------------
     def fragment_get(self, key: str) -> Any | None:
@@ -366,7 +381,7 @@ class RoutingTableCache:
             self._entries.clear()
             self._build_cost.clear()
             self._key_by_id.clear()
-            self._lowered.clear()
+            self._route_pairs.clear()
             self._fragments.clear()
             self._memo.clear()
             self.stats = CacheStats()

@@ -7,10 +7,11 @@ numpy step advances every still-travelling pair by one router hop,
 reading the next link straight out of the tables.
 
 The tables' ``ports`` matrix is gathered through the per-router
-port -> link lookup one hop at a time, so a certify-only caller never
-materializes the full lowered matrix.  Subclasses (which may override
-``lookup``) are not :func:`walkable`; callers keep the per-pair walk for
-them.
+port -> link lookup one hop at a time
+(:func:`~repro.routing.base.next_channel`, the simulators' route step),
+so no walk materializes a routers x ends link matrix.  Subclasses (which
+may override ``lookup``) are not :func:`walkable`; callers keep the
+per-pair walk for them.
 
 Destination-indexed routing is deterministic per (router, destination),
 so a walk that revisits a router loops forever: a pair that arrives
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable, _gather, _port_link_lut
+from repro.routing.base import RoutingTable, next_channel, port_link_lut
 
 __all__ = ["PairWalk", "walk_all_pairs", "walk_pairs", "walkable"]
 
@@ -100,7 +101,8 @@ def _walk(
     idx = net.indices()
     L = len(idx.link_ids)
     max_hops = len(idx.router_ids)
-    ports, lut = tables.ports_on(net), _port_link_lut(net)
+    ports = tables.ports_on(net)
+    lut = port_link_lut(net, ports)
     dst_router, dst_end, injection = _link_targets(net, idx)
     ok = np.zeros(n, dtype=bool)
     hops = np.zeros(n, dtype=np.int32)
@@ -127,7 +129,7 @@ def _walk(
         for _ in range(max_hops):
             if not act.size:
                 break
-            link = _gather(lut, r, ports[r, e])
+            link = next_channel(lut, ports, r, e)
             has = link >= 0
             act, prev, link, e = act[has], prev[has], link[has], e[has]
             c_hops[act] += 1

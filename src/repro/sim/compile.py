@@ -18,10 +18,11 @@ This module *compiles* the simulation instead:
   VCs are contiguous, *sorting channels as integers is exactly sorting
   the reference engine's ``(link_id, vc)`` tuples*, which is what makes
   arbitration order, and therefore every statistic, bit-identical.
-* Routing tables are lowered (:meth:`repro.routing.base.RoutingTable.lower`)
-  to a flat ``router_index x end_index`` array of base output channels,
-  memoized by the routing-table cache under the same content hash as the
-  tables themselves.
+* Routing reads the table's own ``router_index x end_index`` port matrix
+  and a per-router ``port -> base output channel`` lookup
+  (:meth:`repro.routing.cache.RoutingTableCache.get_or_lower`, memoized
+  under the same content hash as the tables themselves): a head's next
+  channel is ``lut[r, ports[r, e]]``, with no widened channel matrix.
 * :class:`SimCore` is the step kernel.  Flits are packed into single ints
   (``packet_id << 20 | flit_index``; a flit is a head iff its index is 0
   and a tail iff its index is ``size - 1``), FIFOs are deques of ints,
@@ -221,7 +222,7 @@ class SimCore:
             )
 
         self._cn = cn = compile_network(net, cfg.vc_count)
-        self._rows = self._lower(tables)
+        self._ports, self._lut = self._route_from(tables)
         nC = cn.num_channels
 
         #: per-channel input FIFO of flit codes (None where dst is an end node)
@@ -270,10 +271,10 @@ class SimCore:
         self._fault_ptr = 0
 
     # ------------------------------------------------------------------
-    def _lower(self, tables: RoutingTable):
+    def _route_from(self, tables: RoutingTable):
         from repro.routing.cache import DEFAULT_CACHE
 
-        # The int32 matrix is routed from directly; route lookups are one
+        # The port matrix is routed from directly; route lookups are one
         # per worm head per hop, far off the per-flit hot path, and boxing
         # rows into Python lists costs more than every lookup combined on
         # thousand-router fabrics.
@@ -439,7 +440,7 @@ class SimCore:
         desires: dict[int, int] = {}
         requests: dict[int, list[int]] = {}
         if occ:
-            rows = self._rows
+            ports, lut = self._ports, self._lut
             dst_idx = self._dst_idx
             for ch in sorted(occ):
                 qc = q[ch]
@@ -455,7 +456,7 @@ class SimCore:
                         )
                     pid = code >> FLIT_INDEX_BITS
                     rtr = ch_router[ch]
-                    base = int(rows[rtr, dst_idx[pid]])
+                    base = lut.item(rtr, ports.item(rtr, dst_idx[pid]))
                     if base < 0:
                         base = self._slow_route(ch, pid)
                     out = (base + ch % V) if V > 1 else base
@@ -637,7 +638,7 @@ class SimCore:
 
     # ------------------------------------------------------------------
     def _slow_route(self, ch: int, pid: int) -> int:
-        """Resolve a ``-1`` lowered-table cell through the original table.
+        """Resolve a ``-1`` next-channel lookup through the original table.
 
         Reached only when the router has no entry for the destination (or
         the entry names an uncabled port), so the reference engine's
@@ -781,9 +782,9 @@ class SimCore:
         return dropped
 
     def swap_tables(self, tables: RoutingTable) -> None:
-        """Atomically install (and lower) a new routing table."""
+        """Atomically install a new routing table."""
         self.tables = tables
-        self._rows = self._lower(tables)
+        self._ports, self._lut = self._route_from(tables)
         self.stats.table_swaps += 1
         self._stall = 0
         if self.trace is not None:

@@ -59,13 +59,17 @@ a Python object::
 destination -- the array kernels cannot afford a per-flit dict gather).
 
 Traffic is **pre-generated**: generators are pure functions of the cycle,
-so admission events are materialized up front into per-source queue
-arrays plus a cycle-indexed arrival index; the per-cycle admission kernel
-is then a handful of scatter-adds.  ``uniform_traffic`` streams have a
-fast path that reproduces the generator's RNG draw order bit-for-bit
-without creating :class:`~repro.sim.packet.Packet` objects (verified at
-runtime; falls back to calling the generator when numpy's batched integer
-draws are not stream-identical to scalar draws).
+so admission events are materialized ahead of the clock into per-source
+queue arrays plus a cycle-indexed arrival index; the per-cycle admission
+kernel is then a handful of scatter-adds.  ``run`` generates one window
+of :data:`BUDGET` raw words per replica at a time (a whole sweep point
+on small fabrics, 128 cycles on the 8192-end fractahedron), so memory
+stays bounded however long the run; windows chain bit-identically.
+``uniform_traffic`` streams have a fast path that reproduces the
+generator's RNG draw order bit-for-bit without creating
+:class:`~repro.sim.packet.Packet` objects (verified at runtime; falls
+back to calling the generator when numpy's batched integer draws are not
+stream-identical to scalar draws).
 
 Equivalence contract (checked by ``tests/sim/test_vec_engine.py`` and the
 CI parity smoke): at batch size 1 a :class:`VecCore` run is bit-identical
@@ -89,7 +93,7 @@ import numpy as np
 
 from repro.deadlock.waitfor import WaitForGraph
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable
+from repro.routing.base import RoutingTable, next_channel
 from repro.sim.compile import CompiledNet, compile_network
 from repro.sim.engine import DeadlockDetected, SimConfig
 from repro.sim.packet import Packet
@@ -200,6 +204,7 @@ def vec_blockers(
 
 
 _EMPTY32 = np.empty(0, dtype=np.int32)
+_EMPTY64 = np.empty(0, dtype=np.int64)
 
 #: Width crossover for active-set derivation: full-width boolean scans
 #: (~1 byte/element linear passes) beat the incremental sorted-merge
@@ -207,6 +212,39 @@ _EMPTY32 = np.empty(0, dtype=np.int32)
 #: reaches the tens of thousands; measured on the depth-3/4 fractahedron
 #: curve the break-even sits between 5K and 43K channels.
 ACTIVE_SCAN_MAX = 1 << 15
+
+#: Traffic pre-generation window, in raw PCG64 words per replica: ``run``
+#: materializes ``max(1, BUDGET // sources)`` cycles of arrivals at a time
+#: (a uniform stream draws about one word per source per cycle), which
+#: bounds the window's transient arrays at tens of MB however long the
+#: run, while fabrics up to a few hundred sources still fit a whole sweep
+#: point in one window.  On the depth-4 fractahedron (8192 sources, 4000
+#: cycles) the process peaked at 251 / 267 / 294 / 338 MB with budgets of
+#: 2**19 / 2**20 / 2**21 / 2**22, against 1251 MB for one whole-run window
+#: (docs/performance.md).
+BUDGET = 1 << 20
+
+
+def _fold_counts(keys, counts, new_keys, new_counts):
+    """Fold sorted unique ``(new_keys, new_counts)`` into the sorted unique
+    ``(keys, counts)``, summing the counts of shared keys.  Returns the
+    folded ``(keys, counts)`` and each new key's count before the fold
+    (0 where it was absent)."""
+    before = np.zeros(new_keys.size, dtype=np.int64)
+    if not keys.size:
+        return new_keys, new_counts, before
+    pos = np.searchsorted(keys, new_keys)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == new_keys[hit]
+    before[hit] = counts[pos[hit]]
+    counts = counts.copy()
+    np.add.at(counts, pos[hit], new_counts[hit])
+    fresh = ~hit
+    return (
+        np.insert(keys, pos[fresh], new_keys[fresh]),
+        np.insert(counts, pos[fresh], new_counts[fresh]),
+        before,
+    )
 
 
 _BATCHED_INTS_OK: bool | None = None
@@ -388,7 +426,7 @@ class VecCore:
             raise ValueError("VecCore needs at least one traffic stream")
 
         self._cn = cn = compile_network(net, cfg.vc_count)
-        self._rows = self._lower(tables)
+        self._ports, self._lut = self._route_from(tables)
         self.B = B = len(streams)
         self.C = C = cn.num_channels
         self.L = L = cn.num_links
@@ -409,8 +447,6 @@ class VecCore:
         self._inj_flat = (
             np.arange(B, dtype=np.int32)[:, None] * C + self._inj_ch_clip[None, :]
         ).reshape(-1)
-        self._rows_flat = self._rows.reshape(-1)
-        self._rows_w = self._rows.shape[1]
 
         # ---- dynamic state, struct-of-arrays.  The per-channel scalars are
         # int32: the step kernel is dominated by random gathers over them,
@@ -429,9 +465,10 @@ class VecCore:
         self._lf_pend: list[np.ndarray] = []  # deferred link-flit counts
         self._scode = np.full((B, S), -1, dtype=np.int64)
         # per-(src, dst) sequence carry across pre-generation windows:
-        # folded lazily (pending tuples) so single-window runs never pay
-        self._pair_pend: list[list[tuple]] = [[] for _ in range(B)]
-        self._pair_carry: list[dict[int, int]] = [{} for _ in range(B)]
+        # sorted (pair key, packets so far) arrays per replica
+        self._pair_carry: list[tuple[np.ndarray, np.ndarray]] = [
+            (_EMPTY64, _EMPTY64)
+        ] * B
 
         # ---- per-packet flat arrays (grown on demand)
         self._pcap = 0
@@ -441,10 +478,9 @@ class VecCore:
 
         # ---- source queues (filled by pre-generation)
         self._qchunks: list[tuple[np.ndarray, np.ndarray]] = []  # (flat, codes)
-        self._qtotal = 0
-        self._qpacked = -1
-        self._qcodes = np.zeros((B * S, 1), dtype=np.int64)
+        self._qcodes = np.zeros((B * S, 1), dtype=np.int64)  # packed rows
         self._qflat, self._qw = self._qcodes.reshape(-1), 1
+        self._qfill = np.zeros(B * S, dtype=np.int64)  # packed entries per row
         self._qstart = np.zeros(B * S, dtype=np.int64)
         self._qtail = np.zeros(B * S, dtype=np.int64)
         self._win_adm: list[tuple] = []  # (cyc, flat, pid) per pregen call
@@ -497,7 +533,7 @@ class VecCore:
         self._streams = [_Stream(s, net, cn.end_index) for s in streams]
 
     # ------------------------------------------------------------------
-    def _lower(self, tables: RoutingTable) -> np.ndarray:
+    def _route_from(self, tables: RoutingTable) -> tuple[np.ndarray, np.ndarray]:
         from repro.routing.cache import DEFAULT_CACHE
 
         return DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count)
@@ -542,7 +578,6 @@ class VecCore:
         codes = (pids << PID_SHIFT) | (dsts << DEST_SHIFT) | (sizes << SIZE_SHIFT)
         flat = b * self.S + srcs
         self._qchunks.append((flat, codes))
-        self._qtotal += pids.size
         self._win_adm.append((cyc_arr, flat, pids))
 
     def _pair_rank(self, b: int, srcs, dsts) -> np.ndarray:
@@ -565,17 +600,12 @@ class VecCore:
         gsize = np.diff(np.append(gstart, pair.size))
         rank = np.empty(pair.size, dtype=np.int64)
         rank[order] = np.arange(pair.size, dtype=np.int64) - np.repeat(gstart, gsize)
-        upairs = spair[gstart]
-        carry, pend = self._pair_carry[b], self._pair_pend[b]
-        if carry or pend:  # later windows continue earlier windows' counts
-            for up, gs in pend:
-                for k, n in zip(up.tolist(), gs.tolist()):
-                    carry[k] = carry.get(k, 0) + n
-            pend.clear()
-            base = np.array([carry.get(int(k), 0) for k in upairs], dtype=np.int64)
-            if base.any():
-                rank[order] += np.repeat(base, gsize)
-        pend.append((upairs, gsize))
+        keys, counts, before = _fold_counts(
+            *self._pair_carry[b], spair[gstart], gsize
+        )
+        self._pair_carry[b] = (keys, counts)
+        if before.any():  # later windows continue earlier windows' counts
+            rank[order] += np.repeat(before, gsize)
         return rank
 
     def _pregen_uniform(self, b: int, st: _Stream, start: int, stop: int) -> None:
@@ -690,10 +720,11 @@ class VecCore:
                     bg.state = state0
                     return False
                 js = (m >> np.uint64(32)).astype(np.int64)
+                # halves served from fresh words; a parked half from the
+                # last window went first, so it is spent even when none are
                 served = h_total - init_pend
-                if served > 0:
-                    pend = served % 2
-                    pv = int(raw[int_pos[-1]] >> np.uint64(32)) if pend else 0
+                pend = served % 2
+                pv = int(raw[int_pos[-1]] >> np.uint64(32)) if pend else 0
             else:
                 js = np.zeros(tot, dtype=np.int64)
 
@@ -813,8 +844,6 @@ class VecCore:
         )
 
     def _pregen_to(self, stop: int) -> None:
-        if stop <= self._pregen_done:
-            return
         start = self._pregen_done
         for b, st in enumerate(self._streams):
             if st.plan is not None:
@@ -854,24 +883,26 @@ class VecCore:
         self._adm_cycles = np.concatenate((self._adm_cycles, uc))
 
     def _pack_queues(self) -> None:
-        if self._qpacked == self._qtotal:
+        """Append the codes pre-generated since the last pack to the
+        per-source queue rows; an entry's column is its rank in its own
+        source's queue, which ``_qstart``/``_qtail`` count from run start."""
+        chunks = self._qchunks
+        if not chunks:
             return
-        if not self._qchunks:
-            # all streams were empty: the first pack still must run (the
-            # packed flag starts unset) and produce the zero-queue arrays
-            flats = np.empty(0, dtype=np.int64)
-            codes = np.empty(0, dtype=np.int64)
-        elif len(self._qchunks) == 1:
-            flats, codes = self._qchunks[0]
+        self._qchunks = []
+        if len(chunks) == 1:
+            flats, codes = chunks[0]
         else:
-            flats = np.concatenate([c[0] for c in self._qchunks])
-            codes = np.concatenate([c[1] for c in self._qchunks])
+            flats = np.concatenate([c[0] for c in chunks])
+            codes = np.concatenate([c[1] for c in chunks])
         nq = self.B * self.S
         counts = np.bincount(flats, minlength=nq)
-        qmax = int(counts.max()) if flats.size else 0
-        arr = np.zeros((nq, max(qmax, 1)), dtype=np.int64)
-        # stable sort by queue keeps each source's arrival order; the column
-        # of each entry is its rank within its own queue
+        filled = self._qfill
+        width = int((filled + counts).max())
+        if width > self._qw:
+            self._qcodes = np.pad(self._qcodes, ((0, 0), (0, width - self._qw)))
+            self._qflat, self._qw = self._qcodes.reshape(-1), width
+        # stable sort by queue keeps each source's arrival order
         order = np.argsort(
             flats.astype(np.int64) * np.int64(flats.size)
             + np.arange(flats.size, dtype=np.int64)
@@ -879,10 +910,9 @@ class VecCore:
         sf = flats[order]
         starts = np.zeros(nq, dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
-        arr[sf, np.arange(sf.size, dtype=np.int64) - starts[sf]] = codes[order]
-        self._qcodes = arr
-        self._qflat, self._qw = arr.reshape(-1), arr.shape[1]
-        self._qpacked = self._qtotal
+        col = filled[sf] + np.arange(sf.size, dtype=np.int64) - starts[sf]
+        self._qcodes[sf, col] = codes[order]
+        self._qfill = filled + counts
 
     def _adm_events(self, cycle: int):
         return self._adm_arrays.get(cycle)
@@ -922,9 +952,8 @@ class VecCore:
                     "VecCore.run after a partial drain: live replicas have "
                     "diverged clocks; use a fresh core per workload"
                 )
-            self._pregen_to(self._cycle + max_cycles)
-            self._pack_queues()
         stop = self._cycle + max_cycles
+        window = max(1, BUDGET // self.S)
         b1 = self.B == 1
         while self._cycle < stop:
             if b1:
@@ -938,6 +967,11 @@ class VecCore:
                 act = self._alive.copy()
                 if not act.any():
                     break
+            if self._cycle >= self._pregen_done:
+                # traffic is materialized one window at a time; each window
+                # continues the streams exactly where the last one stopped
+                self._pregen_to(min(stop, self._cycle + window))
+                self._pack_queues()
             if (
                 (not self._occ_idx.size and not self._armed_idx.size)
                 if not self._scan
@@ -950,12 +984,15 @@ class VecCore:
                 # flit queued and no source armed anywhere, so every cycle
                 # until the next pre-generated admission is provably inert
                 # -- stall counters stay 0 and nothing moves.  Jump the
-                # clock instead of stepping empty kernels.
+                # clock instead of stepping empty kernels, but no further
+                # than the window edge: later admissions are not generated
+                # yet.
+                edge = min(self._pregen_done, stop)
                 i = int(np.searchsorted(self._adm_cycles, self._cycle))
                 nxt = (
-                    int(self._adm_cycles[i]) if i < self._adm_cycles.size else stop
+                    int(self._adm_cycles[i]) if i < self._adm_cycles.size else edge
                 )
-                target = min(max(nxt, self._cycle), stop)
+                target = min(max(nxt, self._cycle), edge)
                 if target > self._cycle:
                     if b1:
                         self._cyc[0] += target - self._cycle
@@ -1109,11 +1146,12 @@ class VecCore:
                 )
             dests = (fronts >> DEST_SHIFT) & DEST_MASK
             urc = rc.take(upos)
-            base = self._rows_flat.take(
-                self._ch_router.take(urc) * self._rows_w + dests
+            # unlatched heads read lut[router, ports[router, dest]] straight
+            # off the table's port matrix; -1 takes the diagnostic path
+            base = next_channel(
+                self._lut, self._ports, self._ch_router.take(urc), dests
             )
             if (base < 0).any():
-                base = base.copy()
                 for k in np.flatnonzero(base < 0):
                     base[k] = self._slow_route(int(urc[k]), int(dests[k]))
             cur[upos] = base + urc % V if V > 1 else base
@@ -1439,7 +1477,7 @@ class VecCore:
 
     # ------------------------------------------------------------------
     def _slow_route(self, ch: int, dest_idx: int) -> int:
-        """Resolve a ``-1`` lowered-table cell through the original table,
+        """Resolve a ``-1`` next-channel lookup through the original table,
         preserving the reference engine's diagnostics (cf. SimCore)."""
         cn = self._cn
         router = cn.link_dst[ch // self.V]

@@ -1,10 +1,14 @@
-"""Lowering a routing table is one gather, bit-identical to a per-entry walk.
+"""The engines' route lookup ``lut[r, ports[r, e]]`` matches a per-entry walk.
 
-``reference_lower`` is the per-entry reference: it resolves every entry's
-port to its outgoing link one ``out_link_on_port`` call at a time,
+``reference_channels`` is the per-entry reference: it resolves every
+entry's port to its outgoing link one ``out_link_on_port`` call at a time,
 dropping entries whose router or destination the network does not index
-and entries that name an uncabled port.  ``RoutingTableCache.get_or_lower`` must produce the same int32
-matrix for every registered topology, for hand-broken tables, and for
+and entries that name an uncabled port.  The ``(ports, lut)`` pair that
+``RoutingTableCache.get_or_lower`` hands the engines must give the same
+base channel for every (router, destination) cell -- through the vector
+lookup ``next_channel`` of the vectorized engine and the array route walk,
+and through the scalar ``lut.item(r, ports.item(r, e))`` of the compiled
+engine -- for every registered topology, for hand-broken tables, and for
 tables built before the network grew or shrank.
 """
 
@@ -14,15 +18,15 @@ import numpy as np
 import pytest
 
 from repro.network.graph import NetworkError
-from repro.routing.base import RoutingError, RoutingTable, compute_route
+from repro.routing.base import RoutingError, RoutingTable, compute_route, next_channel
 from repro.routing.cache import RoutingTableCache, cached_tables
 from repro.topology.registry import build_topology
 from tests.routing.test_walk import PARAMS, _first_hop, _mesh
 
 
-def reference_lower(net, tables: RoutingTable, vc_count: int) -> np.ndarray:
+def reference_channels(net, tables: RoutingTable, vc_count: int) -> np.ndarray:
     idx = net.indices()
-    rows = np.full((len(idx.router_ids), len(idx.end_ids)), -1, dtype=np.int32)
+    rows = np.full((len(idx.router_ids), len(idx.end_ids)), -1, dtype=np.int64)
     for router, dest, port in tables.items():
         r, e = idx.router_index.get(router), idx.end_index.get(dest)
         if r is None or e is None:
@@ -35,19 +39,38 @@ def reference_lower(net, tables: RoutingTable, vc_count: int) -> np.ndarray:
     return rows
 
 
-def assert_lowers_like_reference(net, tables, cache=None):
+def engine_channels(ports: np.ndarray, lut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's next channel, read the vectorized and the scalar way."""
+    R, E = ports.shape
+    r, e = np.divmod(np.arange(R * E), E)
+    vector = next_channel(lut, ports, r, e).reshape(R, E)
+    scalar = np.array(
+        [[lut.item(i, ports.item(i, j)) for j in range(E)] for i in range(R)],
+        dtype=np.int64,
+    ).reshape(R, E)
+    return vector, scalar
+
+
+def assert_routes_like_reference(net, tables, cache=None):
     cache = cache or RoutingTableCache()
     for vc_count in (1, 2):
-        got = cache.get_or_lower(net, tables, vc_count)
-        assert got.dtype == np.int32 and not got.flags.writeable
-        assert np.array_equal(got, reference_lower(net, tables, vc_count))
+        ports, lut = cache.get_or_lower(net, tables, vc_count)
+        assert not ports.flags.writeable and not lut.flags.writeable
+        assert ports.dtype == np.int16 and lut.dtype == np.int32
+        want = reference_channels(net, tables, vc_count)
+        vector, scalar = engine_channels(ports, lut)
+        assert np.array_equal(vector, want)
+        assert np.array_equal(scalar, want)
 
 
 @pytest.mark.parametrize("name", sorted(PARAMS))
 def test_registered_topologies(name):
     net = build_topology(name, **PARAMS[name])
     cache = RoutingTableCache()
-    assert_lowers_like_reference(net, cache.get_or_build(net), cache)
+    tables = cache.get_or_build(net)
+    assert_routes_like_reference(net, tables, cache)
+    ports, _ = cache.get_or_lower(net, tables)
+    assert ports is tables.ports  # a cached table's own matrix, no copy
 
 
 def _broken():
@@ -82,18 +105,28 @@ def _broken():
 @pytest.mark.parametrize("kind", ["missing_entry", "uncabled_port", "loop", "wrong_end_node"])
 def test_hand_broken_tables(kind):
     net, broken = _broken()
-    assert_lowers_like_reference(net, broken[kind])
+    assert_routes_like_reference(net, broken[kind])
 
 
 def test_ports_past_the_widest_router():
-    # every torus router cables its last port, so a port clamped onto the
-    # last real column instead of the -1 one would lower to a live link
+    # every torus router cables its last port, so a lookup clamped onto
+    # the last real column instead of a -1 one would route onto a live link
     net = build_topology("torus", **PARAMS["torus"])
     tables = RoutingTableCache().get_or_build(net).copy()
     dest = net.end_node_ids()[-1]
     for router in net.router_ids():
         tables.set(router, dest, 32767)
-    assert_lowers_like_reference(net, tables)
+    assert_routes_like_reference(net, tables)
+    _, lut = RoutingTableCache().get_or_lower(net, tables)
+    assert lut.shape[1] == 32769  # every port in the table, plus the -1 column
+
+
+def test_unfrozen_tables_are_read_through_a_read_only_view():
+    net, tables = _mesh()
+    assert tables.ports.flags.writeable
+    ports, _ = RoutingTableCache().get_or_lower(net, tables)
+    assert np.shares_memory(ports, tables.ports)
+    assert tables.ports.flags.writeable  # the caller's table stays editable
 
 
 def test_tables_built_before_the_network_grew():
@@ -104,9 +137,10 @@ def test_tables_built_before_the_network_grew():
     net.connect_next_free("n.extra", "R.extra")
     net.connect_next_free(net.router_ids()[0], "R.extra")
     assert net.indices().router_ids != before.router_ids
-    assert_lowers_like_reference(net, tables)
-    rows = tables.lower(net)
-    assert (rows[-1] == -1).all() and (rows[:, -1] == -1).all()
+    assert_routes_like_reference(net, tables)
+    ports, lut = RoutingTableCache().get_or_lower(net, tables)
+    vector, _ = engine_channels(ports, lut)
+    assert (vector[-1] == -1).all() and (vector[:, -1] == -1).all()
 
 
 def test_tables_built_before_the_network_shrank():
@@ -117,14 +151,14 @@ def test_tables_built_before_the_network_shrank():
         net.remove_node(end)
     net.remove_node(gone_router)
     net.remove_node(gone_end)
-    assert_lowers_like_reference(net, tables)
+    assert_routes_like_reference(net, tables)
 
 
-def test_cached_tables_are_frozen_so_their_lowering_never_goes_stale():
+def test_cached_tables_are_frozen_so_their_route_lookup_never_goes_stale():
     net, _ = _mesh()
     cache = RoutingTableCache()
     tables = cached_tables(net, cache=cache)
-    lowered = cache.get_or_lower(net, tables)
+    pair = cache.get_or_lower(net, tables)
     ends = net.end_node_ids()
     router, port = _first_hop(net, tables, ends[0], ends[-1])
     other = next(l.src_port for l in net.out_links(router) if l.src_port != port)
@@ -132,12 +166,13 @@ def test_cached_tables_are_frozen_so_their_lowering_never_goes_stale():
         tables.set(router, ends[-1], other)
     with pytest.raises(ValueError):
         tables.ports[0, 0] = other
-    assert cache.get_or_lower(net, tables) is lowered
-    assert np.array_equal(lowered, reference_lower(net, tables, 1))
+    assert cache.get_or_lower(net, tables) is pair
+    assert np.array_equal(engine_channels(*pair)[0], reference_channels(net, tables, 1))
 
     edited = tables.copy()
     edited.set(router, ends[-1], other)
     assert compute_route(net, edited, ends[0], ends[-1]).links[1] != (
         compute_route(net, tables, ends[0], ends[-1]).links[1]
     )
-    assert np.array_equal(cache.get_or_lower(net, edited), reference_lower(net, edited, 1))
+    got = engine_channels(*cache.get_or_lower(net, edited))[0]
+    assert np.array_equal(got, reference_channels(net, edited, 1))

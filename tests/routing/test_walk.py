@@ -17,7 +17,7 @@ from repro.deadlock.certifier import certify_channel_order
 from repro.experiments.fig1_deadlock import build, clockwise_tables
 from repro.network.graph import NetworkError
 from repro.routing.base import RoutingTable, all_pairs_routes
-from repro.routing.cache import cached_tables
+from repro.routing.cache import RoutingTableCache, cached_tables
 from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.validate import validate_routing
 from repro.routing.walk import walk_all_pairs, walkable
@@ -110,13 +110,15 @@ def test_fig1_clockwise_ring_counterexample():
 
 
 def test_array_tables_are_never_lowered(monkeypatch):
+    # certification walks the port matrix itself: it never asks the cache
+    # for the engines' route-lookup pair
     net = build_topology("fat_fractahedron", levels=2)
     tables = cached_tables(net)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("certification lowered the full table")
+        raise AssertionError("certification requested the engines' route lookup")
 
-    monkeypatch.setattr(RoutingTable, "lower", refuse)
+    monkeypatch.setattr(RoutingTableCache, "get_or_lower", refuse)
     assert certify_channel_order(net, tables).certified
 
 

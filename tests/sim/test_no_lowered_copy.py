@@ -1,0 +1,41 @@
+"""Both engines route from the table's own port matrix.
+
+Neither the compiled nor the vectorized engine may widen the int16
+``routers x ends`` port matrix into a channel matrix: each reads the next
+channel as ``lut[r, ports[r, e]]`` over the table's ``ports`` (shared
+memory, no copy), and holds no int32 array of that shape.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.fractahedron import fat_fractahedron
+from repro.routing.base import RoutingTable
+from repro.routing.cache import cached_tables
+from repro.sim.api import make_sim
+from repro.sim.engine import SimConfig
+from repro.sim.vec import UniformPlan
+
+
+@pytest.mark.parametrize("engine", ["compiled", "vectorized"])
+@pytest.mark.parametrize("frozen", [True, False], ids=["cached", "copy"])
+def test_engine_holds_no_lowered_copy(engine, frozen):
+    net = fat_fractahedron(2, fanout_width=2)
+    tables = cached_tables(net)
+    if not frozen:
+        tables = tables.copy()
+    sim = make_sim(net, tables, UniformPlan(0.02, 4, 3), SimConfig(engine=engine))
+    sim.run(50)
+    core = sim.core if engine == "vectorized" else sim._engine
+    assert np.shares_memory(core._ports, tables.ports)
+    shape = (net.num_routers, net.num_end_nodes)
+    lowered = [
+        name
+        for name, v in vars(core).items()
+        if isinstance(v, np.ndarray) and v.dtype == np.int32 and v.shape == shape
+    ]
+    assert not lowered, f"{engine} engine holds a lowered matrix: {lowered}"
+
+
+def test_tables_have_no_lowering():
+    assert not hasattr(RoutingTable, "lower")

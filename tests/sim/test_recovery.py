@@ -325,7 +325,7 @@ class TestRecoveryMemoPerCache:
 
     @staticmethod
     def _known(cache, net, tables):
-        # only tables a cache handed out get their lowering memoized
+        # only tables a cache handed out get their route-lookup pair memoized
         return cache.get_or_lower(net, tables) is cache.get_or_lower(net, tables)
 
     def test_two_caches_and_a_clear(self):
