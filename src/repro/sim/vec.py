@@ -86,6 +86,8 @@ on the reference/compiled engines; the facade's blocker list dispatches.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -133,6 +135,13 @@ class UniformPlan:
     rate: float
     packet_size: int
     seed: int
+
+    def __post_init__(self) -> None:
+        # checked where the plan is made, so every engine fails alike
+        if not 0.0 <= self.rate <= 1.0:  # also refuses nan
+            raise ValueError("rate must be in [0, 1]")
+        if self.packet_size < 1:
+            raise ValueError("packets need at least one flit")
 
     def build(self, net: Network) -> "TrafficGenerator":
         from repro.sim.traffic import uniform_traffic
@@ -247,6 +256,67 @@ def _fold_counts(keys, counts, new_keys, new_counts):
     )
 
 
+def _fires(raw: np.ndarray, rate: float) -> np.ndarray:
+    """``random() < rate`` for each raw PCG64 word, as one integer compare.
+
+    ``random()`` maps a word to ``(w >> 11) * 2**-53``.  ``rate * 2**53``
+    is exact, so that double is below ``rate`` exactly when ``w >> 11`` is
+    below ``ceil(rate * 2**53)``, i.e. when ``w`` is below that ceiling
+    shifted back up by 11 bits.  Only ``rate == 1.0`` lifts the threshold
+    to ``2**64``, past uint64: every word fires.
+    """
+    c = math.ceil(rate * 2.0**53)
+    if c >= 1 << 53:
+        return np.ones(raw.shape, dtype=bool)
+    return raw < np.uint64(c << 11)
+
+
+def _wait_for_cycles(C, det1, det2, rb, rc, ro, gb, gc, fifo_len) -> dict[int, dict[int, int]]:
+    """The desire sets of the flagged replicas whose wait-for graph closes
+    a cycle, keyed by replica, each in ascending channel order.
+
+    ``(rb, rc)`` is the ``(replica, channel)``-sorted occupied set, ``ro``
+    each buffer's desired output, ``(gb, gc)`` the granted requests (or
+    None) and ``fifo_len`` the post-move buffer lengths over the flat
+    ``replica * C + channel`` index.  Stalled replicas (``det1``) test
+    their full desire set; still-moving replicas at a check interval
+    (``det2``) test only the blocked (ungranted) subset; a buffer the move
+    emptied waits for nothing -- the reference's bookkeeping semantics.
+
+    The graph is functional (each waiting channel wants one output), so
+    cycle *existence* is decided by pointer doubling over the ``n`` kept
+    requests -- ``O(log n)`` array ops, nothing as wide as the network.
+    The requests are sorted, so a sorted search maps each one's desired
+    output onto the request that channel makes in turn, or onto ``-1``
+    when it makes none.
+    """
+    flagged = det1 if det2 is None else (det1 | det2)
+    key = rb.astype(np.int64) * C + rc
+    keep = flagged[rb] & (fifo_len.take(key) > 0)
+    if gb is not None and det2 is not None:
+        g2 = (det2 & ~det1)[gb]
+        if g2.any():
+            keep[np.searchsorted(key, gb[g2].astype(np.int64) * C + gc[g2])] = False
+    src = key[keep]
+    wb, wc, wo = rb[keep], rc[keep], ro[keep]
+    n = src.size
+    tgt = src + (wo - wc)  # == replica * C + desired output
+    sub = np.searchsorted(src, tgt)
+    hit = sub < n
+    hit[hit] = src.take(sub[hit]) == tgt[hit]
+    sub[~hit] = -1
+    for _ in range(max(n, 2).bit_length() + 1):
+        valid = sub >= 0
+        if not valid.any():
+            break
+        sub = np.where(valid, sub.take(np.maximum(sub, 0)), -1)
+    cyclic = {}
+    for b in np.unique(wb[sub >= 0]).tolist():
+        mine = wb == b
+        cyclic[b] = dict(zip(wc[mine].tolist(), wo[mine].tolist()))
+    return cyclic
+
+
 _BATCHED_INTS_OK: bool | None = None
 
 
@@ -277,9 +347,10 @@ def _raw_uniform_ok() -> bool:
 
     That path replays ``default_rng`` draws by interpreting raw PCG64
     words directly: ``random()`` consumes one word per double
-    (``(w >> 11) * 2**-53``) and small-range ``integers`` consumes
-    buffered 32-bit halves (low half first) through Lemire's multiply-
-    shift rejection.  Verify both -- plus the post-window state handoff
+    (``(w >> 11) * 2**-53``, compared with the rate as :func:`_fires`'
+    integer threshold) and small-range ``integers`` consumes buffered
+    32-bit halves (low half first) through Lemire's multiply-shift
+    rejection.  Verify all three -- plus the post-window state handoff
     (``advance`` + uint32-buffer fix) -- against the Generator API once
     per process; any mismatch (exotic numpy build or bit generator)
     disables the fast path in favour of per-cycle draws.
@@ -358,6 +429,13 @@ def _check_raw_uniform() -> bool:
             ref_tail = [ref.random(n) for _ in range(3)]
             if not all(np.array_equal(a, b) for a, b in zip(tail_u, ref_tail)):
                 return False
+    # the replay decides "fired" with _fires' integer compare on the raw
+    # word; it must pick exactly the words random() < rate picks
+    for rate in (0.4, 0.002, 2.0**-53, 1.0):
+        ref = np.random.default_rng(4321)
+        raw = np.random.default_rng(4321).bit_generator.random_raw(4096)
+        if not np.array_equal(_fires(raw, rate), ref.random(4096) < rate):
+            return False
     return True
 
 
@@ -615,8 +693,6 @@ class VecCore:
         n = node_end.size
         rate = plan.rate
         psize = plan.packet_size
-        if psize < 1:
-            raise ValueError("packets need at least one flit")
         if psize > MAX_SIZE:
             raise ValueError(
                 f"vectorized engine supports packet sizes <= {MAX_SIZE}"
@@ -698,7 +774,7 @@ class VecCore:
         else:  # pragma: no cover - cannot happen with geometric regrowth
             bg.state = state0
             return False
-        lt, ts, fs, dstarts, int_pos, h_total, p_total = res
+        fpos, ts, fs, dstarts, flo, int_pos, h_total, p_total = res
 
         tot = int(h_total) if rng_excl > 1 else int(sum(fs))
         pend, pv = init_pend, init_pv
@@ -737,13 +813,15 @@ class VecCore:
 
         if not tot:
             return True
-        dstarts_a = np.array(dstarts, dtype=np.int64)
-        seg = lt[dstarts_a[:, None] + np.arange(n, dtype=np.int64)[None, :]]
-        srcs = np.nonzero(seg)[1]  # row-major: ascending source per cycle
+        # a fired cycle's sources are its block's fired word positions,
+        # fpos[flo : flo + f], less the block start (ascending, as the
+        # per-cycle loop draws them)
+        fs_a = np.array(fs, dtype=np.int64)
+        skip = np.array(flo, dtype=np.int64) - (np.cumsum(fs_a) - fs_a)
+        srcs = fpos[np.arange(tot, dtype=np.int64) + np.repeat(skip, fs_a)]
+        srcs -= np.repeat(np.array(dstarts, dtype=np.int64), fs_a)
         dsts = js + (js >= srcs)
-        cyc_arr = np.repeat(
-            np.array(ts, dtype=np.int64) + start, np.array(fs, dtype=np.int64)
-        )
+        cyc_arr = np.repeat(np.array(ts, dtype=np.int64) + start, fs_a)
         pids = st.next_pid + np.arange(tot, dtype=np.int64)
         st.next_pid += tot
         self._admit_bulk(
@@ -761,27 +839,31 @@ class VecCore:
         """Segment the raw word stream into per-cycle double blocks and
         integer words (no-rejection layout; the caller verifies).  Returns
         None when ``raw`` is too short."""
-        lt = ((raw >> np.uint64(11)) * (2.0**-53)) < rate
-        # cumulative fired counts stay a numpy array: only 2 scalar reads
-        # per cycle below, and .tolist() on a multi-hundred-K-word window
-        # costs more than the whole scan loop
-        ltc = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lt)))
+        # sorted positions of every word that would fire as a double (a
+        # few per cent of the window at sub-saturation rates): a cycle's
+        # fired count is how many of them fall in its block [p, p + n)
+        fpos = np.flatnonzero(_fires(raw, rate))
+        fl = fpos.tolist()
         limit = raw.size
         p = 0
         h = 0  # integer halves drawn so far
         iw = 0  # integer words consumed so far
+        lo = 0
         ts: list[int] = []
         fs: list[int] = []
         dstarts: list[int] = []
+        flo: list[int] = []  # each fired block's first index into fpos
         int_pos: list[int] = []
         for t in range(T):
             if p + n > limit:
                 return None
-            f = int(ltc[p + n]) - int(ltc[p])
+            lo = bisect_left(fl, p, lo)
+            f = bisect_left(fl, p + n, lo) - lo
             if f:
                 ts.append(t)
                 fs.append(f)
                 dstarts.append(p)
+                flo.append(lo)
             p += n
             if f and rng_excl > 1:
                 h += f
@@ -793,7 +875,7 @@ class VecCore:
                     int_pos.extend(range(p, p + nw))
                     p += nw
                     iw = target
-        return lt, ts, fs, dstarts, int_pos, h, p
+        return fpos, ts, fs, dstarts, flo, int_pos, h, p
 
     def _pregen_generic(self, b: int, st: _Stream, start: int, stop: int) -> None:
         end_index = self._cn.end_index
@@ -1487,53 +1569,17 @@ class VecCore:
         return cn.link_index[out_link.link_id] * self.V
 
     def _run_detections(self, det1, det2, rb, rc, ro, gb, gc, cycle: int) -> None:
-        """Deadlock detection across all flagged replicas in one pass.
-
-        The wait-for graph is functional (each waiting channel wants one
-        output), so cycle *existence* is decided by pointer doubling over
-        a ``(flagged, C)`` next-pointer matrix -- ``O(log C)`` array ops
-        instead of a Python walk per replica.  Only replicas that actually
-        close a cycle (rare) take the exact ``WaitForGraph`` path, which
-        reproduces the reference engine's reporting verbatim.
-
-        Matches the reference semantics: stalled replicas (``det1``) test
-        their full desire set; still-moving replicas at a check interval
-        (``det2``) test only the blocked (ungranted) subset.  Edges hang
-        off *post-move* buffer state, as in the reference's bookkeeping
-        phase.
-        """
-        B, C = self.B, self.C
+        """Deadlock detection across all flagged replicas in one pass
+        (:func:`_wait_for_cycles`).  Only replicas that actually close a
+        cycle (rare) take the exact ``WaitForGraph`` path, which
+        reproduces the reference engine's reporting verbatim."""
         flagged = det1 if det2 is None else (det1 | det2)
-        rows = np.flatnonzero(flagged)
-        rowmap = np.full(B, -1, dtype=np.int64)
-        rowmap[rows] = np.arange(rows.size)
-        nxt = np.full((rows.size, C), -1, dtype=np.int32)
-        sel = flagged[rb]
-        nxt[rowmap[rb[sel]], rc[sel]] = ro[sel]
-        if gb is not None and det2 is not None:
-            g2 = (det2 & ~det1)[gb]
-            if g2.any():
-                nxt[rowmap[gb[g2]], gc[g2]] = -1
-        empty = self._fifo_len.reshape(B, C)[rows] <= 0
-        nxt[empty] = -1
-        # flat int32 pointer doubling: np.take on the flat matrix is ~2x
-        # cheaper than take_along_axis on the 2-d one
-        rowbase = np.repeat(np.arange(rows.size, dtype=np.int32) * C, C)
-        sub = nxt.reshape(-1)
-        for _ in range(max(C, 2).bit_length() + 1):
-            valid = sub >= 0
-            if not valid.any():
-                break
-            hop = sub.take(rowbase + np.maximum(sub, 0))
-            sub = np.where(valid, hop, np.int32(-1))
-        has_cycle = (sub.reshape(rows.size, C) >= 0).any(axis=1)
-        for i, b in enumerate(rows.tolist()):
-            if has_cycle[i]:
-                row = nxt[i]
-                cs = np.flatnonzero(row >= 0)
-                self._report_deadlock(
-                    b, dict(zip(cs.tolist(), row[cs].tolist())), cycle
-                )
+        cyclic = _wait_for_cycles(
+            self.C, det1, det2, rb, rc, ro, gb, gc, self._fifo_len
+        )
+        for b in np.flatnonzero(flagged).tolist():
+            if b in cyclic:
+                self._report_deadlock(b, cyclic[b], cycle)
             elif det1[b] and self._stall[b] >= 10 * self.config.stall_threshold:
                 raise RuntimeError(
                     f"simulation stalled {int(self._stall[b])} cycles without "

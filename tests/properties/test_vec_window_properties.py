@@ -157,3 +157,10 @@ def test_low_rate_fast_forwards_onto_window_edges():
 def test_chained_runs_then_drain():
     factories = [_plan(0.15, 3, 5), _generator(0.1, 2, 6)]
     assert_windowing_invisible(NET, TABLES, factories, [37, 1, 90, 25], True, 6)
+
+
+def test_rate_one_chained_windows():
+    # every source fires every cycle: the replay's threshold would pass
+    # 2**64, so every raw word fires, and no window may lose a draw
+    n = assert_windowing_invisible(NET, TABLES, [_plan(1.0, 2, 9)], [23, 1, 40], False, 3)
+    assert n > 3

@@ -3,16 +3,19 @@ reference interpreter at batch=1 (field-complete signature parity),
 bit-identical per replica when batched, and statistically equivalent in
 aggregate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.fractahedron import fat_fractahedron
 from repro.obs.parity import assert_counter_parity, compare_signatures, stats_signature
 from repro.routing.cache import cached_tables
+from repro.sim.api import make_sim
 from repro.sim.engine import DeadlockDetected, SimConfig
 from repro.sim.network_sim import WormholeSim
 from repro.sim.traffic import explicit_traffic, pairs_traffic, uniform_traffic
-from repro.sim.vec import UniformPlan, VecCore, VecSim
+from repro.sim.vec import UniformPlan, VecCore, VecSim, _fires
 from repro.topology.mesh import mesh
 
 CFG = SimConfig(raise_on_deadlock=False, stall_threshold=400)
@@ -233,3 +236,87 @@ class TestRawUniformGate:
         from repro.sim import vec
 
         assert vec._raw_uniform_ok() is True
+
+    def test_threshold_mismatch_disables_fast_path(self, grid, monkeypatch):
+        """A build where the integer compare picks other words than
+        random() < rate loses the fast path; traffic stays the same."""
+        from repro.sim import vec
+
+        monkeypatch.setattr(
+            vec, "_fires", lambda raw, rate: raw < np.uint64(int(rate * 2**53) << 10)
+        )
+        assert vec._raw_uniform_ok() is False
+        net, tables = grid
+        ref = WormholeSim(
+            net, tables, uniform_traffic(net.end_node_ids(), 0.1, 4, 1996), CFG
+        )
+        ref.run(200, drain=True)
+        ref.finalize()
+        sim = VecSim(net, tables, UniformPlan(0.1, 4, 1996), CFG)
+        sim.run(200, drain=True)
+        sim.finalize()
+        assert compare_signatures(stats_signature(ref), stats_signature(sim)) == []
+
+
+def _float_fires(raw, rate):
+    """Generator.random()'s double for each raw word, compared with rate."""
+    return ((raw >> np.uint64(11)) * 2.0**-53) < rate
+
+
+def boundary_words(rate):
+    """Raw words on both sides of the integer threshold for ``rate``:
+    the last word below it, the first at it, the last sharing its high 53
+    bits, and the first word of the preceding double."""
+    c = int(np.ceil(rate * 2.0**53))
+    words = [(c << 11) - 1, c << 11, (c << 11) + 2047, (c - 1) << 11]
+    return np.array([w for w in words if 0 <= w < 1 << 64], dtype=np.uint64)
+
+
+class TestFiresThreshold:
+    """``_fires``' integer threshold equals the float compare exactly."""
+
+    @pytest.mark.parametrize(
+        "rate",
+        [0.0, 2.0**-53, 1 - 2.0**-53, 1.0, 0.5, 0.25, 3 * 2.0**-53,
+         12345 * 2.0**-53, 0.002, 0.4, 0.1, 1 / 3],
+    )
+    def test_boundary_and_random_words(self, rate):
+        words = np.concatenate(
+            [
+                boundary_words(rate),
+                np.random.default_rng(5).bit_generator.random_raw(4096),
+                np.array([0, 2047, 2048, (1 << 64) - 1], dtype=np.uint64),
+            ]
+        )
+        assert np.array_equal(_fires(words, rate), _float_fires(words, rate))
+
+    def test_boundary_words_straddle_the_threshold(self):
+        # 0.1 is not a multiple of 2**-53: the threshold is its ceiling
+        fired = _fires(boundary_words(0.1), 0.1).tolist()
+        assert fired == [True, False, False, True]
+
+
+class TestPlanValidation:
+    """UniformPlan refuses the rates uniform_traffic refuses, where the
+    plan is made, so every engine fails the same way."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
+    def test_rate_outside_unit_interval(self, grid, engine, rate):
+        net, tables = grid
+        with pytest.raises(ValueError, match=r"rate must be in \[0, 1\]"):
+            sim = make_sim(
+                net, tables, UniformPlan(rate, 4, 1), replace(CFG, engine=engine)
+            )
+            sim.run(50)
+        # the generator every other engine draws from says the same
+        with pytest.raises(ValueError, match=r"rate must be in \[0, 1\]"):
+            uniform_traffic(net.end_node_ids(), rate, 4, 1)
+
+    def test_packet_size_below_one(self):
+        with pytest.raises(ValueError, match="at least one flit"):
+            UniformPlan(0.1, 0, 1)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_unit_interval_ends_are_accepted(self, rate):
+        assert UniformPlan(rate, 1, 1).rate == rate
