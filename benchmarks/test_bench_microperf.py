@@ -16,7 +16,7 @@ from repro.deadlock.cdg import channel_dependency_graph
 from repro.metrics.contention import worst_case_contention
 from repro.routing.base import all_pairs_routes, compute_route
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 
 
@@ -71,7 +71,7 @@ def test_perf_simulator_throughput(benchmark, net, tables):
 
     def run_sim():
         traffic = uniform_traffic(net.end_node_ids(), 0.02, 8, seed=1)
-        sim = WormholeSim(net, tables, traffic, SimConfig(stall_threshold=200))
+        sim = make_sim(net, tables, traffic, SimConfig(stall_threshold=200))
         sim.run(300, drain=False)
         return sim.stats.flits_moved
 

@@ -21,7 +21,7 @@ import pytest
 from repro.core.fractahedron import fat_fractahedron
 from repro.routing.cache import cached_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -40,7 +40,7 @@ def net_and_tables():
 
 def _run(engine: str, net, tables, rate: float):
     traffic = uniform_traffic(net.end_node_ids(), rate, 8, seed=1996)
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         traffic,

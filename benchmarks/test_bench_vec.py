@@ -27,7 +27,7 @@ import pytest
 from repro.core.fractahedron import fat_fractahedron
 from repro.routing.cache import cached_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 from repro.sim.vec import UniformPlan, VecCore
 
@@ -51,7 +51,7 @@ def net_and_tables():
 
 
 def _run_compiled(net, tables, rate: float):
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         uniform_traffic(net.end_node_ids(), rate, 8, SEED),

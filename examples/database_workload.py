@@ -23,7 +23,7 @@ from repro.routing.base import all_pairs_routes
 from repro.routing.dimension_order import dimension_order_tables
 from repro.servernet.protocol import SessionLayer
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import permutation_traffic
 from repro.topology.fattree import fat_tree, fat_tree_tables
 from repro.topology.mesh import mesh
@@ -56,7 +56,7 @@ def main() -> None:
         # (a sustainable per-flow rate; the interest is relative latency).
         busiest = max(queries, key=lambda q: pattern_contention(routes, q)[0])
         traffic = permutation_traffic(busiest, rate=0.05, packet_size=8, seed=7)
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             traffic,

@@ -18,7 +18,7 @@ from repro.experiments.fig1_deadlock import build, clockwise_tables, figure1_pat
 from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.turns import break_cycles_with_turns
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import pairs_traffic
 from repro.topology.ring import ring
 
@@ -42,16 +42,16 @@ def main() -> None:
     print("Figure 1: four transfers around a four-router loop\n")
 
     # The deadlock: every transfer routed the same way around.
-    sim = WormholeSim(net, clockwise_tables(net), pairs_traffic(pattern, 16), cfg)
+    sim = make_sim(net, clockwise_tables(net), pairs_traffic(pattern, 16), cfg)
     show("loop routing", sim.run(2000, drain=True))
 
     # Remedy 1: dimension-order routing.
-    sim = WormholeSim(net, dimension_order_tables(net), pairs_traffic(pattern, 16), cfg)
+    sim = make_sim(net, dimension_order_tables(net), pairs_traffic(pattern, 16), cfg)
     show("dimension-order routing", sim.run(2000, drain=True))
 
     # Remedy 2: path disables (synthesized turn prohibitions).
     turns, tables = break_cycles_with_turns(net)
-    sim = WormholeSim(net, tables, pairs_traffic(pattern, 16), cfg)
+    sim = make_sim(net, tables, pairs_traffic(pattern, 16), cfg)
     show(f"path disables ({len(turns)} turns)", sim.run(2000, drain=True))
 
     # Remedy 3: virtual channels with a dateline, on a true ring (the
@@ -73,7 +73,7 @@ def main() -> None:
     vc_cfg = SimConfig(
         buffer_depth=2, vc_count=2, raise_on_deadlock=False, stall_threshold=16
     )
-    sim = WormholeSim(
+    sim = make_sim(
         ringnet,
         cw,
         pairs_traffic(ring_pattern, 16),

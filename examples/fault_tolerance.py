@@ -19,7 +19,7 @@ from repro.servernet.fabric import DualFabric
 from repro.servernet.router_asic import RouterAsic, TableCorruption
 from repro.sim.engine import SimConfig
 from repro.sim.fault import LinkFault
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import pairs_traffic
 from repro.workloads.patterns import ring_shift_permutation
 
@@ -59,7 +59,7 @@ def main() -> None:
         if dead in compute_route(net, tables, s, d).router_links
     )
     fault = LinkFault().fail_cable(net, dead, at_cycle=0)
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         pairs_traffic(pattern, 8),

@@ -504,6 +504,18 @@ def _check_parity_recovery(args, net, tables, retry, reroute) -> int:
     return 0
 
 
+def _engine_refused(args, exc: ValueError) -> int:
+    """Report a forced ``--engine`` the engine decision refused (exit 2).
+
+    Only a forced engine can refuse a spec; under ``auto`` the error is
+    something else and propagates.
+    """
+    if args.engine == "auto":
+        raise exc
+    print(f"--engine {args.engine} cannot run this spec: {exc}")
+    return 2
+
+
 def cmd_simulate(args) -> int:
     import time
 
@@ -517,44 +529,31 @@ def cmd_simulate(args) -> int:
         from repro.obs import SimProbe
 
         probe = SimProbe(args.sample_interval)
-    if _engine_arg(args) == "vectorized":
-        from repro.sim.vec import vec_blockers
-
-        blockers = vec_blockers(
-            SimConfig(retry=retry, reroute=reroute), net=net, probe=probe
-        )
-        if args.faults:
-            blockers.append("fault schedule (--faults)")
-        if args.failover:
-            blockers.append("failover fabric (--failover)")
-        if blockers:
-            print(
-                "--engine vec cannot run this spec; blocked by: "
-                + ", ".join(blockers)
-            )
-            print("  these features need --engine compiled or --engine reference")
-            return 2
+    _engine_arg(args)
     start = time.perf_counter()
     if args.faults or retry or reroute or args.failover:
         from repro.sim.recovery import simulate_with_recovery
 
         if args.check_parity:
             return _check_parity_recovery(args, net, tables, retry, reroute)
-        r = simulate_with_recovery(
-            net,
-            tables,
-            rate=args.rate,
-            cycles=args.cycles,
-            packet_size=args.packet_size,
-            seed=args.seed,
-            faults=args.faults,
-            repair_cycle=args.repair_cycle,
-            retry=retry,
-            reroute=reroute,
-            failover=args.failover,
-            engine=args.engine,
-            probe=probe,
-        )
+        try:
+            r = simulate_with_recovery(
+                net,
+                tables,
+                rate=args.rate,
+                cycles=args.cycles,
+                packet_size=args.packet_size,
+                seed=args.seed,
+                faults=args.faults,
+                repair_cycle=args.repair_cycle,
+                retry=retry,
+                reroute=reroute,
+                failover=args.failover,
+                engine=args.engine,
+                probe=probe,
+            )
+        except ValueError as exc:
+            return _engine_refused(args, exc)
         print(
             f"{net.name} @ rate {args.rate} with {args.faults} cable fault(s): "
             f"delivered {r['delivered']}/{r['offered']} "
@@ -613,16 +612,19 @@ def cmd_simulate(args) -> int:
         return 0
     from repro.experiments.future_simulation import simulate_load_point
 
-    point = simulate_load_point(
-        net,
-        tables,
-        rate=args.rate,
-        cycles=args.cycles,
-        packet_size=args.packet_size,
-        seed=args.seed,
-        engine=args.engine,
-        probe=probe,
-    )
+    try:
+        point = simulate_load_point(
+            net,
+            tables,
+            rate=args.rate,
+            cycles=args.cycles,
+            packet_size=args.packet_size,
+            seed=args.seed,
+            engine=args.engine,
+            probe=probe,
+        )
+    except ValueError as exc:
+        return _engine_refused(args, exc)
     print(
         f"{net.name} @ rate {args.rate}: accepted "
         f"{point['accepted_flits_per_node_cycle']:.4f} flits/node/cycle, "

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.network.graph import Network
 from repro.sim.engine import SimConfig
 from repro.sim.api import make_sim
-from repro.sim.network_sim import WormholeSim
+from repro.sim.network_sim import ReferenceSim
 from repro.sim.traffic import uniform_traffic
 from repro.topology.fattree import fat_tree, fat_tree_tables
 
@@ -32,7 +32,7 @@ def adaptive_up_override(net: Network):
 
     height = net.attrs["height"]
 
-    def override(router_id: str, dest: str, sim: WormholeSim) -> int | None:
+    def override(router_id: str, dest: str, sim: ReferenceSim) -> int | None:
         router = net.node(router_id)
         level = router.attrs.get("level")
         if level is None or level >= height:

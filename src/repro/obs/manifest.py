@@ -45,7 +45,7 @@ def run_manifest(
     """Provenance row for one simulation run (or one sweep over ``net``).
 
     ``engine`` defaults to the config's engine selector; pass the
-    *resolved* engine name when you know it (``WormholeSim.engine``).
+    *resolved* engine name when you know it (``sim.engine``).
     ``extra`` keys (e.g. ``rates=[...]``, ``traffic="uniform"``) are
     folded in verbatim so callers can record what they swept.
 

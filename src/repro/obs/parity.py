@@ -124,8 +124,8 @@ def assert_counter_parity(
     Returns the (identical) signature on success; raises
     :class:`CounterParityError` on any divergence.
     """
+    from repro.sim.api import make_sim
     from repro.sim.engine import SimConfig
-    from repro.sim.network_sim import WormholeSim
 
     if len(engines) < 2:
         raise ValueError("need at least two engines to compare")
@@ -135,7 +135,7 @@ def assert_counter_parity(
         run_config = dataclasses.replace(
             config, engine=engine, raise_on_deadlock=False
         )
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             traffic_factory(),

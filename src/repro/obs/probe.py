@@ -1,6 +1,6 @@
 """Periodic in-run sampling: per-link utilization and buffer occupancy.
 
-A :class:`SimProbe` attaches to either engine (``WormholeSim(...,
+A :class:`SimProbe` attaches to either scalar engine (``make_sim(...,
 probe=...)``) and snapshots the counters the aggregate
 :class:`~repro.sim.stats.SimStats` collapses away: *which* links carried
 the flits, *when* the buffers filled up.  Samples are taken at the end of

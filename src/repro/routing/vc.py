@@ -21,7 +21,7 @@ __all__ = ["dateline_vc_select", "vc_for_route"]
 
 
 def dateline_vc_select(net: Network):
-    """VC selector (for :class:`~repro.sim.network_sim.WormholeSim`) that
+    """VC selector (for :class:`~repro.sim.network_sim.ReferenceSim`) that
     implements per-ring datelines on a torus/ring built by our mesh
     builder (wrap links carry a ``wraparound`` attribute).
 

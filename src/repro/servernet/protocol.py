@@ -17,9 +17,10 @@ simulator with per-packet path diversity and it fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.sim.network_sim import WormholeSim
-from repro.sim.packet import Packet
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.api import Simulator
 
 __all__ = ["SessionLayer", "TransferOutcome"]
 
@@ -43,7 +44,7 @@ class TransferOutcome:
 class SessionLayer:
     """Post-hoc verification of the in-order transfer contract."""
 
-    def __init__(self, sim: WormholeSim) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
 
     def verify_transfer(

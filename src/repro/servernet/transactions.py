@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
+from repro.sim.api import Simulator, make_sim
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
 from repro.sim.packet import Packet
 from repro.sim.stats import SimStats
 from repro.sim.traffic import SequenceCounter
@@ -76,7 +76,7 @@ class TransactionEngine:
     _transactions: dict[int, Transaction] = field(default_factory=dict)
     _by_request: dict[int, Transaction] = field(default_factory=dict)
     _by_response: dict[int, Transaction] = field(default_factory=dict)
-    sim: WormholeSim | None = None
+    sim: Simulator | None = None
 
     # ------------------------------------------------------------------
     # issuing
@@ -135,7 +135,7 @@ class TransactionEngine:
                 txn.completed = cycle
             return []
 
-        self.sim = WormholeSim(
+        self.sim = make_sim(
             self.net, self.tables, traffic, self.config, on_deliver=on_deliver
         )
         return self.sim.run(max_cycles, drain=True)

@@ -16,24 +16,24 @@ paper rejects on cost grounds (§2.1).
 Three engines implement the same cycle semantics: the readable
 object-per-flit reference interpreter (:class:`ReferenceSim`), the
 integer-indexed compiled core (:class:`SimCore`, see ``repro.sim.compile``)
-that :class:`WormholeSim` dispatches to by default, and the batched
-struct-of-arrays vectorized core (:class:`VecCore`, see ``repro.sim.vec``)
-that advances many replicas per kernel pass.  They are bit-identical by
-contract and by test (``tests/sim/test_engine_equivalence.py``,
+and the batched struct-of-arrays vectorized core (:class:`VecCore`, see
+``repro.sim.vec``) that advances many replicas per kernel pass.  They are
+bit-identical by contract and by test (``tests/sim/test_engine_equivalence.py``,
 ``tests/sim/test_vec_engine.py``).
 
-Prefer the facade in :mod:`repro.sim.api` -- :class:`SimSpec` plus
+:mod:`repro.sim.api` is the way in: :class:`SimSpec` plus
 :func:`repro.sim.api.execute` / :func:`repro.sim.api.execute_batch`, or
-:func:`repro.sim.api.make_sim` when hooks are needed -- over constructing
-:class:`WormholeSim` directly.  Curves and saturation searches live in
-:mod:`repro.sim.sweep`; :class:`SweepRunner` fans their points over
-worker processes.
+:func:`repro.sim.api.make_sim` when hooks are needed.  ``make_sim`` asks
+:func:`repro.sim.api.preferred_engine` -- the one engine decision -- and
+returns the engine object it builds (``sim.engine`` names it).  Curves and
+saturation searches live in :mod:`repro.sim.sweep`; :class:`SweepRunner`
+fans their points over worker processes.
 """
 
 from repro.sim.compile import CompiledNet, SimCore, compile_network
 from repro.sim.engine import DeadlockDetected, RetryPolicy, ReroutePolicy, SimConfig
 from repro.sim.packet import Flit, FlitKind, Packet
-from repro.sim.network_sim import ReferenceSim, WormholeSim
+from repro.sim.network_sim import ReferenceSim
 from repro.sim.stats import SimStats
 from repro.sim.trace import SimTrace, TraceEvent
 from repro.sim.traffic import (
@@ -107,7 +107,6 @@ __all__ = [
     "SimTrace",
     "TraceEvent",
     "TrafficGenerator",
-    "WormholeSim",
     "compile_network",
     "explicit_traffic",
     "find_saturation",

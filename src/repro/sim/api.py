@@ -11,8 +11,9 @@ One hashable value object describes a run, and two functions execute it:
   of specs) and return :class:`RunResult` with the stats, the packet
   records and the resolved engine (curve summaries need per-packet
   latencies, not just counters);
-* :func:`make_sim` -- the blessed constructor for callers that need a
-  live simulator object (probes, recovery managers, traces).
+* :func:`make_sim` -- the one simulator constructor, for callers that
+  need a live simulator object (probes, recovery managers, traces);
+* :func:`preferred_engine` -- the one engine decision all of them ask.
 
 ``execute_batch`` is one place the vectorized engine pays off: specs that
 share a ``(network, config, cycles, drain)`` group and carry an
@@ -35,15 +36,18 @@ from typing import Any, Sequence
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
 from repro.routing.cache import cached_tables
+from repro.sim.compile import SimCore
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.fault import FaultSchedule
+from repro.sim.network_sim import ReferenceSim
 from repro.sim.stats import SimStats
-from repro.sim.vec import UniformPlan, VecCore, vec_blockers
+from repro.sim.vec import MAX_SIZE, UniformPlan, VecCore, VecSim, vec_blockers
 
 __all__ = [
     "NetworkSpec",
     "RunResult",
     "SimSpec",
+    "Simulator",
     "execute",
     "execute_batch",
     "expected_occupancy",
@@ -51,6 +55,9 @@ __all__ = [
     "preferred_engine",
     "resolve_target",
 ]
+
+#: What :func:`make_sim` returns: the engine object itself.
+Simulator = ReferenceSim | SimCore | VecSim
 
 
 @dataclass(frozen=True)
@@ -110,10 +117,10 @@ class SimSpec:
             (hashable recipe; eligible for batched execution) or any
             ``TrafficGenerator`` (falls back to per-spec engines).
         config: the :class:`~repro.sim.engine.SimConfig`; its ``engine``
-            field picks the kernel exactly as in ``WormholeSim``.
+            field picks the kernel exactly as in :func:`make_sim`.
         cycles: cycles of offered traffic.
         drain: keep simulating until delivery after ``cycles`` (see
-            ``WormholeSim.run``).
+            ``ReferenceSim.run``).
     """
 
     network: Any
@@ -148,37 +155,33 @@ def make_sim(
     traffic,
     config: SimConfig | None = None,
     **hooks: Any,
-) -> WormholeSim:
-    """The blessed simulator constructor.
+) -> Simulator:
+    """Build the simulator :func:`preferred_engine` picks for this run.
 
-    Identical to calling :class:`~repro.sim.network_sim.WormholeSim`, but
-    going through here keeps call sites on the public facade and gives
-    hook-using callers -- probes, traces, recovery managers -- one place
-    to pass them.
+    Returns the engine object itself -- a :class:`ReferenceSim`,
+    :class:`SimCore` or :class:`VecSim`, each naming itself in its
+    ``engine`` attribute.  ``hooks`` are the optional simulator hooks
+    (``vc_select``, ``fault``, ``trace``, ``route_override``,
+    ``on_deliver``, ``failover``, ``recovery``, ``probe``); a
+    :class:`~repro.sim.vec.UniformPlan` is built into its generator unless
+    the vectorized core, which pre-generates from the recipe, runs it.
     """
-    return WormholeSim(net, tables, traffic, config, **hooks)
+    cfg = config or SimConfig()
+    engine = preferred_engine(net, cfg, traffic, **hooks)
+    if engine == "vectorized":
+        return VecSim(net, tables, traffic, cfg)
+    if isinstance(traffic, UniformPlan):
+        traffic = traffic.build(net)
+    hooks = {k: v for k, v in hooks.items() if v is not None}
+    if engine == "compiled":
+        return SimCore(net, tables, traffic, cfg, **hooks)
+    return ReferenceSim(net, tables, traffic, cfg, **hooks)
 
 
 def execute(spec: SimSpec) -> RunResult:
-    """Run one spec on the engine its config picks; return stats + packets.
-
-    A :class:`~repro.sim.vec.UniformPlan` travels to ``WormholeSim``
-    unbuilt so the facade's width-aware ``auto`` dispatch can see the
-    recipe (and the vectorized core, when picked, can pre-generate
-    arrivals on its array fast path); other traffic objects are
-    materialized here as before.
-    """
+    """Run one spec on the engine its config picks; return stats + packets."""
     net, tables = spec.resolve()
-    # exact type, not isinstance: a subclass may override build(), which
-    # the vectorized array fast path would silently ignore (it reads
-    # rate/seed off the plan directly) -- subclasses materialize here and
-    # take the compiled/reference path
-    traffic = (
-        spec.traffic
-        if type(spec.traffic) is UniformPlan
-        else spec.build_traffic(net)
-    )
-    sim = make_sim(net, tables, traffic, spec.config)
+    sim = make_sim(net, tables, spec.traffic, spec.config)
     sim.run(spec.cycles, drain=spec.drain)
     stats = sim.finalize()
     return RunResult(stats=stats, packets=dict(sim.packets), engine=sim.engine)
@@ -216,47 +219,65 @@ def expected_occupancy(num_channels: int, num_ends: int, plan: UniformPlan) -> f
     return min(float(num_channels), in_flight * min(hops, float(plan.packet_size)))
 
 
-def preferred_engine(net: Network, config: SimConfig, traffic: Any) -> str:
-    """Pick ``"compiled"`` or ``"vectorized"`` for a single run by cost.
+def _scalar_only(config: SimConfig, hooks: dict[str, Any]) -> list[str]:
+    """Features only the reference interpreter models, as blocker names."""
+    out = [f"switching={config.switching!r}"] if config.switching != "wormhole" else []
+    out += [h for h in ("vc_select", "route_override", "on_deliver") if hooks.get(h) is not None]
+    fault = hooks.get("fault")
+    if fault is not None and not isinstance(fault, FaultSchedule):
+        out.append("non-FaultSchedule fault object")
+    return out
 
-    The old rule -- a batch of one always goes compiled -- left single
-    large fabrics on the slow path: at depth 3 (5K+ channels, hundreds
-    occupied at even 2% load) the vectorized core's fixed kernel-dispatch
-    cost is dwarfed by the compiled core's per-channel Python loop.  This
-    compares the two calibrated per-cycle cost lines at the spec's
-    :func:`expected_occupancy` and returns the cheaper engine.
 
-    Only array-expressible runs qualify: anything that is not a
-    :class:`~repro.sim.vec.UniformPlan` or trips
-    :func:`~repro.sim.vec.vec_blockers` -- config-level features and the
-    engine's capacity limits on ``net`` -- answers ``"compiled"`` (callers
-    with hooks -- probes, traces, recovery -- must also pass them through
-    ``vec_blockers`` themselves).
+def preferred_engine(
+    net: Network, config: SimConfig, traffic: Any, *, replicas: int = 1, **hooks: Any
+) -> str:
+    """The engine decision: which kernel runs ``replicas`` copies of a spec.
+
+    Every constructor -- :func:`make_sim`, :func:`execute`, a group of
+    :func:`execute_batch`, the CLI -- asks this one function.  A forced
+    ``config.engine`` is honoured, or refused with a ``ValueError`` naming
+    what that engine cannot run.  Under ``"auto"``, hooks and features only
+    the reference interpreter models send the run there; anything that is
+    not a :class:`~repro.sim.vec.UniformPlan` or trips
+    :func:`~repro.sim.vec.vec_blockers` (config features, hooks, the
+    vectorized core's capacity limits on ``net`` and the plan's packet
+    size) runs compiled.  A batch of several replicas runs vectorized; a
+    single run compares the two calibrated per-cycle cost lines at the
+    spec's :func:`expected_occupancy` and takes the cheaper engine, so a
+    depth-3 fractahedron goes vectorized while a lightly loaded 64-node
+    fabric stays compiled.
     """
-    if type(traffic) is not UniformPlan or vec_blockers(config, net=net):
-        # exact type: UniformPlan subclasses may override build(), which
-        # the array fast path ignores -- they go compiled, deterministically
+    engine = config.engine
+    if engine == "reference":
+        return engine
+    scalar = _scalar_only(config, hooks)
+    if engine == "compiled":
+        if scalar:
+            raise ValueError("engine='compiled' does not support: " + ", ".join(scalar))
+        return engine
+    if engine == "auto" and scalar:
+        return "reference"
+    plan = isinstance(traffic, UniformPlan)
+    blockers = vec_blockers(config, net=net, replicas=replicas, **hooks)
+    if plan and traffic.packet_size > MAX_SIZE:
+        blockers.append(
+            f"packet size {traffic.packet_size} (the flit code holds at most "
+            f"MAX_SIZE={MAX_SIZE} flits; use engine='compiled')"
+        )
+    if engine == "vectorized":
+        if blockers:
+            raise ValueError("engine='vectorized' does not support: " + ", ".join(blockers))
+        return engine
+    if not plan or blockers:
         return "compiled"
+    if replicas > 1:
+        return "vectorized"
     num_channels = net.num_links * config.vc_count
     occ = expected_occupancy(num_channels, net.num_end_nodes, traffic)
     vec_us = VEC_FIXED_US + VEC_PER_OCC_US * occ
     compiled_us = COMPILED_FIXED_US + COMPILED_PER_OCC_US * occ
     return "vectorized" if vec_us < compiled_us else "compiled"
-
-
-def _batchable(spec: SimSpec) -> bool:
-    """Can this spec join a :class:`~repro.sim.vec.VecCore` batch?
-
-    The spec must ask for an engine the batched core may stand in for
-    (``vectorized`` explicitly, or ``auto`` -- bit-identical by the parity
-    contract), carry a hashable array-expressible traffic plan, and use no
-    feature on the vectorized blocker list.
-    """
-    return (
-        spec.config.engine in ("auto", "vectorized")
-        and type(spec.traffic) is UniformPlan
-        and not vec_blockers(spec.config)
-    )
 
 
 def _group_key(spec: SimSpec):
@@ -271,40 +292,36 @@ def _group_key(spec: SimSpec):
 def execute_batch(specs: Sequence[SimSpec]) -> list[RunResult]:
     """Execute many specs, batching compatible ones into one array kernel.
 
-    Specs that share ``(network, config, cycles, drain)`` and are
-    :func:`_batchable` become replicas of a single ``VecCore`` -- the whole
-    group advances in one kernel pass per cycle.  Everything else runs
-    through :func:`execute` individually.  Results come back in input
-    order and are bit-identical to per-spec runs.
+    :class:`~repro.sim.vec.UniformPlan` specs that share ``(network,
+    config, cycles, drain)`` form a group; when :func:`preferred_engine`
+    picks the vectorized core for the group's replica count, the group
+    becomes the replicas of a single ``VecCore`` and advances in one kernel
+    pass per cycle.  Everything else runs through :func:`execute` spec by
+    spec.  Results come back in input order and are bit-identical to
+    per-spec runs.
     """
     specs = list(specs)
     out: list[RunResult | None] = [None] * len(specs)
     groups: dict[Any, list[int]] = {}
     for i, spec in enumerate(specs):
-        if _batchable(spec):
+        if isinstance(spec.traffic, UniformPlan):
             groups.setdefault(_group_key(spec), []).append(i)
         else:
             out[i] = execute(spec)
     for idxs in groups.values():
         first = specs[idxs[0]]
         net, tables = first.resolve()
-        if vec_blockers(first.config, net=net, replicas=len(idxs)):
-            # past a capacity limit as one batch: each spec picks its own
-            # engine (an explicit "vectorized" that cannot fit one replica
-            # raises there, naming the limit)
+        # the group's longest packets meet the flit code's size limit
+        longest = max((specs[i].traffic for i in idxs), key=lambda p: p.packet_size)
+        try:
+            engine = preferred_engine(net, first.config, longest, replicas=len(idxs))
+        except ValueError:
+            # a forced engine refuses the group as one batch: each spec
+            # decides alone (and raises there if one replica cannot run)
+            engine = None
+        if engine != "vectorized":
             for i in idxs:
                 out[i] = execute(specs[i])
-            continue
-        if (
-            len(idxs) == 1
-            and first.config.engine != "vectorized"
-            and preferred_engine(net, first.config, first.traffic) != "vectorized"
-        ):
-            # a lone narrow spec has no amortizing width -- batch replicas
-            # or channel count -- so the compiled core's per-occupancy
-            # loop beats the fixed kernel-dispatch cost; wide or busy
-            # single fabrics fall through to a B=1 VecCore instead
-            out[idxs[0]] = execute(first)
             continue
         core = VecCore(net, tables, [specs[i].traffic for i in idxs], first.config)
         stats = core.run(first.cycles, drain=first.drain)
@@ -313,4 +330,3 @@ def execute_batch(specs: Sequence[SimSpec]) -> list[RunResult]:
                 stats=stats[b], packets=core.packets_of(b), engine="vectorized"
             )
     return out  # type: ignore[return-value]
-

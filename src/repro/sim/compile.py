@@ -44,8 +44,8 @@ Invariants (checked by ``tests/sim/test_engine_equivalence.py``):
   memo between runs.
 
 Unsupported features (``vc_select``, ``route_override``, ``on_deliver``,
-store-and-forward switching) stay on the reference engine; the
-:class:`~repro.sim.network_sim.WormholeSim` facade dispatches.
+store-and-forward switching) stay on the reference engine;
+:func:`repro.sim.api.preferred_engine` decides.
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ class SimCore:
     snapshots on demand.
     """
 
+    engine = "compiled"
+
     def __init__(
         self,
         net: Network,
@@ -195,7 +197,7 @@ class SimCore:
         self.tables = tables
         self.traffic = traffic
         self.config = cfg = config or SimConfig()
-        if cfg.switching != "wormhole":  # pragma: no cover - facade dispatches
+        if cfg.switching != "wormhole":  # pragma: no cover - make_sim dispatches
             raise ValueError("SimCore only implements wormhole switching")
         self.fault = fault
         self.trace = trace

@@ -9,36 +9,11 @@ __all__ = [
     "RetryPolicy",
     "ReroutePolicy",
     "SimConfig",
-    "register_engine",
-    "registered_engines",
 ]
 
-#: Engine registry: name -> one-line summary.  ``SimConfig`` validates its
-#: ``engine`` field against this at construction so a typo fails loudly
-#: instead of silently falling through auto-selection.  The registry lives
-#: here (not in the engine modules) so validation never imports a kernel.
-_ENGINES: dict[str, str] = {
-    "auto": "pick the fastest engine that supports the run's features",
-    "reference": "string-keyed interpreter; the executable specification",
-    "compiled": "integer-indexed compiled core (repro.sim.compile.SimCore)",
-    "vectorized": "batched struct-of-arrays numpy core (repro.sim.vec.VecCore)",
-}
-
-
-def register_engine(name: str, summary: str) -> None:
-    """Register an engine name so ``SimConfig(engine=name)`` validates.
-
-    Dispatch itself stays with the :class:`~repro.sim.network_sim.WormholeSim`
-    facade (and :mod:`repro.sim.api`); registration only admits the name.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("engine name must be a non-empty string")
-    _ENGINES[name] = summary
-
-
-def registered_engines() -> tuple[str, ...]:
-    """The engine names ``SimConfig.engine`` accepts, in registration order."""
-    return tuple(_ENGINES)
+#: The names ``SimConfig.engine`` accepts; :func:`repro.sim.api.preferred_engine`
+#: resolves ``"auto"`` to one of the other three.
+_ENGINES = ("auto", "reference", "compiled", "vectorized")
 
 
 class DeadlockDetected(Exception):
@@ -164,23 +139,19 @@ class SimConfig:
             recovery retransmission (the pre-recovery behaviour).
         reroute: online re-routing policy, or None for static tables.
         seed: base RNG seed for traffic generation.
-        engine: which step kernel executes the simulation.  ``"auto"``
-            (default) picks the integer-indexed compiled core whenever the
-            run uses only features it supports and silently falls back to
-            the reference interpreter otherwise -- except that an
-            array-expressible run (a ``UniformPlan``, no blockers) on a
-            fabric wide or busy enough to clear the calibrated cost-model
-            crossover goes to the vectorized core single-replica (see
-            :func:`repro.sim.api.preferred_engine`); ``"compiled"`` forces
-            the compiled core (raising if an unsupported feature is
-            requested); ``"reference"`` forces the original string-keyed
-            interpreter; ``"vectorized"`` forces the batched numpy core
-            (raising if an unsupported feature is requested -- it covers
-            plain wormhole runs only, but amortizes over batch replicas
-            or, for one large fabric, over the channel count itself; see
-            :mod:`repro.sim.api`).  All engines are bit-identical on the
+        engine: which step kernel executes the simulation; one of
+            ``"auto"`` (default), ``"reference"`` (the string-keyed
+            interpreter), ``"compiled"`` (the integer-indexed core) or
+            ``"vectorized"`` (the batched numpy core).  ``"auto"`` lets
+            :func:`repro.sim.api.preferred_engine` pick: the reference
+            interpreter for features only it models, the vectorized core
+            for a batch or for a single array-expressible run (a
+            ``UniformPlan``, no blockers) wide or busy enough to clear the
+            calibrated cost-model crossover, the compiled core otherwise.
+            A forced engine that cannot run the spec raises ``ValueError``
+            naming what it lacks.  All engines are bit-identical on the
             configurations they share.  Unknown names are rejected at
-            construction against :func:`registered_engines`.
+            construction.
     """
 
     buffer_depth: int = 4
@@ -193,13 +164,12 @@ class SimConfig:
     retry: RetryPolicy | None = None
     reroute: ReroutePolicy | None = None
     seed: int = 1996
-    engine: str = "auto"  # or "compiled" / "reference"
+    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.engine not in _ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; registered engines: "
-                + ", ".join(registered_engines())
+                f"unknown engine {self.engine!r}; engines: " + ", ".join(_ENGINES)
             )
         if self.buffer_depth < 1:
             raise ValueError("buffer_depth must be >= 1")

@@ -35,7 +35,7 @@ class ChannelBuffer:
     records which packet owns that latch -- the buffer can be *empty* while
     the latch is live (head forwarded, bodies still upstream), so worm
     cleanup after a send-side timeout needs the owner recorded explicitly
-    (see :meth:`repro.sim.network_sim.WormholeSim.drop_packet`).
+    (see :meth:`repro.sim.network_sim.ReferenceSim.drop_packet`).
     """
 
     __slots__ = ("link_id", "vc", "capacity", "fifo", "current_out", "current_packet")

@@ -29,8 +29,7 @@ Two engines implement this cycle:
 * :class:`~repro.sim.compile.SimCore` -- the integer-indexed compiled
   core, bit-identical on everything it supports and several times faster.
 
-:class:`WormholeSim` is the facade everything constructs; it resolves
-``SimConfig.engine`` ("auto" / "compiled" / "reference") and delegates.
+:func:`repro.sim.api.make_sim` picks the engine for a run and builds it.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.sim.stats import SimStats
 from repro.sim.trace import SimTrace
 from repro.sim.traffic import TrafficGenerator
 
-__all__ = ["ReferenceSim", "WormholeSim"]
+__all__ = ["ReferenceSim"]
 
 #: VC selector: (router_id, in_link_id | None, out_link_id, flit, in_vc)
 #: -> out_vc.  ``in_link_id`` is None at injection.
@@ -64,7 +63,7 @@ VcSelector = Callable[[str, "str | None", str, Flit, int], int]
 #: to fall back to the tables.  This is how *adaptive* schemes ("dynamically
 #: select a non-busy link", §3.3) are modelled -- and how their in-order
 #: violations are demonstrated.
-RouteOverride = Callable[[str, str, "WormholeSim"], "int | None"]
+RouteOverride = Callable[[str, str, "ReferenceSim"], "int | None"]
 
 #: Delivery hook: (packet, cycle) -> packets to enqueue in response.  This
 #: is how request/response protocols (ServerNet DMA reads) are modelled:
@@ -78,6 +77,8 @@ class ReferenceSim:
     The reference interpreter: string-keyed, object-per-flit, and the
     executable specification the compiled core is verified against.
     """
+
+    engine = "reference"
 
     def __init__(
         self,
@@ -611,172 +612,3 @@ class ReferenceSim:
         self.stats.cycles = self.cycle
         return self.stats
 
-
-class WormholeSim:
-    """Engine-dispatching facade over :class:`ReferenceSim` / ``SimCore``.
-
-    Keeps the constructor signature every experiment and test already
-    uses.  ``SimConfig.engine`` picks the step kernel:
-
-    * ``"auto"`` (default): the reference interpreter when the run uses
-      features only it models; otherwise the compiled core -- unless the
-      traffic is a :class:`~repro.sim.vec.UniformPlan`, the run trips no
-      :func:`~repro.sim.vec.vec_blockers`, and the calibrated cost model
-      (:func:`repro.sim.api.preferred_engine`) predicts the vectorized
-      core is cheaper over ``num_channels x expected occupancy`` -- a
-      single depth-3 fractahedron routes to a B=1 ``VecCore`` while a
-      lightly loaded 64-node fabric stays compiled;
-    * ``"compiled"``: force the compiled core; raises ``ValueError``
-      naming the unsupported features if any are requested;
-    * ``"reference"``: force the original interpreter;
-    * ``"vectorized"``: force the batched numpy core (single-replica
-      batch); raises ``ValueError`` naming the unsupported features if
-      any are requested.
-
-    The resolved name is exposed as :attr:`engine`; every other attribute
-    (``run``, ``step``, ``stats``, ``buffers``, ``drop_packet``, ...) is
-    delegated to the underlying engine, so the facade is transparent to
-    the recovery layer and the tests.
-
-    Prefer constructing simulations through :mod:`repro.sim.api`
-    (``make_sim`` / ``execute`` / ``execute_batch``).
-    """
-
-    def __init__(
-        self,
-        net: Network,
-        tables: RoutingTable,
-        traffic: TrafficGenerator,
-        config: SimConfig | None = None,
-        vc_select: VcSelector | None = None,
-        fault: LinkFault | None = None,
-        trace: SimTrace | None = None,
-        route_override: RouteOverride | None = None,
-        on_deliver: OnDeliver | None = None,
-        failover: "FailoverPlan | None" = None,
-        recovery: "RecoveryManager | None" = None,
-        probe: "SimProbe | None" = None,
-    ) -> None:
-        cfg = config or SimConfig()
-        blockers: list[str] = []
-        if cfg.switching != "wormhole":
-            blockers.append(f"switching={cfg.switching!r}")
-        if vc_select is not None:
-            blockers.append("vc_select")
-        if route_override is not None:
-            blockers.append("route_override")
-        if on_deliver is not None:
-            blockers.append("on_deliver")
-        if fault is not None and not (
-            hasattr(fault, "events") and hasattr(fault, "is_down")
-        ):
-            blockers.append("non-FaultSchedule fault object")
-
-        from repro.sim.vec import UniformPlan
-
-        engine = cfg.engine
-        if engine == "auto":
-            if blockers:
-                engine = "reference"
-            else:
-                engine = "compiled"
-                from repro.sim.vec import vec_blockers
-
-                # exact type: subclasses may override build(), which the
-                # array fast path would ignore -- they stay compiled
-                if type(traffic) is UniformPlan and not vec_blockers(
-                    cfg,
-                    net=net,
-                    vc_select=vc_select,
-                    fault=fault,
-                    trace=trace,
-                    route_override=route_override,
-                    on_deliver=on_deliver,
-                    failover=failover,
-                    recovery=recovery,
-                    probe=probe,
-                ):
-                    # array-expressible single run: let the calibrated
-                    # width/occupancy cost model pick the cheaper kernel
-                    from repro.sim.api import preferred_engine
-
-                    engine = preferred_engine(net, cfg, traffic)
-        elif engine == "compiled" and blockers:
-            raise ValueError(
-                "engine='compiled' does not support: " + ", ".join(blockers)
-            )
-        elif engine == "vectorized":
-            from repro.sim.vec import vec_blockers
-
-            vb = vec_blockers(
-                cfg,
-                net=net,
-                vc_select=vc_select,
-                fault=fault,
-                trace=trace,
-                route_override=route_override,
-                on_deliver=on_deliver,
-                failover=failover,
-                recovery=recovery,
-                probe=probe,
-            )
-            if vb:
-                raise ValueError(
-                    "engine='vectorized' does not support: " + ", ".join(vb)
-                )
-
-        if hasattr(traffic, "build") and (
-            engine != "vectorized" or type(traffic) is not UniformPlan
-        ):
-            # a traffic plan (hashable recipe) must be materialized for
-            # the scalar engines; the vectorized core consumes an exact
-            # UniformPlan itself so its array fast path can pre-generate
-            # arrivals -- but a *subclass* plan must be built even for
-            # the vectorized engine, or its overridden build() is ignored
-            traffic = traffic.build(net)
-
-        if engine == "vectorized":
-            from repro.sim.vec import VecSim
-
-            self._engine = VecSim(net, tables, traffic, cfg)
-        elif engine == "compiled":
-            from repro.sim.compile import SimCore
-
-            self._engine = SimCore(
-                net,
-                tables,
-                traffic,
-                cfg,
-                fault=fault,
-                trace=trace,
-                failover=failover,
-                recovery=recovery,
-                probe=probe,
-            )
-        else:
-            self._engine = ReferenceSim(
-                net,
-                tables,
-                traffic,
-                cfg,
-                vc_select=vc_select,
-                fault=fault,
-                trace=trace,
-                route_override=route_override,
-                on_deliver=on_deliver,
-                failover=failover,
-                recovery=recovery,
-                probe=probe,
-            )
-        #: resolved engine name: "compiled", "reference" or "vectorized"
-        self.engine = engine
-
-    def __getattr__(self, name: str):
-        # Only reached when normal lookup fails; guard the attributes set
-        # in __init__ (and dunders probed by copy/pickle) against recursion.
-        if name.startswith("__") or name in ("_engine", "engine"):
-            raise AttributeError(name)
-        return getattr(self._engine, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WormholeSim engine={self.engine} cycle={self._engine.cycle}>"

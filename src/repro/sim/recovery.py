@@ -47,7 +47,7 @@ from repro.sim.fault import FaultSchedule, random_cable_schedule
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.network_sim import WormholeSim
+    from repro.sim.api import Simulator
 
 __all__ = [
     "FailoverPlan",
@@ -251,7 +251,7 @@ class RecoveryManager:
     def on_delivered(self, packet: Packet, cycle: int) -> None:
         self._outstanding.discard(packet.packet_id)
 
-    def before_cycle(self, sim: "WormholeSim") -> None:
+    def before_cycle(self, sim: "Simulator") -> None:
         cycle = sim.cycle
         if self._detect_at and self._detect_at[0] <= cycle:
             while self._detect_at and self._detect_at[0] <= cycle:
@@ -269,7 +269,7 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # timeout/retry
     # ------------------------------------------------------------------
-    def _expire_timeouts(self, sim: "WormholeSim", cycle: int) -> None:
+    def _expire_timeouts(self, sim: "Simulator", cycle: int) -> None:
         while self._deadlines and self._deadlines[0][0] <= cycle:
             _, pid, attempt = heapq.heappop(self._deadlines)
             if pid not in self._outstanding:
@@ -278,7 +278,7 @@ class RecoveryManager:
                 continue  # stale deadline from an earlier attempt
             self._timeout(sim, pid, attempt, cycle)
 
-    def _timeout(self, sim: "WormholeSim", pid: int, attempt: int, cycle: int) -> None:
+    def _timeout(self, sim: "Simulator", pid: int, attempt: int, cycle: int) -> None:
         packet = sim.packets[pid]
         sim.drop_packet(pid, at_cycle=cycle)
         self._outstanding.discard(pid)
@@ -301,7 +301,7 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # online re-routing
     # ------------------------------------------------------------------
-    def _detect(self, sim: "WormholeSim", cycle: int) -> None:
+    def _detect(self, sim: "Simulator", cycle: int) -> None:
         down = frozenset(self.fault.down_links(cycle))
         if down:
             recovered = recompute_recovery_tables(self.net, down, self.cache)
@@ -340,7 +340,7 @@ class RecoveryManager:
         recovered = _certify(self.net, self.base_tables, "baseline", DisableSet())
         return recovered if key is None else self.cache.memo_put(key, recovered)
 
-    def _apply_due_swaps(self, sim: "WormholeSim", cycle: int) -> None:
+    def _apply_due_swaps(self, sim: "Simulator", cycle: int) -> None:
         for due in sorted(c for c in self._swaps if c <= cycle):
             for swap in self._swaps.pop(due):
                 self._pending_swaps -= 1

@@ -147,7 +147,6 @@ def curve_points(
     switching: str = "wormhole",
     engine: str = "auto",
     run_batch: "Callable | None" = None,
-    zero_load: "float | None" = None,
     network=None,
 ) -> list[LoadPoint]:
     """The one shared latency-curve implementation.
@@ -171,7 +170,7 @@ def curve_points(
     from repro.sim.parallel import derive_seed
     from repro.sim.vec import UniformPlan
 
-    zero = _zero_load_latency(net, tables, packet_size) if zero_load is None else zero_load
+    zero = _zero_load_latency(net, tables, packet_size)
     cfg = _point_config(packet_size, switching, engine)
     net_field = network if network is not None else (net, tables)
     specs = [

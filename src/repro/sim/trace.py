@@ -1,6 +1,6 @@
 """Optional event tracing for the wormhole simulator.
 
-A :class:`SimTrace` attached to a :class:`~repro.sim.network_sim.WormholeSim`
+A :class:`SimTrace` attached to a simulator (``make_sim(..., trace=...)``)
 records injections, link traversals, deliveries and deadlock, bounded to a
 maximum event count.  Traces answer the debugging questions the aggregate
 stats cannot: *where was packet 17 at cycle 200?  which worm held the

@@ -12,8 +12,8 @@ routing-engine evaluations at Dragonfly/HyperX scale amortize the
 per-cycle interpreter cost.  The batch dimension is not the only
 amortizing width: a single large fabric (``B=1``, channels in the
 thousands) clears the same fixed kernel-dispatch cost through active-set
-stepping (below), which is why the facade's width-aware ``auto``
-dispatch (:func:`repro.sim.api.preferred_engine`) routes lone depth-3/4
+stepping (below), which is why the width-aware ``auto`` engine decision
+(:func:`repro.sim.api.preferred_engine`) routes lone depth-3/4
 fractahedrons here.
 
 Active sets
@@ -81,7 +81,8 @@ which subsumes statistical equivalence.
 
 Unsupported features (faults, recovery, router pipelining, VC selection,
 route overrides, delivery hooks, store-and-forward, traces, probes) stay
-on the reference/compiled engines; the facade's blocker list dispatches.
+on the reference/compiled engines; :func:`vec_blockers` names them and
+:func:`repro.sim.api.preferred_engine` decides.
 """
 
 from __future__ import annotations
@@ -129,12 +130,21 @@ class UniformPlan:
 
     Carrying the recipe (instead of the stateful generator) lets the
     batched core pre-generate arrivals on its array fast path, and lets
-    :class:`repro.sim.api.SimSpec` stay hashable.
+    :class:`repro.sim.api.SimSpec` stay hashable.  The class is sealed:
+    the fast path reads ``rate``/``packet_size``/``seed`` directly, so a
+    subclass overriding :meth:`build` would be silently ignored there.
     """
 
     rate: float
     packet_size: int
     seed: int
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        raise TypeError(
+            f"UniformPlan cannot be subclassed ({cls.__name__}): the vectorized "
+            "core reads its fields directly; pass a TrafficGenerator "
+            "(repro.sim.traffic) for other traffic"
+        )
 
     def __post_init__(self) -> None:
         # checked where the plan is made, so every engine fails alike
@@ -169,9 +179,10 @@ def vec_blockers(
     named here needs the reference or compiled engine.  Given ``net`` (and
     the batch's ``replicas``), the engine's capacity limits are checked
     too: the flit code's destination field (:data:`MAX_ENDS`) and the
-    int32 flat-index range of the step kernels.  Every engine decision --
-    ``auto`` dispatch, batching, an explicit ``engine="vectorized"``, the
-    core itself -- asks this one function.
+    int32 flat-index range of the step kernels.  The engine decision
+    (:func:`repro.sim.api.preferred_engine`) and the core itself ask this
+    one function; the decision adds the plan's packet size
+    (:data:`MAX_SIZE`), which only the traffic knows.
     """
     blockers: list[str] = []
     if net is not None:
@@ -445,14 +456,6 @@ class _Stream:
     __slots__ = ("gen", "plan", "rng", "node_end", "next_pid", "orig")
 
     def __init__(self, source, net: Network, end_index: dict[str, int]) -> None:
-        if isinstance(source, UniformPlan) and type(source) is not UniformPlan:
-            # the plan branch reads rate/seed directly and would silently
-            # ignore a subclass's overridden build(); callers must
-            # materialize subclass plans before handing them to the core
-            raise TypeError(
-                f"{type(source).__name__} is a UniformPlan subclass: "
-                "build() it before passing it to VecCore"
-            )
         if isinstance(source, UniformPlan):
             self.plan = source
             self.gen = None
@@ -1776,13 +1779,15 @@ class VecCore:
 
 
 class VecSim:
-    """Single-run facade adapter over a ``B = 1`` :class:`VecCore`.
+    """Single-run adapter over a ``B = 1`` :class:`VecCore`.
 
-    This is what :class:`~repro.sim.network_sim.WormholeSim` holds when
-    ``engine="vectorized"`` resolves: the reference-shaped attribute
+    This is what :func:`repro.sim.api.make_sim` builds when the engine
+    decision picks ``"vectorized"``: the reference-shaped attribute
     surface (``run``/``finalize``/``stats``/``packets``/``cycle``) over
     one replica, so parity checks and the sweep machinery stay oblivious.
     """
+
+    engine = "vectorized"
 
     def __init__(
         self,

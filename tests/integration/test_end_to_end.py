@@ -10,7 +10,7 @@ from repro.network.validate import validate_network
 from repro.routing.dimension_order import dimension_order_tables
 from repro.servernet.protocol import SessionLayer
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 from repro.topology.fattree import fat_tree, fat_tree_tables
 from repro.topology.mesh import mesh
@@ -43,7 +43,7 @@ def test_full_pipeline(name):
     assert cert.certified, cert
     # 3. simulate moderate uniform load to completion
     traffic = uniform_traffic(net.end_node_ids(), rate=0.02, packet_size=6, seed=3)
-    sim = WormholeSim(
+    sim = make_sim(
         net, tables, traffic, SimConfig(buffer_depth=4, stall_threshold=128)
     )
     stats = sim.run(800, drain=True)

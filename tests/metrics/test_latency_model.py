@@ -12,7 +12,7 @@ from repro.metrics.latency_model import (
 from repro.routing.base import compute_route
 from repro.routing.dimension_order import dimension_order_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import pairs_traffic
 from repro.topology.mesh import mesh
 
@@ -38,7 +38,7 @@ def test_model_matches_simulation_exactly(src_i, dst_i, flits):
     src, dst = f"n{src_i}", f"n{dst_i}"
     route = compute_route(net, tables, src, dst)
     model = zero_load_latency_cycles(route, flits)
-    sim = WormholeSim(net, tables, pairs_traffic([(src, dst)], flits), SimConfig())
+    sim = make_sim(net, tables, pairs_traffic([(src, dst)], flits), SimConfig())
     stats = sim.run(model + 50, drain=True)
     assert stats.latencies == [model]
 
@@ -91,7 +91,7 @@ def test_model_matches_simulation_with_router_delay(dst_i, flits, delay):
     tables = dimension_order_tables(net)
     route = compute_route(net, tables, "n0", f"n{dst_i}")
     model = zero_load_latency_cycles(route, flits, router_delay=delay)
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         pairs_traffic([("n0", f"n{dst_i}")], flits),

@@ -12,7 +12,7 @@ from repro.obs import (
 )
 from repro.routing.cache import cached_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.stats import SimStats
 from repro.sim.traffic import uniform_traffic
 from repro.topology.mesh import mesh
@@ -28,7 +28,7 @@ def test_signature_is_field_complete(small):
     # every SimStats field must appear: the signature enumerates the
     # dataclass, so a counter added later joins the contract for free
     net, tables = small
-    sim = WormholeSim(
+    sim = make_sim(
         net, tables, uniform_traffic(net.end_node_ids(), 0.05, 4, 1)
     )
     sim.run(100, drain=True)

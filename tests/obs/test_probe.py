@@ -5,7 +5,7 @@ import pytest
 from repro.obs import SimProbe
 from repro.routing.cache import cached_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 from repro.topology.mesh import mesh
 
@@ -14,7 +14,7 @@ def _run_with_probe(engine: str, interval: int = 50) -> SimProbe:
     net = mesh((3, 3), nodes_per_router=1)
     tables = cached_tables(net)
     probe = SimProbe(interval)
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         uniform_traffic(net.end_node_ids(), 0.06, 4, 1996),
@@ -68,7 +68,7 @@ def test_timeline_differentiates_cumulative_counts():
 
 def test_disabled_probe_is_default():
     net = mesh((2, 2), nodes_per_router=1)
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         cached_tables(net),
         uniform_traffic(net.end_node_ids(), 0.05, 4, 1),

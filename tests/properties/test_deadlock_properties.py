@@ -20,7 +20,7 @@ from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.ecube import ecube_tables
 from repro.routing.tree_routing import up_down_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 from repro.topology.fattree import fat_tree, fat_tree_tables
 from repro.topology.hypercube import hypercube
@@ -83,7 +83,7 @@ def test_acyclic_cdg_implies_no_simulated_deadlock(case, depth, size, seed, dela
     traffic = uniform_traffic(
         net.end_node_ids(), rate=0.03, packet_size=size, seed=seed
     )
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         traffic,

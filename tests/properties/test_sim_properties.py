@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.routing.dimension_order import dimension_order_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 from repro.topology.mesh import mesh
 
@@ -34,7 +34,7 @@ def test_flit_conservation(case, cycles):
     """Flits are neither created nor destroyed: at any instant,
     offered = in source queues + in network buffers + delivered."""
     net, tables, cfg, traffic = case
-    sim = WormholeSim(net, tables, traffic, cfg)
+    sim = make_sim(net, tables, traffic, cfg)
     sim.run(cycles, drain=False)
 
     total_offered_flits = sum(p.size for p in sim.packets.values())
@@ -55,7 +55,7 @@ def test_flit_conservation(case, cycles):
 @settings(max_examples=30, deadline=None)
 def test_buffer_capacity_never_exceeded(case):
     net, tables, cfg, traffic = case
-    sim = WormholeSim(net, tables, traffic, cfg)
+    sim = make_sim(net, tables, traffic, cfg)
     for _ in range(150):
         sim.step()
         assert all(len(b) <= cfg.buffer_depth for b in sim.buffers.values())
@@ -65,7 +65,7 @@ def test_buffer_capacity_never_exceeded(case):
 @settings(max_examples=20, deadline=None)
 def test_drain_completes_and_latencies_positive(case):
     net, tables, cfg, traffic = case
-    sim = WormholeSim(net, tables, traffic, cfg)
+    sim = make_sim(net, tables, traffic, cfg)
     stats = sim.run(150, drain=True)
     assert stats.packets_delivered == stats.packets_offered
     assert all(l >= 1 for l in stats.latencies)
@@ -76,7 +76,7 @@ def test_drain_completes_and_latencies_positive(case):
 @settings(max_examples=20, deadline=None)
 def test_per_pair_sequences_strictly_increase_at_sinks(case):
     net, tables, cfg, traffic = case
-    sim = WormholeSim(net, tables, traffic, cfg)
+    sim = make_sim(net, tables, traffic, cfg)
     sim.run(200, drain=True)
     stats = sim.finalize()
     assert stats.in_order_violations == []

@@ -11,7 +11,7 @@ from repro.routing.base import all_pairs_routes, compute_route
 from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.vc import dateline_vc_select, vc_for_route
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import uniform_traffic
 from repro.topology.torus import torus
 
@@ -85,7 +85,7 @@ class TestVcSimulation:
         traffic = uniform_traffic(
             torus44.end_node_ids(), rate=0.05, packet_size=6, seed=17
         )
-        sim = WormholeSim(
+        sim = make_sim(
             torus44,
             torus44_tables,
             traffic,
@@ -104,7 +104,7 @@ class TestVcSimulation:
         # every router in row 0 sends 2 hops around its X ring, all the
         # same direction, with worms long enough to span the ring
         pattern = [(f"n{i}", f"n{(i + 8) % 16}") for i in (0, 4, 8, 12)]
-        sim = WormholeSim(
+        sim = make_sim(
             torus44,
             torus44_tables,
             pairs_traffic(pattern, packet_size=64),

@@ -3,7 +3,7 @@
 from repro.routing.dimension_order import dimension_order_tables
 from repro.servernet.protocol import SessionLayer
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import explicit_traffic
 from repro.topology.mesh import mesh
 
@@ -11,7 +11,7 @@ from repro.topology.mesh import mesh
 def _run(schedule, cycles=400):
     net = mesh((2, 2), nodes_per_router=1)
     tables = dimension_order_tables(net)
-    sim = WormholeSim(net, tables, explicit_traffic(schedule), SimConfig())
+    sim = make_sim(net, tables, explicit_traffic(schedule), SimConfig())
     sim.run(cycles, drain=True)
     return sim
 
@@ -42,7 +42,7 @@ def test_undelivered_transfer_flagged():
     schedule = [(0, "n0", "n3", 4)]
     net = mesh((2, 2), nodes_per_router=1)
     tables = dimension_order_tables(net)
-    sim = WormholeSim(net, tables, explicit_traffic(schedule), SimConfig())
+    sim = make_sim(net, tables, explicit_traffic(schedule), SimConfig())
     sim.run(1)  # not enough time to deliver
     outcome = SessionLayer(sim).verify_transfer("n0", "n3")
     assert not outcome.ok

@@ -1,11 +1,14 @@
-"""The repro.sim.api facade: SimSpec value semantics, execute /
-execute_batch parity, batching eligibility, and config validation."""
+"""The repro.sim.api entrypoint: SimSpec value semantics, execute /
+execute_batch parity, batching eligibility, the engine decision, and
+config validation."""
 
 import dataclasses
+import functools
 import warnings
 
 import pytest
 
+from repro.core.fractahedron import fat_fractahedron
 from repro.obs.parity import compare_signatures, stats_signature
 from repro.routing.cache import cached_tables
 from repro.sim import api
@@ -182,65 +185,95 @@ class TestConfigValidationAndDeprecation:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class _SkewedPlan(UniformPlan):
-    """A UniformPlan subclass whose build() emits different traffic.
+def test_uniform_plan_is_sealed():
+    # the vectorized fast path reads rate/size/seed off the plan and never
+    # calls build(), so an overriding subclass would be silently ignored
+    with pytest.raises(TypeError, match="TrafficGenerator"):
 
-    The vectorized array fast path reads rate/seed off the plan directly
-    and never calls build() -- so a subclass must be dispatched to an
-    engine that materializes it, or its traffic is silently wrong.
-    """
-
-    def build(self, net):
-        from repro.sim.traffic import pairs_traffic
-
-        ends = net.end_node_ids()
-        return pairs_traffic([(ends[0], ends[-1])], self.packet_size)
+        class _Skewed(UniformPlan):
+            pass
 
 
-class TestSubclassPlanDispatch:
-    def _spec(self, small, engine="auto"):
-        net, tables = small
-        return api.SimSpec(
-            network=(net, tables),
-            traffic=_SkewedPlan(0.05, 4, 7),
-            config=dataclasses.replace(CFG, engine=engine),
-            cycles=300,
-            drain=True,
-        )
+@pytest.fixture(scope="module")
+def fabric():
+    """Fractahedrons by depth, each built once per module: depth 2 is the
+    64-node Table-2 fabric, depths 3 and 4 the wide fanout-2 ones."""
 
-    def test_preferred_engine_pins_subclass_to_compiled(self, small):
-        net, _ = small
-        plain = UniformPlan(0.05, 4, 7)
-        assert api.preferred_engine(net, CFG, _SkewedPlan(0.05, 4, 7)) == "compiled"
-        # sanity: only the subclass is redirected, not the plan itself
-        assert api.preferred_engine(net, CFG, plain) in ("compiled", "vectorized")
+    @functools.cache
+    def build(levels: int):
+        if levels == 2:
+            return fat_fractahedron(2)
+        return fat_fractahedron(levels, fanout_width=2)
 
-    def test_subclass_plan_is_not_batchable(self, small):
-        assert not api._batchable(self._spec(small))
-        net, tables = small
-        assert api._batchable(spec_for((net, tables)))
+    return build
 
-    def test_auto_honours_overridden_build(self, small):
-        res = api.execute(self._spec(small))
-        assert res.engine != "vectorized"
-        # the override ships exactly one packet; a silently-applied
-        # uniform fast path would deliver dozens
-        assert res.stats.packets_injected == 1
-        assert res.stats.packets_delivered == 1
 
-    def test_forced_vectorized_builds_subclass_plan(self, small):
-        res = api.execute(self._spec(small, engine="vectorized"))
-        assert res.engine == "vectorized"
-        assert res.stats.packets_injected == 1
-        assert res.stats.packets_delivered == 1
+DEFAULT = SimConfig()
+VEC = SimConfig(engine="vectorized")
+#: (id, depth, config, traffic, hooks, replicas, engine or error regex)
+DECISIONS = [
+    ("64-node-low-rate", 2, DEFAULT, UniformPlan(0.02, 8, 1), {}, 1, "compiled"),
+    ("depth3-0.004", 3, DEFAULT, UniformPlan(0.004, 8, 1), {}, 1, "vectorized"),
+    ("depth3-0.008", 3, DEFAULT, UniformPlan(0.008, 8, 1), {}, 1, "vectorized"),
+    ("depth3-0.016", 3, DEFAULT, UniformPlan(0.016, 8, 1), {}, 1, "vectorized"),
+    ("depth4-0.002", 4, DEFAULT, UniformPlan(0.002, 8, 1), {}, 1, "vectorized"),
+    ("batch-of-3", 2, DEFAULT, UniformPlan(0.02, 8, 1), {}, 3, "vectorized"),
+    ("probe", 3, DEFAULT, UniformPlan(0.016, 8, 1), {"probe": object()}, 1, "compiled"),
+    ("trace", 3, DEFAULT, UniformPlan(0.016, 8, 1), {"trace": object()}, 1, "compiled"),
+    ("router-delay", 3, SimConfig(router_delay=1), UniformPlan(0.016, 8, 1), {}, 1,
+     "compiled"),
+    ("generator", 3, DEFAULT, "generator", {}, 1, "compiled"),
+    ("too-many-ends", 2, DEFAULT, UniformPlan(0.2, 8, 1), {}, 1, "compiled"),
+    ("vc-select", 2, DEFAULT, UniformPlan(0.2, 8, 1), {"vc_select": object()}, 1,
+     "reference"),
+    ("store-and-forward", 2, SimConfig(switching="store_and_forward", buffer_depth=8),
+     UniformPlan(0.2, 8, 1), {}, 1, "reference"),
+    ("non-schedule-fault", 2, DEFAULT, UniformPlan(0.2, 8, 1), {"fault": object()}, 1,
+     "reference"),
+    ("forced-reference", 3, SimConfig(engine="reference"), UniformPlan(0.016, 8, 1),
+     {}, 1, "reference"),
+    ("forced-compiled-s&f", 2,
+     SimConfig(switching="store_and_forward", buffer_depth=8, engine="compiled"),
+     UniformPlan(0.02, 8, 1), {}, 1,
+     r"^engine='compiled' does not support: switching='store_and_forward'$"),
+    ("forced-vectorized-hooks", 2, VEC, UniformPlan(0.02, 8, 1),
+     {"probe": object(), "on_deliver": object()}, 1,
+     r"^engine='vectorized' does not support: on_deliver, probe$"),
+    ("packet-size-auto", 2, DEFAULT, UniformPlan(0.5, 4096, 3), {}, 1, "compiled"),
+    ("packet-size-batch", 2, DEFAULT, UniformPlan(0.5, 4096, 3), {}, 2, "compiled"),
+    ("packet-size-at-limit", 2, DEFAULT, UniformPlan(0.5, 4095, 3), {}, 1, "vectorized"),
+    ("packet-size-forced", 2, VEC, UniformPlan(0.5, 4096, 3), {}, 1,
+     r"^engine='vectorized' does not support: packet size 4096 .*MAX_SIZE=4095.*"
+     r"use engine='compiled'"),
+]
 
-    def test_core_refuses_unbuilt_subclass_plan(self, small):
-        from repro.sim.vec import VecCore
 
-        net, tables = small
-        with pytest.raises(TypeError, match="subclass"):
-            VecCore(net, tables, [_SkewedPlan(0.05, 4, 7)], CFG)
+@pytest.mark.parametrize(
+    "name,depth,config,traffic,hooks,replicas,want",
+    DECISIONS,
+    ids=[row[0] for row in DECISIONS],
+)
+def test_engine_decision(
+    monkeypatch, fabric, name, depth, config, traffic, hooks, replicas, want
+):
+    """Every engine decision, pinned: ``auto`` picks, forced engines are
+    honoured or refused with a message naming what they lack."""
+    import repro.sim.vec as vec
+
+    net = fabric(depth)
+    if name == "too-many-ends":
+        # busy enough for vectorized, but one end past the flit code
+        monkeypatch.setattr(vec, "MAX_ENDS", net.num_end_nodes - 1)
+    if traffic == "generator":
+        traffic = uniform_traffic(net.end_node_ids(), 0.016, 8, 1)
+    decide = functools.partial(
+        api.preferred_engine, net, config, traffic, replicas=replicas, **hooks
+    )
+    if want in ("reference", "compiled", "vectorized"):
+        assert decide() == want
+    else:
+        with pytest.raises(ValueError, match=want):
+            decide()
 
 
 class TestCapacityLimits:
@@ -251,7 +284,6 @@ class TestCapacityLimits:
     @pytest.fixture
     def capped(self, monkeypatch):
         import repro.sim.vec as vec
-        from repro.core.fractahedron import fat_fractahedron
 
         net = fat_fractahedron(2)
         tables = cached_tables(net)
@@ -286,6 +318,41 @@ class TestCapacityLimits:
             for s in range(3)
         ]
         assert {r.engine for r in api.execute_batch(specs)} == {"compiled"}
+
+    @pytest.fixture(scope="class")
+    def long_packets(self):
+        net = fat_fractahedron(2)
+        # 4096-flit packets: one past the flit code's size field
+        return net, cached_tables(net), UniformPlan(0.5, 4096, 3)
+
+    @pytest.mark.parametrize(
+        "engine,want",
+        [
+            ("auto", "compiled"),
+            ("compiled", "compiled"),
+            ("vectorized", r"packet size 4096 .*MAX_SIZE=4095.*use engine='compiled'"),
+        ],
+    )
+    def test_packet_size_past_the_flit_code(self, long_packets, engine, want):
+        net, tables, plan = long_packets
+        config = dataclasses.replace(CFG, engine=engine)
+        if want != "compiled":
+            with pytest.raises(ValueError, match=want):
+                api.make_sim(net, tables, plan, config)
+            return
+        sim = api.make_sim(net, tables, plan, config)
+        assert sim.engine == "compiled"
+        assert sim.run(50).packets_offered > 0
+
+    def test_packet_size_batch_runs_per_spec(self, long_packets):
+        net, tables, plan = long_packets
+        specs = [
+            api.SimSpec((net, tables), dataclasses.replace(plan, seed=s), CFG, cycles=50)
+            for s in (3, 4)
+        ]
+        results = api.execute_batch(specs)
+        assert [r.engine for r in results] == ["compiled", "compiled"]
+        assert results[0].stats == api.execute(specs[0]).stats
 
     def test_int32_range_counts_replicas(self, small):
         net, _ = small

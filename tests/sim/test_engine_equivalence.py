@@ -31,7 +31,8 @@ from repro.experiments.fig1_deadlock import build, clockwise_tables, figure1_pat
 from repro.routing.cache import cached_tables
 from repro.sim.engine import DeadlockDetected, SimConfig
 from repro.sim.fault import random_cable_schedule
-from repro.sim.network_sim import ReferenceSim, WormholeSim
+from repro.sim.api import make_sim
+from repro.sim.network_sim import ReferenceSim
 from repro.sim.trace import SimTrace
 from repro.sim.traffic import explicit_traffic, pairs_traffic, uniform_traffic
 from repro.topology.fattree import fat_tree
@@ -94,7 +95,7 @@ def run_engine(engine, topo, traffic_kind, faulted, cycles=600, **cfg_kw):
     config = SimConfig(
         raise_on_deadlock=False, stall_threshold=200, engine=engine, **cfg_kw
     )
-    sim = WormholeSim(net, tables, traffic, config, fault=fault)
+    sim = make_sim(net, tables, traffic, config, fault=fault)
     sim.run(cycles, drain=True)
     sim.finalize()
     return sim
@@ -128,7 +129,7 @@ class TestTraceEquivalence:
         for engine in ("reference", "compiled"):
             net, tables = _mesh()
             trace = SimTrace()
-            sim = WormholeSim(
+            sim = make_sim(
                 net,
                 tables,
                 _traffic("adversarial", net),
@@ -143,7 +144,7 @@ class TestTraceEquivalence:
 class TestDeadlockEquivalence:
     def _run(self, engine):
         net = build()
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             clockwise_tables(net),
             pairs_traffic(figure1_pattern(net), 16),
@@ -196,7 +197,7 @@ class TestSingleReplicaVecEquivalence:
     with many replicas; this is the other corner the dispatcher now
     serves -- one large fabric, one replica, where the channel count is
     the amortizing width.  The traffic travels as a ``UniformPlan`` so
-    every engine consumes the identical stream (the facade builds it for
+    every engine consumes the identical stream (``make_sim`` builds it for
     the scalar cores).
     """
 
@@ -212,7 +213,7 @@ class TestSingleReplicaVecEquivalence:
         plan = UniformPlan(rate=rate, packet_size=4, seed=11)
         sigs = {}
         for engine in ("reference", "compiled", "vectorized"):
-            sim = WormholeSim(
+            sim = make_sim(
                 net,
                 tables,
                 plan,
@@ -237,7 +238,7 @@ class TestEngineSelection:
         from repro.sim.vec import UniformPlan
 
         net = fat_fractahedron(3, fanout_width=2)
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             fractahedral_tables(net),
             UniformPlan(rate=0.02, packet_size=8, seed=1),
@@ -249,7 +250,7 @@ class TestEngineSelection:
         from repro.sim.vec import UniformPlan
 
         net, tables = _fracta()
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             UniformPlan(rate=0.02, packet_size=8, seed=1),
@@ -263,7 +264,7 @@ class TestEngineSelection:
         from repro.sim.vec import UniformPlan
 
         net = fat_fractahedron(3, fanout_width=2)
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             fractahedral_tables(net),
             UniformPlan(rate=0.02, packet_size=8, seed=1),
@@ -274,7 +275,7 @@ class TestEngineSelection:
 
     def test_auto_falls_back_on_unsupported(self):
         net, tables = _mesh()
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             _traffic("uniform", net),
@@ -285,7 +286,7 @@ class TestEngineSelection:
     def test_forced_compiled_rejects_unsupported(self):
         net, tables = _mesh()
         with pytest.raises(ValueError, match="store_and_forward"):
-            WormholeSim(
+            make_sim(
                 net,
                 tables,
                 _traffic("uniform", net),
@@ -296,10 +297,10 @@ class TestEngineSelection:
 
     def test_reference_engine_is_the_interpreter(self):
         net, tables = _mesh()
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             _traffic("uniform", net),
             SimConfig(engine="reference"),
         )
-        assert isinstance(sim._engine, ReferenceSim)
+        assert isinstance(sim, ReferenceSim)

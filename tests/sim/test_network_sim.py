@@ -6,7 +6,7 @@ from repro.experiments.fig1_deadlock import build, clockwise_tables, figure1_pat
 from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.shortest_path import shortest_path_tables
 from repro.sim.engine import DeadlockDetected, SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import pairs_traffic, uniform_traffic
 from repro.topology.ring import ring
 
@@ -19,7 +19,7 @@ def square():
 class TestBasicDelivery:
     def test_single_packet_delivery_and_latency(self, square):
         tables = dimension_order_tables(square)
-        sim = WormholeSim(square, tables, pairs_traffic([("n0", "n3")], 4))
+        sim = make_sim(square, tables, pairs_traffic([("n0", "n3")], 4))
         stats = sim.run(100, drain=True)
         assert stats.packets_delivered == 1
         # the route covers 4 links (inject, 2 mesh hops, eject); the head
@@ -29,14 +29,14 @@ class TestBasicDelivery:
     def test_payload_conservation(self, square):
         tables = dimension_order_tables(square)
         pattern = [("n0", "n3"), ("n1", "n2"), ("n2", "n0")]
-        sim = WormholeSim(square, tables, pairs_traffic(pattern, 6))
+        sim = make_sim(square, tables, pairs_traffic(pattern, 6))
         stats = sim.run(200, drain=True)
         assert stats.packets_delivered == 3
         assert stats.flits_delivered == 3 * 6
 
     def test_all_buffers_empty_after_drain(self, square):
         tables = dimension_order_tables(square)
-        sim = WormholeSim(square, tables, pairs_traffic(figure1_pattern(square), 8))
+        sim = make_sim(square, tables, pairs_traffic(figure1_pattern(square), 8))
         sim.run(200, drain=True)
         assert all(len(b) == 0 for b in sim.buffers.values())
         assert sim.in_flight == 0
@@ -44,7 +44,7 @@ class TestBasicDelivery:
     def test_in_order_delivery(self, square):
         tables = dimension_order_tables(square)
         traffic = uniform_traffic(square.end_node_ids(), rate=0.3, packet_size=3, seed=5)
-        sim = WormholeSim(square, tables, traffic)
+        sim = make_sim(square, tables, traffic)
         sim.run(500, drain=True)
         stats = sim.finalize()
         assert stats.in_order_violations == []
@@ -57,7 +57,7 @@ class TestBasicDelivery:
             traffic = uniform_traffic(
                 square.end_node_ids(), rate=0.4, packet_size=4, seed=11
             )
-            sim = WormholeSim(square, tables, traffic)
+            sim = make_sim(square, tables, traffic)
             stats = sim.run(300, drain=True)
             return (stats.packets_delivered, stats.flits_moved, tuple(stats.latencies))
 
@@ -66,7 +66,7 @@ class TestBasicDelivery:
 
 class TestDeadlockBehaviour:
     def test_clockwise_square_deadlocks(self, square):
-        sim = WormholeSim(
+        sim = make_sim(
             square,
             clockwise_tables(square),
             pairs_traffic(figure1_pattern(square), 16),
@@ -78,7 +78,7 @@ class TestDeadlockBehaviour:
         assert stats.packets_delivered == 0
 
     def test_deadlock_raises_when_configured(self, square):
-        sim = WormholeSim(
+        sim = make_sim(
             square,
             clockwise_tables(square),
             pairs_traffic(figure1_pattern(square), 16),
@@ -91,7 +91,7 @@ class TestDeadlockBehaviour:
     def test_short_packets_may_survive_cyclic_routing(self, square):
         """Single-flit packets never hold two channels, so the cyclic
         routing cannot interlock them (store-and-forward behaviour)."""
-        sim = WormholeSim(
+        sim = make_sim(
             square,
             clockwise_tables(square),
             pairs_traffic(figure1_pattern(square), 1),
@@ -124,7 +124,7 @@ class TestFaults:
 
         route = compute_route(net, tables, "n0", "n1")
         fault = LinkFault().fail_link(route.router_links[0], at_cycle=0)
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             pairs_traffic([("n0", "n1")], 4),
@@ -146,7 +146,7 @@ class TestFaults:
         fault = LinkFault()
         for link in bad:
             fault.fail_link(link)
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             pairs_traffic([("n2", "n3")], 4),
@@ -160,7 +160,7 @@ class TestFaults:
 class TestAccounting:
     def test_link_flit_counters(self, square):
         tables = dimension_order_tables(square)
-        sim = WormholeSim(square, tables, pairs_traffic([("n0", "n3")], 4))
+        sim = make_sim(square, tables, pairs_traffic([("n0", "n3")], 4))
         sim.run(100, drain=True)
         # every link on the route carried exactly 4 flits
         from repro.routing.base import compute_route
@@ -171,6 +171,6 @@ class TestAccounting:
 
     def test_backlog_property(self, square):
         tables = dimension_order_tables(square)
-        sim = WormholeSim(square, tables, pairs_traffic([("n0", "n3")], 4))
+        sim = make_sim(square, tables, pairs_traffic([("n0", "n3")], 4))
         sim.step()
         assert sim.backlog in (0, 1)

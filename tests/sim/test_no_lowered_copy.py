@@ -26,7 +26,7 @@ def test_engine_holds_no_lowered_copy(engine, frozen):
         tables = tables.copy()
     sim = make_sim(net, tables, UniformPlan(0.02, 4, 3), SimConfig(engine=engine))
     sim.run(50)
-    core = sim.core if engine == "vectorized" else sim._engine
+    core = sim.core if engine == "vectorized" else sim
     assert np.shares_memory(core._ports, tables.ports)
     shape = (net.num_routers, net.num_end_nodes)
     lowered = [

@@ -23,7 +23,7 @@ from repro.deadlock.analysis import certify_deadlock_free
 from repro.routing.cache import cached_tables
 from repro.sim.engine import RetryPolicy, ReroutePolicy, SimConfig
 from repro.sim.fault import FaultSchedule, LinkFault, random_cable_schedule
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.recovery import (
     FailoverPlan,
     recompute_recovery_tables,
@@ -124,7 +124,7 @@ class TestDropPacket:
         nodes = net.end_node_ids()
         # a long worm crossing the mesh corner to corner
         traffic = explicit_traffic([(0, nodes[0], nodes[-1], 6)])
-        sim = WormholeSim(net, tables, traffic, SimConfig(buffer_depth=2))
+        sim = make_sim(net, tables, traffic, SimConfig(buffer_depth=2))
         for _ in range(4):
             sim.step()
         assert sim.in_flight == 1
@@ -146,7 +146,7 @@ class TestDropPacket:
         traffic = explicit_traffic(
             [(0, nodes[0], nodes[-1], 6), (1, nodes[0], nodes[-1], 4)]
         )
-        sim = WormholeSim(net, tables, traffic, SimConfig(buffer_depth=2))
+        sim = make_sim(net, tables, traffic, SimConfig(buffer_depth=2))
         for _ in range(4):
             sim.step()
         sim.drop_packet(0)
@@ -384,7 +384,7 @@ class TestBaselineRestorePerTables:
                 fault=fault,
                 cache=cache,
             )
-            sim = WormholeSim(
+            sim = make_sim(
                 net,
                 tables,
                 uniform_traffic(net.end_node_ids(), 0.02, 4, 3),
@@ -451,7 +451,7 @@ class TestAccountingInvariants:
             reroute=ReroutePolicy(detection_delay=8, reconvergence_delay=8),
             fault=fault,
         )
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             uniform_traffic(net.end_node_ids(), 0.04, 4, 31),

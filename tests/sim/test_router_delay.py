@@ -4,7 +4,7 @@ import pytest
 
 from repro.routing.dimension_order import dimension_order_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import pairs_traffic, uniform_traffic
 from repro.topology.mesh import mesh
 
@@ -21,7 +21,7 @@ def tables(net):
 
 def test_delay_adds_per_fabric_hop(net, tables):
     def latency(delay):
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             pairs_traffic([("n0", "n8")], 4),
@@ -40,7 +40,7 @@ def test_shallow_buffers_add_credit_bubbles(net, tables):
     stream -- latency exceeds the deep-buffer ideal (real hardware)."""
 
     def latency(depth):
-        sim = WormholeSim(
+        sim = make_sim(
             net,
             tables,
             pairs_traffic([("n0", "n8")], 12),
@@ -53,7 +53,7 @@ def test_shallow_buffers_add_credit_bubbles(net, tables):
 
 def test_throughput_conserved_under_delay(net, tables):
     traffic = uniform_traffic(net.end_node_ids(), 0.05, 4, seed=2)
-    sim = WormholeSim(
+    sim = make_sim(
         net, tables, traffic, SimConfig(router_delay=3, stall_threshold=128)
     )
     stats = sim.run(400, drain=True)
@@ -69,7 +69,7 @@ def test_negative_delay_rejected():
 
 
 def test_unknown_traffic_node_rejected(net, tables):
-    sim = WormholeSim(net, tables, pairs_traffic([("n0", "ghost")], 2), SimConfig())
+    sim = make_sim(net, tables, pairs_traffic([("n0", "ghost")], 2), SimConfig())
     with pytest.raises(ValueError, match="unknown end node"):
         sim.run(5)
 
@@ -82,6 +82,6 @@ def test_duplicate_packet_ids_rejected(net, tables):
         permutation_traffic([("n0", "n8")], 1.0, seed=1),
         permutation_traffic([("n1", "n7")], 1.0, seed=2),
     )
-    sim = WormholeSim(net, tables, bad, SimConfig())
+    sim = make_sim(net, tables, bad, SimConfig())
     with pytest.raises(ValueError, match="duplicate packet id"):
         sim.run(5)

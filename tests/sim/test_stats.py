@@ -157,7 +157,7 @@ class TestMerge:
         # stats must add up to the combined totals for additive counters
         from repro.routing.cache import cached_tables
         from repro.sim.engine import SimConfig
-        from repro.sim.network_sim import WormholeSim
+        from repro.sim.api import make_sim
         from repro.sim.traffic import explicit_traffic
         from repro.topology.mesh import mesh
 
@@ -167,7 +167,7 @@ class TestMerge:
         pairs = [(i, ends[i], ends[(i + 4) % len(ends)], 4) for i in range(6)]
 
         def run(schedule):
-            sim = WormholeSim(
+            sim = make_sim(
                 net, tables, explicit_traffic(schedule), SimConfig()
             )
             return sim.run(300, drain=True)

@@ -6,7 +6,7 @@ from repro.metrics.latency_model import zero_load_latency_cycles
 from repro.routing.base import compute_route
 from repro.routing.dimension_order import dimension_order_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.traffic import pairs_traffic, uniform_traffic
 from repro.topology.mesh import mesh
 
@@ -22,7 +22,7 @@ def tables(net):
 
 
 def _latency(net, tables, switching, src, dst, size, depth=32):
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         pairs_traffic([(src, dst)], size),
@@ -55,7 +55,7 @@ def test_saf_and_wormhole_agree_for_single_flit(net, tables):
 
 
 def test_saf_requires_big_enough_buffers(net, tables):
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         pairs_traffic([("n0", "n15")], 8),
@@ -67,7 +67,7 @@ def test_saf_requires_big_enough_buffers(net, tables):
 
 def test_saf_delivers_under_load(net, tables):
     traffic = uniform_traffic(net.end_node_ids(), rate=0.03, packet_size=4, seed=9)
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         traffic,
@@ -87,7 +87,7 @@ def test_bad_switching_mode_rejected():
 def test_saf_never_holds_two_fabric_links(net, tables):
     """The defining property: a SAF packet occupies one buffer at a time
     (plus the link it is crossing), never a multi-router worm."""
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         pairs_traffic([("n0", "n15")], 8),

@@ -56,7 +56,7 @@ def test_accepted_load_shares_the_latency_window(small):
     import numpy as np
 
     from repro.sim.engine import SimConfig
-    from repro.sim.network_sim import WormholeSim
+    from repro.sim.api import make_sim
     from repro.sim.sweep import measure_point
     from repro.sim.traffic import uniform_traffic
 
@@ -66,7 +66,7 @@ def test_accepted_load_shares_the_latency_window(small):
 
     # replicate the run independently and derive both figures from the
     # same packet records measure_point saw
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         uniform_traffic(net.end_node_ids(), rate, size, seed),

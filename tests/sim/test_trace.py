@@ -6,7 +6,7 @@ from repro.experiments.fig1_deadlock import build, clockwise_tables, figure1_pat
 from repro.routing.base import compute_route
 from repro.routing.dimension_order import dimension_order_tables
 from repro.sim.engine import SimConfig
-from repro.sim.network_sim import WormholeSim
+from repro.sim.api import make_sim
 from repro.sim.trace import SimTrace
 from repro.sim.traffic import pairs_traffic
 
@@ -15,7 +15,7 @@ def test_trace_records_packet_lifecycle():
     net = build()
     tables = dimension_order_tables(net)
     trace = SimTrace()
-    sim = WormholeSim(net, tables, pairs_traffic([("n0", "n3")], 4), trace=trace)
+    sim = make_sim(net, tables, pairs_traffic([("n0", "n3")], 4), trace=trace)
     sim.run(100, drain=True)
     kinds = [e.kind for e in trace.for_packet(0)]
     assert kinds[0] == "inject"
@@ -29,7 +29,7 @@ def test_packet_path_matches_route():
     net = build()
     tables = dimension_order_tables(net)
     trace = SimTrace()
-    sim = WormholeSim(net, tables, pairs_traffic([("n0", "n3")], 4), trace=trace)
+    sim = make_sim(net, tables, pairs_traffic([("n0", "n3")], 4), trace=trace)
     sim.run(100, drain=True)
     route = compute_route(net, tables, "n0", "n3")
     assert trace.packet_path(0) == list(route.links)
@@ -38,7 +38,7 @@ def test_packet_path_matches_route():
 def test_deadlock_event_recorded():
     net = build()
     trace = SimTrace()
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         clockwise_tables(net),
         pairs_traffic(figure1_pattern(net), 16),
@@ -53,7 +53,7 @@ def test_bounded_buffer_drops():
     net = build()
     tables = dimension_order_tables(net)
     trace = SimTrace(max_events=3)
-    sim = WormholeSim(
+    sim = make_sim(
         net, tables, pairs_traffic(figure1_pattern(net), 4), trace=trace
     )
     sim.run(100, drain=True)
@@ -76,7 +76,7 @@ def test_render_filters_and_limits():
     net = build()
     tables = dimension_order_tables(net)
     trace = SimTrace()
-    sim = WormholeSim(
+    sim = make_sim(
         net, tables, pairs_traffic(figure1_pattern(net), 4), trace=trace
     )
     sim.run(100, drain=True)
@@ -104,7 +104,7 @@ def test_at_cycle():
     net = build()
     tables = dimension_order_tables(net)
     trace = SimTrace()
-    sim = WormholeSim(net, tables, pairs_traffic([("n0", "n3")], 2), trace=trace)
+    sim = make_sim(net, tables, pairs_traffic([("n0", "n3")], 2), trace=trace)
     sim.run(100, drain=True)
     inject = trace.for_packet(0)[0]
     assert inject in trace.at_cycle(inject.cycle)

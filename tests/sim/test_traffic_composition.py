@@ -41,7 +41,7 @@ def test_separate_counters_collide():
 def test_merged_stream_drives_simulation_in_order():
     from repro.routing.dimension_order import dimension_order_tables
     from repro.sim.engine import SimConfig
-    from repro.sim.network_sim import WormholeSim
+    from repro.sim.api import make_sim
     from repro.topology.mesh import mesh
 
     net = mesh((2, 2), nodes_per_router=2)
@@ -51,7 +51,7 @@ def test_merged_stream_drives_simulation_in_order():
         uniform_traffic(net.end_node_ids(), 0.1, 4, seed=3, counter=counter),
         permutation_traffic([("n0", "n7")], 0.4, 4, seed=4, counter=counter),
     )
-    sim = WormholeSim(net, tables, traffic, SimConfig())
+    sim = make_sim(net, tables, traffic, SimConfig())
     stats = sim.run(400, drain=True)
     assert stats.packets_delivered == stats.packets_offered
     assert sim.finalize().in_order_violations == []

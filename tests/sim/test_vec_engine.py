@@ -13,7 +13,6 @@ from repro.obs.parity import assert_counter_parity, compare_signatures, stats_si
 from repro.routing.cache import cached_tables
 from repro.sim.api import make_sim
 from repro.sim.engine import DeadlockDetected, SimConfig
-from repro.sim.network_sim import WormholeSim
 from repro.sim.traffic import explicit_traffic, pairs_traffic, uniform_traffic
 from repro.sim.vec import UniformPlan, VecCore, VecSim, _fires
 from repro.topology.mesh import mesh
@@ -60,7 +59,7 @@ class TestBatchOneParity:
         """The pre-generated array arrival path must consume the PCG64
         stream exactly like the per-cycle generator."""
         net, tables = grid
-        ref = WormholeSim(
+        ref = make_sim(
             net, tables, uniform_traffic(net.end_node_ids(), 0.1, 4, 1996), CFG
         )
         ref.run(300, drain=True)
@@ -130,7 +129,7 @@ class TestDeadlockParity:
         tables = clockwise_tables(net)
         cfg = SimConfig(buffer_depth=2, raise_on_deadlock=True, stall_threshold=16)
         with pytest.raises(DeadlockDetected) as ref_exc:
-            WormholeSim(
+            make_sim(
                 net, tables, pairs_traffic(figure1_pattern(net), 16), cfg
             ).run(400)
         with pytest.raises(DeadlockDetected) as vec_exc:
@@ -148,7 +147,7 @@ class TestBatchedReplicas:
         core = VecCore(net, tables, plans, CFG)
         core.run(400, drain=True)
         for b, plan in enumerate(plans):
-            solo = WormholeSim(
+            solo = make_sim(
                 net,
                 tables,
                 uniform_traffic(net.end_node_ids(), plan.rate, 8, plan.seed),
@@ -172,7 +171,7 @@ class TestBatchedReplicas:
         batch = core.run(400, drain=True)
         solo_delivered, solo_latency = [], []
         for plan in plans:
-            sim = WormholeSim(
+            sim = make_sim(
                 net,
                 tables,
                 uniform_traffic(net.end_node_ids(), plan.rate, 4, plan.seed),
@@ -247,7 +246,7 @@ class TestRawUniformGate:
         )
         assert vec._raw_uniform_ok() is False
         net, tables = grid
-        ref = WormholeSim(
+        ref = make_sim(
             net, tables, uniform_traffic(net.end_node_ids(), 0.1, 4, 1996), CFG
         )
         ref.run(200, drain=True)

@@ -69,6 +69,16 @@ def test_simulate(capsys):
     assert "avg latency" in out
 
 
+def test_simulate_forced_vec_refuses_faults(capsys):
+    # the engine decision refuses the spec; the CLI prints why and exits 2
+    argv = ["simulate", "ring", "--param", "num_routers=4", "--engine", "vec",
+            "--faults", "1", "--cycles", "200"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "engine='vectorized' does not support" in out
+    assert "fault schedule" in out
+
+
 def test_build_save_and_inspect(tmp_path, capsys):
     path = str(tmp_path / "fabric.json")
     assert (

@@ -45,13 +45,13 @@ def test_oversubscribed_drain_completes_in_bounded_time():
     from repro.core.fractahedron import thin_fractahedron
     from repro.core.routing import fractahedral_tables
     from repro.sim.engine import SimConfig
-    from repro.sim.network_sim import WormholeSim
+    from repro.sim.api import make_sim
     from repro.sim.traffic import uniform_traffic
 
     net = thin_fractahedron(2)  # 4-link bisection chokes easily
     tables = fractahedral_tables(net)
     traffic = uniform_traffic(net.end_node_ids(), rate=0.9, packet_size=8, seed=1)
-    sim = WormholeSim(
+    sim = make_sim(
         net,
         tables,
         traffic,
