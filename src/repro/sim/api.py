@@ -10,7 +10,7 @@ One hashable value object describes a run, and two functions execute it:
 * :func:`execute` / :func:`execute_batch` -- execute one spec (or a list
   of specs) and return :class:`RunResult` with the stats, the packet
   records and the resolved engine (curve summaries need per-packet
-  latencies, not just counters);
+  latencies, not just counters, and read them as integer columns);
 * :func:`make_sim` -- the one simulator constructor, for callers that
   need a live simulator object (probes, recovery managers, traces);
 * :func:`preferred_engine` -- the one engine decision all of them ask.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
@@ -40,6 +40,7 @@ from repro.sim.compile import SimCore
 from repro.sim.engine import SimConfig
 from repro.sim.fault import FaultSchedule
 from repro.sim.network_sim import ReferenceSim
+from repro.sim.packet import Packet, PacketRecords
 from repro.sim.stats import SimStats
 from repro.sim.vec import MAX_SIZE, UniformPlan, VecCore, VecSim, vec_blockers
 
@@ -140,13 +141,51 @@ class SimSpec:
         return self.traffic
 
 
-@dataclass
 class RunResult:
-    """Everything a caller can want back from one executed spec."""
+    """Everything a caller can want back from one executed spec.
 
-    stats: SimStats
-    packets: dict[int, Any]
-    engine: str
+    Attributes:
+        stats: the run's :class:`~repro.sim.stats.SimStats`.
+        records: the packets' ``(created, delivered, size)`` columns in
+            packet-id order (:class:`~repro.sim.packet.PacketRecords`),
+            all a sweep summary reads.
+        engine: the engine that ran the spec.
+        packets: the reference-shaped ``{packet_id: Packet}`` dict.  A
+            vectorized result builds it from its replica's packet columns
+            on first access, equal to the engine's own ``packets``; the
+            scalar engines hand over theirs.
+    """
+
+    def __init__(
+        self,
+        stats: SimStats,
+        records: PacketRecords,
+        engine: str,
+        packets: dict[int, Packet] | Callable[[], dict[int, Packet]],
+    ) -> None:
+        self.stats = stats
+        self.records = records
+        self.engine = engine
+        self._packets = packets
+
+    @property
+    def packets(self) -> dict[int, Packet]:
+        if not isinstance(self._packets, dict):
+            self._packets = self._packets()
+        return self._packets
+
+    @classmethod
+    def of(cls, sim: Simulator, stats: SimStats) -> RunResult:
+        """Package a finished simulator's run."""
+        if isinstance(sim, VecSim):
+            return cls.of_replica(sim.core, 0, stats)
+        packets = dict(sim.packets)
+        return cls(stats, PacketRecords.of(packets), sim.engine, packets)
+
+    @classmethod
+    def of_replica(cls, core: VecCore, b: int, stats: SimStats) -> RunResult:
+        """Package replica ``b`` of a finished :class:`VecCore`."""
+        return cls(stats, core.packet_records(b), "vectorized", core.packet_source(b))
 
 
 def make_sim(
@@ -183,8 +222,7 @@ def execute(spec: SimSpec) -> RunResult:
     net, tables = spec.resolve()
     sim = make_sim(net, tables, spec.traffic, spec.config)
     sim.run(spec.cycles, drain=spec.drain)
-    stats = sim.finalize()
-    return RunResult(stats=stats, packets=dict(sim.packets), engine=sim.engine)
+    return RunResult.of(sim, sim.finalize())
 
 
 #: Calibrated per-cycle step costs in microseconds, fit on the fat
@@ -326,7 +364,5 @@ def execute_batch(specs: Sequence[SimSpec]) -> list[RunResult]:
         core = VecCore(net, tables, [specs[i].traffic for i in idxs], first.config)
         stats = core.run(first.cycles, drain=first.drain)
         for b, i in enumerate(idxs):
-            out[i] = RunResult(
-                stats=stats[b], packets=core.packets_of(b), engine="vectorized"
-            )
+            out[i] = RunResult.of_replica(core, b, stats[b])
     return out  # type: ignore[return-value]

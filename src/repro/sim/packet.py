@@ -9,10 +9,13 @@ in one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-__all__ = ["Flit", "FlitKind", "Packet"]
+import numpy as np
+
+__all__ = ["Flit", "FlitKind", "Packet", "PacketRecords"]
 
 
 class FlitKind(Enum):
@@ -84,3 +87,31 @@ class Packet:
         if self.delivered is None:
             return None
         return self.delivered - self.created
+
+
+class PacketRecords(NamedTuple):
+    """A run's packets as int64 columns in packet-id order.
+
+    ``delivered`` is ``-1`` for a packet still in flight.  The sweep window
+    summary reads only these three columns, so it never needs a
+    :class:`Packet` object per packet.
+    """
+
+    created: np.ndarray
+    delivered: np.ndarray
+    size: np.ndarray
+
+    @classmethod
+    def of(cls, packets: dict[int, Packet]) -> PacketRecords:
+        """The columns of a ``{packet_id: Packet}`` dict."""
+        ordered = [packets[pid] for pid in sorted(packets)]
+        n = len(ordered)
+        return cls(
+            np.fromiter((p.created for p in ordered), np.int64, n),
+            np.fromiter(
+                (-1 if p.delivered is None else p.delivered for p in ordered),
+                np.int64,
+                n,
+            ),
+            np.fromiter((p.size for p in ordered), np.int64, n),
+        )

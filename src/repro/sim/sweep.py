@@ -26,6 +26,7 @@ import numpy as np
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
 from repro.sim.engine import SimConfig
+from repro.sim.packet import PacketRecords
 
 __all__ = [
     "LoadPoint",
@@ -60,7 +61,7 @@ def _point_config(packet_size: int, switching: str, engine: str) -> SimConfig:
 
 
 def _window_summary(
-    packets,
+    records: PacketRecords,
     rate: float,
     cycles: int,
     zero_load: float,
@@ -77,15 +78,12 @@ def _window_summary(
     understate accepted throughput near saturation).
     """
     warmup = cycles // 5
-    steady_pkts = [
-        p
-        for p in packets.values()
-        if p.delivered is not None and p.created >= warmup
-    ]
-    steady = [p.latency for p in steady_pkts]
-    avg = float(np.mean(steady)) if steady else float("inf")
-    p99 = float(np.percentile(steady, 99)) if steady else float("inf")
-    steady_flits = sum(p.size for p in steady_pkts)
+    created, delivered, size = records
+    steady = (delivered >= 0) & (created >= warmup)
+    latency = delivered[steady] - created[steady]
+    avg = float(np.mean(latency)) if latency.size else float("inf")
+    p99 = float(np.percentile(latency, 99)) if latency.size else float("inf")
+    steady_flits = int(size[steady].sum())
     window = max(1, cycles - warmup)
     return LoadPoint(
         offered_rate=rate,
@@ -122,7 +120,7 @@ def measure_point(
     from repro.sim import api
     from repro.sim.vec import UniformPlan
 
-    packets = api.execute(
+    records = api.execute(
         api.SimSpec(
             network=(net, tables),
             traffic=UniformPlan(rate, packet_size, seed),
@@ -130,9 +128,9 @@ def measure_point(
             cycles=cycles,
             drain=False,
         )
-    ).packets
+    ).records
     return _window_summary(
-        packets, rate, cycles, zero_load, factor, net.num_end_nodes
+        records, rate, cycles, zero_load, factor, net.num_end_nodes
     )
 
 
@@ -166,20 +164,48 @@ def curve_points(
     rebuild it through the memoized routing-table cache instead of
     unpickling the full network.
     """
+    zero = _zero_load_latency(net, tables, packet_size)
+    return _measure_rates(
+        net, tables, rates, cycles, packet_size, seed, zero, saturation_factor,
+        switching, engine, run_batch, network,
+    )
+
+
+def _measure_rates(
+    net: Network,
+    tables: RoutingTable,
+    rates: Sequence[float],
+    cycles: int,
+    packet_size: int,
+    seed: int,
+    zero_load: float,
+    factor: float,
+    switching: str,
+    engine: str,
+    run_batch: "Callable | None" = None,
+    network=None,
+) -> list[LoadPoint]:
+    """Measure several rates as one batch: the probe seam
+    :func:`curve_points` and :func:`find_saturation` share.
+
+    Each rate's traffic seed is ``derive_seed(seed, "rate", repr(rate),
+    "switching", switching)``, a function of the point's identity alone,
+    so a rate measures the same whichever batch it runs in.
+    """
     from repro.sim import api
     from repro.sim.parallel import derive_seed
     from repro.sim.vec import UniformPlan
 
-    zero = _zero_load_latency(net, tables, packet_size)
+    rates = [float(rate) for rate in rates]
     cfg = _point_config(packet_size, switching, engine)
     net_field = network if network is not None else (net, tables)
     specs = [
         api.SimSpec(
             network=net_field,
             traffic=UniformPlan(
-                float(rate),
+                rate,
                 packet_size,
-                derive_seed(seed, "rate", repr(float(rate)), "switching", switching),
+                derive_seed(seed, "rate", repr(rate), "switching", switching),
             ),
             config=cfg,
             cycles=cycles,
@@ -190,8 +216,7 @@ def curve_points(
     results = (run_batch or api.execute_batch)(specs)
     return [
         _window_summary(
-            res.packets, float(rate), cycles, zero, saturation_factor,
-            net.num_end_nodes,
+            res.records, rate, cycles, zero_load, factor, net.num_end_nodes
         )
         for rate, res in zip(rates, results)
     ]
@@ -223,9 +248,7 @@ def sample_point(sample_interval: int, spec) -> tuple[Any, list[dict[str, Any]]]
     probe = SimProbe(sample_interval)
     sim = api.make_sim(net, tables, spec.build_traffic(net), spec.config, probe=probe)
     sim.run(spec.cycles, drain=spec.drain)
-    result = api.RunResult(
-        stats=sim.finalize(), packets=dict(sim.packets), engine=sim.engine
-    )
+    result = api.RunResult.of(sim, sim.finalize())
     return result, probe.timeline_rows(rate=spec.traffic.rate)
 
 
@@ -290,6 +313,60 @@ def recovery_curve(
     )
 
 
+#: Bisection levels :func:`find_saturation` measures per batch when the
+#: batch runs vectorized: the next ``L`` levels of the bisection tree are
+#: ``2**L - 1`` rates.  Median saturation-search seconds on the three
+#: 64-node ``sweep64`` fabrics (1000 cycles, 2-vCPU VM, 17 runs each):
+#: L = 2 4.35 s (12 batches, 39 specs), L = 3 3.95 s (9, 54), L = 4
+#: 4.04 s (6, 93), one lone probe at a time 5.55 s (27, 27); the table
+#: is in docs/performance.md.
+_SPECULATION_LEVELS = 3
+
+
+def _speculation_levels(
+    net: Network, packet_size: int, max_rate: float, switching: str, engine: str
+) -> int:
+    """``_SPECULATION_LEVELS`` when a batch of that many levels runs
+    vectorized, else 0: the search then measures exactly the serial
+    probes, one at a time."""
+    from repro.sim import api
+    from repro.sim.vec import UniformPlan
+
+    cfg = _point_config(packet_size, switching, engine)
+    plan = UniformPlan(max_rate, packet_size, 0)
+    try:
+        chosen = api.preferred_engine(net, cfg, plan, replicas=2**_SPECULATION_LEVELS)
+    except ValueError:
+        # a forced engine refuses the batch; the lone probes raise alike
+        return 0
+    return _SPECULATION_LEVELS if chosen == "vectorized" else 0
+
+
+def _next_mid(low: float, high: float, resolution: float) -> float | None:
+    """The rate the bisection tests next in the bracket ``(low, high)``,
+    or ``None`` once the bracket is within ``resolution`` or its ends are
+    adjacent floats, which no midpoint can separate."""
+    mid = (low + high) / 2
+    return mid if high - low > resolution and low < mid < high else None
+
+
+def _speculation(low: float, high: float, resolution: float, levels: int) -> list[float]:
+    """Every rate the bisection can test in its next ``levels`` steps from
+    the bracket ``(low, high)``, down both outcomes of each step, ending
+    in the low-bracket guard probe where ``low`` is still 0.0."""
+    if levels == 0:
+        return []
+    mid = _next_mid(low, high, resolution)
+    if mid is None:
+        probe = high / 2
+        return [probe] if low == 0.0 and probe > 0.0 else []
+    return [
+        mid,
+        *_speculation(low, mid, resolution, levels - 1),
+        *_speculation(mid, high, resolution, levels - 1),
+    ]
+
+
 def find_saturation(
     net: Network,
     tables: RoutingTable,
@@ -311,31 +388,44 @@ def find_saturation(
     tiny-but-real saturation rate and the ``0.0`` sentinel -- the bisection
     itself never tests ``low = 0.0``, so returning it unprobed would claim
     an unsaturated rate that was never measured.
+
+    When a batch runs vectorized, each measurement speculates: it runs
+    the next ``_SPECULATION_LEVELS`` levels of the bisection tree (and,
+    first, ``max_rate``) as one batch, and the walk reads later verdicts
+    from that memo.  Every rate is seeded from its own identity, so the
+    walk tests the serial search's rates bit-identically and returns the
+    same answer.
+
+    Raises ``ValueError`` unless ``resolution > 0`` and
+    ``0 < max_rate <= 1``.
     """
-    from repro.sim.parallel import derive_seed
-
+    if not resolution > 0:
+        raise ValueError(f"resolution must be > 0, got {resolution!r}")
+    if not 0 < max_rate <= 1:
+        raise ValueError(f"max_rate must be in (0, 1], got {max_rate!r}")
     zero = _zero_load_latency(net, tables, packet_size)
+    levels = _speculation_levels(net, packet_size, max_rate, switching, engine)
+    known: dict[float, bool] = {}
 
-    def saturated(rate: float) -> bool:
-        return measure_point(
-            net,
-            tables,
-            rate,
-            cycles,
-            packet_size,
-            derive_seed(seed, "rate", repr(float(rate)), "switching", switching),
-            zero,
-            saturation_factor,
-            switching,
-            engine,
-        ).saturated
+    def saturated(rate: float, low: float, high: float) -> bool:
+        if rate not in known:
+            batch = [
+                r
+                for r in dict.fromkeys([rate, *_speculation(low, high, resolution, levels)])
+                if r not in known
+            ]
+            points = _measure_rates(
+                net, tables, batch, cycles, packet_size, seed, zero,
+                saturation_factor, switching, engine,
+            )
+            known.update(zip(batch, (p.saturated for p in points)))
+        return known[rate]
 
     low, high = 0.0, max_rate
-    if not saturated(max_rate):
+    if not saturated(max_rate, low, high):
         return max_rate
-    while high - low > resolution:
-        mid = (low + high) / 2
-        if saturated(mid):
+    while (mid := _next_mid(low, high, resolution)) is not None:
+        if saturated(mid, low, high):
             high = mid
         else:
             low = mid
@@ -344,7 +434,7 @@ def find_saturation(
         # before conceding: if that rate is unsaturated it is the answer;
         # only a confirmed saturation justifies the 0.0 sentinel.
         probe = high / 2
-        if probe > 0.0 and not saturated(probe):
+        if probe > 0.0 and not saturated(probe, low, high):
             return probe
         return 0.0
     return low

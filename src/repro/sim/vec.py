@@ -87,10 +87,11 @@ on the reference/compiled engines; :func:`vec_blockers` names them and
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -99,7 +100,7 @@ from repro.network.graph import Network
 from repro.routing.base import RoutingTable, next_channel
 from repro.sim.compile import CompiledNet, compile_network
 from repro.sim.engine import DeadlockDetected, SimConfig
-from repro.sim.packet import Packet
+from repro.sim.packet import Packet, PacketRecords
 from repro.sim.stats import LatencySeries, SimStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -450,6 +451,16 @@ def _check_raw_uniform() -> bool:
     return True
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """Stable ascending order of non-negative ints: one quicksort on the
+    unique ``(value, position)`` key, built in place to bound the
+    temporaries of a whole pre-generation window."""
+    key = values.astype(np.int64)
+    key *= values.size
+    key += np.arange(values.size, dtype=np.int64)
+    return np.argsort(key)
+
+
 class _Stream:
     """Per-replica pre-generation state."""
 
@@ -628,12 +639,15 @@ class VecCore:
             return
         new = max(need, 2 * self._pcap)
 
-        def grow(arr, fill, dtype=np.int64):
-            out = np.full((self.B, new), fill, dtype=dtype)
+        def grow(arr, fill):
+            out = np.full((self.B, new), fill, dtype=np.int32)
             if arr is not None and self._pcap:
                 out[:, : self._pcap] = arr
             return out
 
+        # int32 halves a batch's packet table: end indices, sizes and pair
+        # ranks fit (MAX_ENDS, MAX_SIZE, MAX_PID), and the clock is a Python
+        # int, which numpy refuses to store past 2**31 - 1 (OverflowError)
         self._psrc = grow(self._psrc, 0)
         self._pdst = grow(self._pdst, 0)
         self._psize = grow(self._psize, 0)
@@ -952,10 +966,8 @@ class VecCore:
             cycs = np.concatenate([w[0] for w in win])
             flats = np.concatenate([w[1] for w in win])
             pids = np.concatenate([w[2] for w in win])
-        order = np.argsort(  # stable: quicksort on a (cycle, position) key
-            cycs.astype(np.int64) * np.int64(cycs.size)
-            + np.arange(cycs.size, dtype=np.int64)
-        )
+        del win  # free the per-replica arrays before the sort's temporaries
+        order = _stable_order(cycs)
         cycs = cycs[order]
         flats = flats[order].astype(np.int32)  # B*S fits int32 (checked at init)
         pids = pids[order]
@@ -980,6 +992,7 @@ class VecCore:
         else:
             flats = np.concatenate([c[0] for c in chunks])
             codes = np.concatenate([c[1] for c in chunks])
+        del chunks  # free the per-replica arrays before the sort's temporaries
         nq = self.B * self.S
         counts = np.bincount(flats, minlength=nq)
         filled = self._qfill
@@ -988,14 +1001,14 @@ class VecCore:
             self._qcodes = np.pad(self._qcodes, ((0, 0), (0, width - self._qw)))
             self._qflat, self._qw = self._qcodes.reshape(-1), width
         # stable sort by queue keeps each source's arrival order
-        order = np.argsort(
-            flats.astype(np.int64) * np.int64(flats.size)
-            + np.arange(flats.size, dtype=np.int64)
-        )
+        order = _stable_order(flats)
         sf = flats[order]
+        del flats
         starts = np.zeros(nq, dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
-        col = filled[sf] + np.arange(sf.size, dtype=np.int64) - starts[sf]
+        col = np.arange(sf.size, dtype=np.int64)
+        col -= starts[sf]
+        col += filled[sf]
         self._qcodes[sf, col] = codes[order]
         self._qfill = filled + counts
 
@@ -1726,21 +1739,29 @@ class VecCore:
             if dlv >= 0:
                 packet.delivered = dlv
 
-    def packet_records(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Admitted packets' ``(created, delivered, size)`` arrays for
-        replica ``b`` (``delivered == -1`` while in flight).  This is the
-        zero-object path the sweep window logic consumes."""
-        n = self._streams[b].next_pid if self._streams[b].plan is not None else self._pcap
-        created = self._pcreated[b, :n]
-        sel = np.flatnonzero(created >= 0)
-        return created[sel], self._pdel[b, sel], self._psize[b, sel]
+    def _issued(self, b: int) -> int:
+        """Replica ``b``'s packet-id bound: ids below it may be admitted."""
+        st = self._streams[b]
+        return st.next_pid if st.plan is not None else self._pcap
 
-    def packets_of(self, b: int) -> dict[int, Packet]:
-        """Reference-shaped ``packets`` dict for replica ``b``.
+    def packet_records(self, b: int) -> PacketRecords:
+        """Replica ``b``'s admitted packets as ``(created, delivered,
+        size)`` columns in packet-id order -- the records of a vectorized
+        :class:`~repro.sim.api.RunResult`, built without Packet objects."""
+        n = self._issued(b)
+        sel = np.flatnonzero(self._pcreated[b, :n] >= 0)
+        return PacketRecords(
+            *(a[b, sel].astype(np.int64) for a in (self._pcreated, self._pdel, self._psize))
+        )
 
-        Generic streams return (and stamp) the original objects; uniform
-        fast-path streams materialize equivalent ``Packet`` objects from
-        the arrays on demand.
+    def packet_source(self, b: int) -> dict[int, Packet] | Callable[[], dict[int, Packet]]:
+        """What :meth:`packets_of` returns, deferred where that pays.
+
+        A generator stream gives its stamped original packets.  A uniform
+        stream gives a picklable zero-argument builder over views of the
+        replica's packet columns: it copies nothing while the core lives,
+        pickles only the replica's rows, and pays for ``Packet`` objects
+        only when called.
         """
         st = self._streams[b]
         if st.orig is not None:
@@ -1749,33 +1770,44 @@ class VecCore:
             return {
                 pid: pkt for pid, pkt in st.orig.items() if created[pid] >= 0
             }
-        created = self._pcreated[b, : max(st.next_pid, 1)]
-        sel = np.flatnonzero(created >= 0)
-        src = self._psrc[b, sel]
-        dst = self._pdst[b, sel]
-        size = self._psize[b, sel]
-        inj = self._pinj[b, sel]
-        dlv = self._pdel[b, sel]
-        # creation rank within the (src, dst) pair -- what _pair_rank
-        # stamped at admission -- matches both the injection-time number
-        # (FIFO sources) and SequenceCounter.make's creation-order stamp
-        # for packets that never injected
-        seqs = self._pseq[b, sel]
-        ends = self._cn.end_ids
-        out: dict[int, Packet] = {}
-        for i in range(sel.size):
-            pid = int(sel[i])
-            out[pid] = Packet(
-                pid,
-                ends[int(src[i])],
-                ends[int(dst[i])],
-                int(size[i]),
-                created=int(created[sel[i]]),
-                sequence=int(seqs[i]),
-                injected=None if inj[i] < 0 else int(inj[i]),
-                delivered=None if dlv[i] < 0 else int(dlv[i]),
-            )
-        return out
+        n = self._issued(b)
+        columns = (self._pcreated, self._psrc, self._pdst, self._psize,
+                   self._pseq, self._pinj, self._pdel)
+        return functools.partial(_packet_dict, self._cn.end_ids, *(a[b, :n] for a in columns))
+
+    def packets_of(self, b: int) -> dict[int, Packet]:
+        """Reference-shaped ``packets`` dict for replica ``b``.
+
+        Generic streams return (and stamp) the original objects; uniform
+        fast-path streams materialize equivalent ``Packet`` objects from
+        the arrays on demand.
+        """
+        source = self.packet_source(b)
+        return source if isinstance(source, dict) else source()
+
+
+def _packet_dict(ends, created, src, dst, size, seqs, inj, dlv) -> dict[int, Packet]:
+    """Packet objects for one uniform replica's admitted packets, from its
+    packet columns indexed by packet id.
+
+    The sequence column is the creation rank within the (src, dst) pair
+    -- what ``_pair_rank`` stamped at admission -- which matches both the
+    injection-time number (FIFO sources) and ``SequenceCounter.make``'s
+    creation-order stamp for packets that never injected.
+    """
+    out: dict[int, Packet] = {}
+    for pid in np.flatnonzero(created >= 0).tolist():
+        out[pid] = Packet(
+            pid,
+            ends[int(src[pid])],
+            ends[int(dst[pid])],
+            int(size[pid]),
+            created=int(created[pid]),
+            sequence=int(seqs[pid]),
+            injected=None if inj[pid] < 0 else int(inj[pid]),
+            delivered=None if dlv[pid] < 0 else int(dlv[pid]),
+        )
+    return out
 
 
 class VecSim:

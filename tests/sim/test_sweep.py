@@ -1,6 +1,8 @@
 """Tests for load sweeps and saturation search."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.sweep as sweep_mod
 from repro.routing.dimension_order import dimension_order_tables
@@ -90,20 +92,44 @@ def test_accepted_load_shares_the_latency_window(small):
     )
 
 
-def _fake_measure(threshold):
-    """A measure_point whose saturation is a step function of the rate."""
+def _step_oracle(threshold, batches=None):
+    """A probe seam whose saturation is a step function of the rate;
+    appends each batch of rates it is asked to measure to ``batches``."""
 
-    def fake(net, tables, rate, cycles, packet_size, seed, zero_load, factor,
-             switching="wormhole", engine="auto"):
-        return LoadPoint(
-            offered_rate=rate,
-            accepted_flits_per_node_cycle=rate,
-            avg_latency=1.0,
-            p99_latency=1.0,
-            saturated=rate > threshold,
-        )
+    def fake(net, tables, rates, *args, **kwargs):
+        if batches is not None:
+            batches.append(list(rates))
+        return [
+            LoadPoint(
+                offered_rate=rate,
+                accepted_flits_per_node_cycle=rate,
+                avg_latency=1.0,
+                p99_latency=1.0,
+                saturated=rate > threshold,
+            )
+            for rate in rates
+        ]
 
     return fake
+
+
+def _serial_bisection(saturated, resolution, max_rate):
+    """The one-probe-at-a-time search find_saturation must agree with."""
+    low, high = 0.0, max_rate
+    if not saturated(max_rate):
+        return max_rate
+    while high - low > resolution:
+        mid = (low + high) / 2
+        if saturated(mid):
+            high = mid
+        else:
+            low = mid
+    if low == 0.0:
+        probe = high / 2
+        if probe > 0.0 and not saturated(probe):
+            return probe
+        return 0.0
+    return low
 
 
 class TestLowBracketGuard:
@@ -118,7 +144,7 @@ class TestLowBracketGuard:
 
     def test_always_saturated_returns_zero(self, small, monkeypatch):
         net, tables = small
-        monkeypatch.setattr(sweep_mod, "measure_point", _fake_measure(-1.0))
+        monkeypatch.setattr(sweep_mod, "_measure_rates", _step_oracle(-1.0))
         assert find_saturation(net, tables, cycles=100, resolution=0.002) == 0.0
 
     def test_tiny_saturation_rate_found_by_probe(self, small, monkeypatch):
@@ -126,15 +152,156 @@ class TestLowBracketGuard:
         # ~resolution with low still 0.0; the guard's probe at high/2 is
         # unsaturated and must be returned instead of 0.0
         net, tables = small
-        monkeypatch.setattr(sweep_mod, "measure_point", _fake_measure(0.0015))
+        monkeypatch.setattr(sweep_mod, "_measure_rates", _step_oracle(0.0015))
         sat = find_saturation(net, tables, cycles=100, resolution=0.002)
         assert 0.0 < sat <= 0.0015
 
     def test_normal_bracket_unaffected(self, small, monkeypatch):
         net, tables = small
-        monkeypatch.setattr(sweep_mod, "measure_point", _fake_measure(0.1))
+        monkeypatch.setattr(sweep_mod, "_measure_rates", _step_oracle(0.1))
         sat = find_saturation(net, tables, cycles=100, resolution=0.002)
         assert 0.098 <= sat <= 0.1
+
+
+class TestArgumentChecks:
+    """Arguments the bisection cannot honour are refused up front:
+    ``resolution=0`` used to bisect forever once ``low`` and ``high`` were
+    adjacent floats, and ``max_rate > 1`` failed deep in the traffic plan."""
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.01, float("nan")])
+    def test_resolution_must_be_positive(self, small, resolution):
+        net, tables = small
+        with pytest.raises(ValueError, match=r"resolution must be > 0"):
+            find_saturation(net, tables, cycles=100, resolution=resolution)
+
+    @pytest.mark.parametrize("max_rate", [0.0, -0.5, 2.0, float("nan")])
+    def test_max_rate_must_be_a_rate(self, small, max_rate):
+        net, tables = small
+        with pytest.raises(ValueError, match=r"max_rate must be in \(0, 1\]"):
+            find_saturation(net, tables, cycles=100, max_rate=max_rate)
+
+    def test_max_rate_one_is_accepted(self, small, monkeypatch):
+        net, tables = small
+        monkeypatch.setattr(sweep_mod, "_measure_rates", _step_oracle(2.0))
+        assert find_saturation(net, tables, cycles=100, max_rate=1.0) == 1.0
+
+    def test_resolution_below_float_spacing_terminates(self, small, monkeypatch):
+        net, tables = small
+        batches = []
+        monkeypatch.setattr(sweep_mod, "_measure_rates", _step_oracle(0.1, batches))
+        sat = find_saturation(net, tables, cycles=100, resolution=1e-300)
+        tested = [r for batch in batches for r in batch]
+        assert sat == max(r for r in tested if r <= 0.1)
+        assert len(tested) < 200
+
+
+class TestSpeculativeSearch:
+    """The batched search tests every rate the serial search tests and
+    returns the same answer."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        net = mesh((2, 2), nodes_per_router=1)
+        return net, dimension_order_tables(net)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        resolution=st.floats(1e-4, 0.2),
+        max_rate=st.floats(0.01, 1.0),
+    )
+    def test_matches_serial_bisection(self, tiny, data, resolution, max_rate):
+        threshold = data.draw(
+            st.one_of(
+                st.floats(-1.0, -1e-9),  # saturated everywhere: the 0.0 sentinel
+                st.floats(0.0, resolution),  # the low-bracket guard decides
+                st.floats(0.0, max_rate),
+                st.floats(max_rate, 2.0),  # never saturates: max_rate
+            ),
+            label="threshold",
+        )
+        serial_path = []
+
+        def saturated(rate):
+            serial_path.append(rate)
+            return rate > threshold
+
+        expected = _serial_bisection(saturated, resolution, max_rate)
+        batches = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep_mod, "_measure_rates", _step_oracle(threshold, batches))
+            got = find_saturation(
+                *tiny, cycles=100, resolution=resolution, max_rate=max_rate
+            )
+        tested = [r for batch in batches for r in batch]
+        assert got == expected
+        assert set(serial_path) <= set(tested)
+        assert len(tested) == len(set(tested)), "a rate was measured twice"
+        assert len(batches) <= len(serial_path)
+        assert batches[0][0] == max_rate
+
+    def test_speculation_batches_the_vectorized_probes(self, monkeypatch):
+        net = mesh((3, 3), nodes_per_router=1)
+        tables = dimension_order_tables(net)
+        batches = []
+        seam = sweep_mod._measure_rates
+
+        def spy(net, tables, rates, *args, **kwargs):
+            batches.append(len(rates))
+            return seam(net, tables, rates, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_measure_rates", spy)
+        find_saturation(net, tables, cycles=300, resolution=0.02)
+        levels = sweep_mod._SPECULATION_LEVELS
+        assert batches[0] == 2**levels  # max_rate plus 2**L - 1 midpoints
+        assert max(batches) == 2**levels
+
+
+class TestNoWastedLoneRuns:
+    """Where a batch would not run vectorized the search measures exactly
+    the serial probes, one spec each."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"engine": "compiled"}, {"switching": "store_and_forward"}],
+        ids=["compiled", "store_and_forward"],
+    )
+    def test_spec_count_equals_serial(self, small, monkeypatch, options):
+        from repro.sim import api
+        from repro.sim.parallel import derive_seed
+        from repro.sim.sweep import _zero_load_latency, measure_point
+
+        net, tables = small
+        cycles, size, seed, resolution = 300, 4, 11, 0.02
+        switching = options.get("switching", "wormhole")
+        engine = options.get("engine", "auto")
+        executed = []
+        execute = api.execute
+
+        def counting(spec):
+            executed.append(spec)
+            return execute(spec)
+
+        monkeypatch.setattr(api, "execute", counting)
+        got = find_saturation(
+            net, tables, cycles=cycles, packet_size=size, seed=seed,
+            resolution=resolution, **options,
+        )
+        searched = len(executed)
+        assert len({s.traffic.rate for s in executed}) == searched
+
+        executed.clear()
+        zero = _zero_load_latency(net, tables, size)
+
+        def saturated(rate):
+            return measure_point(
+                net, tables, rate, cycles, size,
+                derive_seed(seed, "rate", repr(rate), "switching", switching),
+                zero, 3.0, switching, engine,
+            ).saturated
+
+        assert got == _serial_bisection(saturated, resolution, 0.5)
+        assert searched == len(executed)
 
 
 @pytest.mark.slow
