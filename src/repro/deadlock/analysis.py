@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.deadlock.cdg import channel_dependency_graph, find_cycle
+from repro.deadlock.certifier import _kahn, _walk_successors
 from repro.network.graph import Network
 from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes
 from repro.routing.validate import validate_routing
@@ -41,18 +44,36 @@ def certify_deadlock_free(
     path, and (2) the channel dependency graph of the all-pairs route set
     is acyclic.  Together these are the Dally-Seitz conditions for a
     deterministic wormhole network that can never deadlock.
+
+    Tables the array walker reads (see :mod:`repro.routing.walk`) are
+    validated in one walk, whose dependencies are the CDG's edges; the
+    Kahn pass of :func:`~repro.deadlock.certifier.certify_channel_order`
+    decides acyclicity (an acyclic CDG and an ascending channel order are
+    the same verdict).  Only a rejection builds the networkx CDG, for its
+    ``find_cycle`` witness.  An explicit ``routes`` set, or tables the
+    walker cannot read, take the per-route CDG.
     """
     report = validate_routing(net, tables)
-    if routes is None:
-        routes = all_pairs_routes(net, tables) if report.ok else RouteSet()
-    cdg = channel_dependency_graph(net, routes)
-    cycle = find_cycle(cdg)
+    if routes is None and report.walk is not None:
+        deps = report.walk.dependencies if report.ok else np.zeros((0, 2), np.int64)
+        channels = np.unique(deps).tolist()
+        order, _ = _kahn(channels, _walk_successors(deps))
+        cycle = None
+        if len(order) != len(channels):
+            cycle = find_cycle(channel_dependency_graph(net, all_pairs_routes(net, tables)))
+        num_channels, num_dependencies = len(channels), len(deps)
+    else:
+        if routes is None:
+            routes = all_pairs_routes(net, tables) if report.ok else RouteSet()
+        cdg = channel_dependency_graph(net, routes)
+        cycle = find_cycle(cdg)
+        num_channels, num_dependencies = cdg.number_of_nodes(), cdg.number_of_edges()
     return CertificationResult(
         network=net.name,
         deliverable=report.ok,
         deadlock_free=cycle is None,
-        num_channels=cdg.number_of_nodes(),
-        num_dependencies=cdg.number_of_edges(),
+        num_channels=num_channels,
+        num_dependencies=num_dependencies,
         sample_cycle=tuple(cycle) if cycle else None,
         failures=tuple(report.failures[:10]),
     )

@@ -125,6 +125,38 @@ def _dependency_edges(routes: RouteSet) -> tuple[list[str], dict[str, set[str]]]
     return list(channels), succ
 
 
+def _walk_successors(dependencies) -> dict[int, list[int]]:
+    """Held -> waited link indices from a walk's ``(k, 2)`` dependencies."""
+    succ: dict[int, list[int]] = {}
+    for held, waited in dependencies.tolist():
+        succ.setdefault(held, []).append(waited)
+    return succ
+
+
+def _kahn(channels: list, succ: dict) -> tuple[list, dict]:
+    """Kahn's topological sort with a deterministic (sorted) tie-break.
+
+    Returns the order and the final in-degrees.  The order covers every
+    channel exactly when the dependencies are acyclic; otherwise the
+    channels left with a positive in-degree are the ones a cycle stalls.
+    Both certifiers decide acyclicity with this one pass.
+    """
+    indegree: dict = {c: 0 for c in channels}
+    for waiting in succ.values():
+        for waited in waiting:
+            indegree[waited] += 1
+    ready = deque(sorted(c for c, d in indegree.items() if d == 0))
+    order: list = []
+    while ready:
+        channel = ready.popleft()
+        order.append(channel)
+        for waited in sorted(succ.get(channel, ())):
+            indegree[waited] -= 1
+            if indegree[waited] == 0:
+                ready.append(waited)
+    return order, indegree
+
+
 def _extract_cycle(remaining: set, succ: dict) -> tuple:
     """Extract one dependency cycle from the channels Kahn could not order.
 
@@ -200,10 +232,7 @@ def certify_channel_order(
     labels: tuple[str, ...] | None = None
     if routes is None and walk is not None:
         channels: list = walk.channels.tolist() if deliverable else []
-        succ: dict = {}
-        if deliverable:
-            for held, waited in walk.dependencies.tolist():
-                succ.setdefault(held, []).append(waited)
+        succ: dict = _walk_successors(walk.dependencies) if deliverable else {}
         labels = net.indices().link_ids
     else:
         if routes is None:
@@ -217,21 +246,7 @@ def certify_channel_order(
                 routes = RouteSet()
         channels, succ = _dependency_edges(routes)
     num_dependencies = sum(len(s) for s in succ.values())
-
-    indegree: dict = {c: 0 for c in channels}
-    for waiting in succ.values():
-        for waited in waiting:
-            indegree[waited] += 1
-    ready = deque(sorted(c for c, d in indegree.items() if d == 0))
-    order: list = []
-    while ready:
-        channel = ready.popleft()
-        order.append(channel)
-        released = sorted(succ.get(channel, ()))
-        for waited in released:
-            indegree[waited] -= 1
-            if indegree[waited] == 0:
-                ready.append(waited)
+    order, indegree = _kahn(channels, succ)
 
     certificate = counterexample = None
     if len(order) == len(channels):

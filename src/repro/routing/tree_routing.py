@@ -43,6 +43,11 @@ def tree_tables(net: Network) -> RoutingTable:
 def _bfs_levels(
     net: Network, root: str, allowed: LinkPredicate | None = None
 ) -> dict[str, int]:
+    if root not in net or not net.node(root).is_router:
+        raise ValueError(
+            f"root {root!r} is not a router of {net.name!r}; pass a router id "
+            "or omit root to use the smallest router id"
+        )
     levels = {root: 0}
     queue: deque[str] = deque([root])
     while queue:
@@ -73,7 +78,9 @@ def up_down_tables(
 
     Because "has an all-down path" is a property of the *current* router
     and destination only, destination-indexed tables suffice -- once a
-    packet starts descending it keeps descending.
+    packet starts descending it keeps descending.  Both properties depend
+    on the destination's router alone, so each router's column is
+    computed once and shared by the end nodes attached to it.
 
     ``allowed`` restricts which router-to-router links may be used (the
     ServerNet path-disable mechanism, and how the recovery subsystem
@@ -97,12 +104,26 @@ def up_down_tables(
         """Orientation of the link src -> dst (True when heading rootward)."""
         return (levels[dst], dst) < (levels[src], src)
 
-    tables = RoutingTable(net)
-    for dest in net.end_node_ids():
-        dest_router = net.attached_router(dest)
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
-        tables.set(dest_router, dest, ejection.src_port)
+    # The allowed router-to-router links (every router has a level by
+    # now), split by orientation once, in port order: (src, port) down
+    # links into each router, (dst, port) up links out of each.
+    down_in: dict[str, list[tuple[str, int]]] = {r: [] for r in routers}
+    up_out: dict[str, list[tuple[str, int]]] = {r: [] for r in routers}
+    for router in routers:
+        for link in net.out_links(router):
+            if link.dst not in levels or (allowed is not None and not allowed(link)):
+                continue
+            if is_up(router, link.dst):
+                up_out[router].append((link.dst, link.src_port))
+    for router in routers:
+        for link in net.in_links(router):
+            if link.src not in levels or (allowed is not None and not allowed(link)):
+                continue
+            if not is_up(link.src, router):
+                down_in[router].append((link.src, link.src_port))
 
+    def column(dest_router: str) -> dict[str, int]:
+        """Output port toward ``dest_router`` at every other router."""
         # Phase 1: shortest all-down distances to dest_router (BFS over
         # reversed down links).
         down_dist: dict[str, int] = {dest_router: 0}
@@ -110,15 +131,10 @@ def up_down_tables(
         queue: deque[str] = deque([dest_router])
         while queue:
             current = queue.popleft()
-            for link in net.in_links(current):
-                src = link.src
-                if not net.node(src).is_router:
-                    continue
-                if allowed is not None and not allowed(link):
-                    continue
-                if not is_up(src, current) and src not in down_dist:
+            for src, port in down_in[current]:
+                if src not in down_dist:
                     down_dist[src] = down_dist[current] + 1
-                    down_port[src] = link.src_port
+                    down_port[src] = port
                     queue.append(src)
 
         # Phase 2: routers with no all-down path climb; distance counts the
@@ -132,29 +148,32 @@ def up_down_tables(
         while changed:
             changed = False
             for router in routers:
-                for link in net.out_links(router):
-                    nxt = link.dst
-                    if not net.node(nxt).is_router or not is_up(router, nxt):
-                        continue
-                    if allowed is not None and not allowed(link):
-                        continue
+                for nxt, port in up_out[router]:
                     if nxt in up_dist:
                         cand = up_dist[nxt] + 1
                         if router not in up_dist or cand < up_dist[router]:
                             up_dist[router] = cand
                             if router not in down_dist:
-                                up_port[router] = link.src_port
+                                up_port[router] = port
                             changed = True
+        return {**up_port, **down_port}
 
+    tables = RoutingTable(net)
+    columns: dict[str, dict[str, int]] = {}
+    for dest in net.end_node_ids():
+        dest_router = net.attached_router(dest)
+        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
+        tables.set(dest_router, dest, ejection.src_port)
+        ports = columns.get(dest_router)
+        if ports is None:
+            ports = columns[dest_router] = column(dest_router)
         for router in routers:
             if router == dest_router:
                 continue
-            if router in down_port:
-                tables.set(router, dest, down_port[router])
-            elif router in up_port:
-                tables.set(router, dest, up_port[router])
-            else:
+            port = ports.get(router)
+            if port is None:
                 raise RoutingError(f"{router!r} cannot reach {dest!r} via up*/down*")
+            tables.set(router, dest, port)
     return tables
 
 

@@ -731,23 +731,38 @@ class SimCore:
         cur_out = self._cur_out
         cur_pid = self._cur_pid
         holder = self._holder
-        for ch in range(cn.num_channels):
+        # The worm's latches: every channel its head crossed and its tail
+        # has not (only buffered channels latch).  A latch can outlive the
+        # flits in its FIFO, so the scan is over the latch list itself.
+        ch = -1
+        while True:
+            try:
+                ch = cur_pid.index(packet_id, ch + 1)
+            except ValueError:
+                break
+            out = cur_out[ch]
+            if out >= 0 and cn.ch_has_output[out] and holder[out] == ch:
+                holder[out] = -1
+            cur_out[ch] = -1
+            cur_pid[ch] = -1
+        # Its flits: only non-empty FIFOs can hold any, and its flit codes
+        # are exactly those in [lo, hi).
+        lo = packet_id << FLIT_INDEX_BITS
+        hi = lo + (1 << FLIT_INDEX_BITS)
+        occ = self._occ
+        for ch in list(occ):
             qc = q[ch]
-            if qc is None:
+            for code in qc:
+                if lo <= code < hi:
+                    break
+            else:
                 continue
-            if cur_pid[ch] == packet_id:
-                out = cur_out[ch]
-                if out >= 0 and cn.ch_has_output[out] and holder[out] == ch:
-                    holder[out] = -1
-                cur_out[ch] = -1
-                cur_pid[ch] = -1
-            if qc and any(code >> FLIT_INDEX_BITS == packet_id for code in qc):
-                kept = [code for code in qc if code >> FLIT_INDEX_BITS != packet_id]
-                dropped += len(qc) - len(kept)
-                qc.clear()
-                qc.extend(kept)
-                if not qc:
-                    self._occ.discard(ch)
+            kept = [code for code in qc if not lo <= code < hi]
+            dropped += len(qc) - len(kept)
+            qc.clear()
+            qc.extend(kept)
+            if not qc:
+                occ.discard(ch)
         for due, landing in list(self._pipe.items()):
             kept_landing = []
             for ch, code in landing:

@@ -133,3 +133,11 @@ def test_synthesize_ordered_routing():
     assert certification.certificate is not None
     cdg = certify_deadlock_free(net, tables)
     assert cdg.certified
+
+
+def test_channel_order_rejects_end_node_root():
+    net = mesh((3, 3))
+    end = net.end_node_ids()[0]
+    with pytest.raises(ValueError, match=f"root '{end}' is not a router") as info:
+        channel_order_for(net, root=end)
+    assert "pass a router id or omit root" in str(info.value)

@@ -20,10 +20,13 @@ import numpy as np
 import pytest
 
 from repro.deadlock.analysis import certify_deadlock_free
+from repro.experiments.fault_study import RECOVERY_REROUTE, RECOVERY_RETRY
 from repro.routing.cache import cached_tables
 from repro.sim.engine import RetryPolicy, ReroutePolicy, SimConfig
 from repro.sim.fault import FaultSchedule, LinkFault, random_cable_schedule
 from repro.sim.api import make_sim
+from repro.sim.compile import SimCore
+from repro.sim.network_sim import ReferenceSim
 from repro.sim.recovery import (
     FailoverPlan,
     recompute_recovery_tables,
@@ -138,6 +141,76 @@ class TestDropPacket:
             f.packet_id == 0 for b in sim.buffers.values() for f in b.fifo
         )
         assert sim.stats.flits_dropped == dropped
+
+    def test_drop_releases_latch_on_empty_fifo(self):
+        # With one-flit FIFOs a forwarded head leaves a bubble behind it:
+        # the channel it left stays latched, and holds its output, with
+        # nothing queued.  The drop must release that latch and holder too.
+        net, tables = mesh33()
+        nodes = net.end_node_ids()
+
+        def build(cls):
+            traffic = explicit_traffic([(0, nodes[0], nodes[-1], 8)])
+            return cls(net, tables, traffic, SimConfig(buffer_depth=1))
+
+        sim, ref = build(SimCore), build(ReferenceSim)
+
+        def bubbles(engine):
+            outputs = engine.outputs
+            return [
+                key
+                for key, buf in engine.buffers.items()
+                if buf.current_packet == 0
+                and not buf.fifo
+                and outputs[buf.current_out].holder == key
+            ]
+
+        for _ in range(12):
+            sim.step()
+            ref.step()
+            if bubbles(sim):
+                break
+        assert bubbles(sim), "the worm should leave a latched, empty FIFO"
+        assert bubbles(ref) == bubbles(sim)
+        assert sim.drop_packet(0) == ref.drop_packet(0) > 0
+        assert all(p.holder is None for p in sim.outputs.values())
+        assert all(b.current_packet is None for b in sim.buffers.values())
+        assert not any(b.fifo for b in sim.buffers.values())
+        ref_buffers = ref.buffers
+        for key, buf in sim.buffers.items():
+            other = ref_buffers[key]
+            assert (buf.current_packet, buf.current_out, list(buf.fifo)) == (
+                other.current_packet,
+                other.current_out,
+                list(other.fifo),
+            ), key
+
+    def test_retry_heavy_episode_matches_reference(self):
+        # three failed cables on the 128-end fat fractahedron: hundreds of
+        # timed-out worms dropped mid-fabric, compiled against the spec
+        net = build_topology("fat_fractahedron", levels=2, fanout_width=2)
+        tables = cached_tables(net)
+        fault = random_cable_schedule(
+            net, 3, np.random.default_rng(3), at_cycle=200, repair_at=600
+        )
+        rows = {
+            engine: simulate_with_recovery(
+                net,
+                tables,
+                rate=0.02,
+                cycles=800,
+                packet_size=4,
+                seed=11,
+                fault=fault,
+                retry=RECOVERY_RETRY,
+                reroute=RECOVERY_REROUTE,
+                failover=True,
+                engine=engine,
+            )
+            for engine in ("compiled", "reference")
+        }
+        assert rows["compiled"]["retried"] > 100
+        assert rows["compiled"] == rows["reference"]
 
     def test_traffic_flows_after_drop(self):
         # the channels a dropped worm held must be reusable immediately
