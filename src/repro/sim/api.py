@@ -229,9 +229,13 @@ def execute(spec: SimSpec) -> RunResult:
 #: fanout-2 fractahedron curve (depths 1-3 plus the 64-node Table-2
 #: fabric) at offered rates from trickle to saturation.  The compiled
 #: core walks occupied channels in a Python loop, so its cost is almost
-#: purely per-occupancy; the vectorized core pays a fixed ~30-kernel
-#: dispatch overhead per cycle and then near-zero marginal cost per
+#: purely per-occupancy; the vectorized core pays a fixed dispatch
+#: overhead per cycle (its phases make about 33 C-level calls per cycle
+#: on the depth-3 fabric, 112 before the phase split; ufunc operators
+#: come on top) and then near-zero marginal cost per
 #: occupied channel.  The lines cross at roughly 55 occupied channels.
+#: The phase split lowered the measured vectorized line (see
+#: docs/performance.md); these constants still hold the older fit.
 VEC_FIXED_US = 121.0
 VEC_PER_OCC_US = 0.30
 COMPILED_FIXED_US = 10.0

@@ -97,7 +97,7 @@ import numpy as np
 
 from repro.deadlock.waitfor import WaitForGraph
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable, next_channel
+from repro.routing.base import RoutingTable
 from repro.sim.compile import CompiledNet, compile_network
 from repro.sim.engine import DeadlockDetected, SimConfig
 from repro.sim.packet import Packet, PacketRecords
@@ -224,14 +224,15 @@ def vec_blockers(
     return blockers
 
 
-_EMPTY32 = np.empty(0, dtype=np.int32)
+_EMPTYP = np.empty(0, dtype=np.intp)
 _EMPTY64 = np.empty(0, dtype=np.int64)
 
 #: Width crossover for active-set derivation: full-width boolean scans
 #: (~1 byte/element linear passes) beat the incremental sorted-merge
-#: upkeep (~30 small kernel dispatches per cycle) until replicas*channels
-#: reaches the tens of thousands; measured on the depth-3/4 fractahedron
-#: curve the break-even sits between 5K and 43K channels.
+#: upkeep (index mode makes about 36 C-level calls per cycle on the
+#: depth-3 fabric against scan mode's 33) until replicas*channels reaches
+#: the tens of thousands; measured on the depth-3/4 fractahedron curve the
+#: break-even sits between 5K and 43K channels.
 ACTIVE_SCAN_MAX = 1 << 15
 
 #: Traffic pre-generation window, in raw PCG64 words per replica: ``run``
@@ -266,6 +267,62 @@ def _fold_counts(keys, counts, new_keys, new_counts):
         np.insert(counts, pos[fresh], new_counts[fresh]),
         before,
     )
+
+
+def _route_index(ch_router, ports_width: int, lut: np.ndarray, V: int):
+    """Per-channel row offsets for the route phase's two-gather lookup.
+
+    Returns ``rows``, a ``(C, 2)`` array of each channel's row offset into
+    the flat port matrix and into the flat per-VC LUT, and that LUT:
+    ``lut`` itself with one VC, else ``lut`` widened to ``(routers, V,
+    width)`` with each entry's VC added (``-1`` stays ``-1``).  A head on
+    channel ``ch`` bound for end ``e`` then forwards onto
+    ``lutv[rows[ch, 1] + ports[rows[ch, 0] + e]]``, which is
+    :func:`~repro.routing.base.next_channel` plus the input VC.  A ``-1``
+    port lands on the previous row's trailing ``-1`` column, as in
+    ``next_channel``.
+    """
+    router = np.asarray(ch_router, dtype=np.intp)
+    rows = np.empty((router.size, 2), dtype=np.intp)
+    np.multiply(router, ports_width, out=rows[:, 0])
+    if V == 1:
+        np.multiply(router, lut.shape[1], out=rows[:, 1])
+        return rows, lut.reshape(-1)
+    router *= V
+    router += np.arange(router.size, dtype=np.intp) % V
+    np.multiply(router, lut.shape[1], out=rows[:, 1])
+    wide = lut[:, None, :]
+    vc = np.arange(V, dtype=lut.dtype)[None, :, None]
+    return rows, np.where(wide >= 0, wide + vc, -1).astype(lut.dtype).reshape(-1)
+
+
+def _group_by_key(keys: np.ndarray, bits: int):
+    """Group equal ``keys`` in stable order with one value sort.
+
+    Returns ``order`` (the stable ascending argsort of ``keys``), the
+    start of each group within it and each group's key.  The sort runs on
+    the composite ``key << bits | position``, whose values are unique, so
+    an in-place value sort (several times faster than a stable argsort)
+    yields the stable order from the low bits.  ``bits`` must cover every
+    position: ``keys.size <= 1 << bits``.
+    """
+    comp = np.left_shift(keys, bits, dtype=np.int64)
+    comp |= np.arange(keys.size, dtype=np.int64)
+    comp.sort()
+    skey = comp >> bits
+    first = np.empty(skey.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(skey[1:], skey[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return comp & ((1 << bits) - 1), starts, skey[starts]
+
+
+def _is_tail(codes: np.ndarray) -> np.ndarray:
+    """Which packed flit codes are their packet's tail (``index + 1 ==
+    size``).  The low 12 bits of ``(code >> SIZE_SHIFT) - code`` are
+    ``size - index`` mod 4096, and ``0 <= index < size <= MAX_SIZE``
+    makes that 1 exactly at the tail: four operations instead of five."""
+    return (((codes >> SIZE_SHIFT) - codes) & IDX_MASK) == 1
 
 
 def _fires(raw: np.ndarray, rate: float) -> np.ndarray:
@@ -527,22 +584,29 @@ class VecCore:
         self.D = D = cfg.buffer_depth
 
         # ---- static per-channel facts as arrays
-        self._ch_router = np.array(cn.ch_router, dtype=np.int32)
         self._ch_end = np.array(cn.ch_dst_is_end, dtype=bool)
         self._inj_ch = np.array(
             [-1 if cn.inj_ch[n] is None else cn.inj_ch[n] for n in cn.end_ids],
-            dtype=np.int32,
+            dtype=np.intp,
         )
-        self._inj_ch_clip = np.maximum(self._inj_ch, 0)
+        self._inj_link = self._inj_ch // self.V  # link of each source's channel
         self._any_orphan_src = bool((self._inj_ch < 0).any())
         # flat (replica, injection channel) indices for the space check
         self._inj_flat = (
-            np.arange(B, dtype=np.int32)[:, None] * C + self._inj_ch_clip[None, :]
+            np.arange(B, dtype=np.intp)[:, None] * C
+            + np.maximum(self._inj_ch, 0)[None, :]
         ).reshape(-1)
+        self._ports_flat = self._ports.reshape(-1)
+        self._route_rows, self._lutv = _route_index(
+            cn.ch_router, self._ports.shape[1], self._lut, self.V
+        )
+        # the allocate phase's (output key, position) sort key: positions
+        # count requests, at most B*C, and keys stay below B*C < 2**31
+        self._gbits = (B * C).bit_length()
 
-        # ---- dynamic state, struct-of-arrays.  The per-channel scalars are
-        # int32: the step kernel is dominated by random gathers over them,
-        # and the narrower dtype halves both bandwidth and cache footprint.
+        # ---- dynamic state, struct-of-arrays.  The per-channel counters are
+        # int32: the phases are dominated by random gathers over them, and
+        # the narrower dtype halves both bandwidth and cache footprint.
         # FIFO width is padded to a power of two so ring-buffer slot wrap
         # is a bitmask instead of a compare-and-subtract
         self._Dp = 1 << (D - 1).bit_length()
@@ -550,12 +614,15 @@ class VecCore:
         self._fifo_flat = self._fifo.reshape(-1)
         self._fhead = np.zeros(B * C, dtype=np.int32)  # ring-buffer head slot
         self._fifo_len = np.zeros(B * C, dtype=np.int32)
-        self._cur_out = np.full(B * C, -1, dtype=np.int32)
+        self._fl2 = self._fifo_len.reshape(B, C)
+        # each buffer's latched output is an index (intp), not a counter
+        self._cur_out = np.full(B * C, -1, dtype=np.intp)
         self._holder = np.full(B * C, -1, dtype=np.int32)
         self._rr = np.zeros(B * C, dtype=np.int32)
         self._lf = np.zeros((B, L), dtype=np.int64)
         self._lf_pend: list[np.ndarray] = []  # deferred link-flit counts
         self._scode = np.full((B, S), -1, dtype=np.int64)
+        self._sflat = self._scode.reshape(-1)
         # per-(src, dst) sequence carry across pre-generation windows:
         # sorted (pair key, packets so far) arrays per replica
         self._pair_carry: list[tuple[np.ndarray, np.ndarray]] = [
@@ -593,13 +660,13 @@ class VecCore:
             self._scan = B * C <= ACTIVE_SCAN_MAX
         else:
             self._scan = active_set == "scan"
-        self._occ_idx = _EMPTY32  # flat (replica, channel) with queued flits
+        self._occ_idx = _EMPTYP  # flat (replica, channel) with queued flits
         self._occ_mask = np.zeros(0 if self._scan else B * C, dtype=bool)
         # flat (replica, source) with work to inject.  Unlike the occupied
         # set this one is unsorted: sources never arbitrate against each
         # other, so no kernel depends on its order, and a membership mask
         # keeps it duplicate-free without any per-cycle sort.
-        self._armed_idx = _EMPTY32
+        self._armed_idx = _EMPTYP
         self._armed_mask = np.zeros(0 if self._scan else B * S, dtype=bool)
 
         # ---- per-replica bookkeeping
@@ -955,7 +1022,10 @@ class VecCore:
     def _consolidate_adm(self) -> None:
         """Turn the window's per-replica arrival arrays into per-cycle
         event slices with one stable sort (admission order within a cycle
-        is immaterial: all its scatters hit unique (replica, pid) cells)."""
+        is immaterial: all its scatters hit unique (replica, pid) cells).
+        Each slice is flagged when one source admits more than one packet
+        in its cycle, the only case in which the queue-tail update must
+        count repeats instead of scattering ``+1``."""
         win = self._win_adm
         if not win:
             return
@@ -969,13 +1039,16 @@ class VecCore:
         del win  # free the per-replica arrays before the sort's temporaries
         order = _stable_order(cycs)
         cycs = cycs[order]
-        flats = flats[order].astype(np.int32)  # B*S fits int32 (checked at init)
+        flats = flats[order]
         pids = pids[order]
         uc, starts = np.unique(cycs, return_index=True)
         ends = np.append(starts[1:], cycs.size)
+        nq = self.B * self.S
+        pair = np.sort(cycs * nq + flats)
+        repeats = set((pair[1:][pair[1:] == pair[:-1]] // nq).tolist())
         arrays = self._adm_arrays
         for t, s, e in zip(uc.tolist(), starts.tolist(), ends.tolist()):
-            arrays[t] = (flats[s:e], pids[s:e])
+            arrays[t] = (flats[s:e], pids[s:e], t in repeats)
         # windows arrive in ascending cycle ranges, so this stays sorted
         self._adm_cycles = np.concatenate((self._adm_cycles, uc))
 
@@ -1012,9 +1085,6 @@ class VecCore:
         self._qcodes[sf, col] = codes[order]
         self._qfill = filled + counts
 
-    def _adm_events(self, cycle: int):
-        return self._adm_arrays.get(cycle)
-
     def _flush_lf(self) -> None:
         """Fold the deferred link-flit index chunks into the counters."""
         if self._lf_pend:
@@ -1050,39 +1120,46 @@ class VecCore:
                     "VecCore.run after a partial drain: live replicas have "
                     "diverged clocks; use a fresh core per workload"
                 )
+        B = self.B
         stop = self._cycle + max_cycles
         window = max(1, BUDGET // self.S)
-        b1 = self.B == 1
+        b1 = B == 1
         while self._cycle < stop:
             if b1:
-                # single-fabric fast path: the kernels below never read
-                # ``act`` when the lone replica is alive, so skip the
-                # per-cycle copy/any reduction
+                # single-fabric fast path: the phases never read ``act``
+                # when the lone replica is alive, so skip the per-cycle copy
                 if not self._alive[0]:
                     break
                 act = self._alive
+                all_alive = True
             else:
                 act = self._alive.copy()
-                if not act.any():
+                live = np.count_nonzero(act)
+                if not live:
                     break
+                all_alive = live == B
             if self._cycle >= self._pregen_done:
                 # traffic is materialized one window at a time; each window
                 # continues the streams exactly where the last one stopped
                 self._pregen_to(min(stop, self._cycle + window))
                 self._pack_queues()
-            if (
-                (not self._occ_idx.size and not self._armed_idx.size)
-                if not self._scan
-                # armed implies backlog > 0 (the count drops only at
-                # last-flit injection) and occupied implies in-flight
-                # packets, so two scalar reductions decide idleness
-                else not self._backlog.any() and not (self._pi != self._pd).any()
-            ):
+            if not self._scan:
+                idle = not self._occ_idx.size and not self._armed_idx.size
+            # armed implies backlog > 0 (the count drops only at last-flit
+            # injection) and occupied implies in-flight packets, so scalar
+            # tests decide idleness in scan mode
+            elif b1:
+                idle = not self._backlog[0] and self._pi[0] == self._pd[0]
+            else:
+                idle = not np.count_nonzero(self._backlog) and not np.count_nonzero(
+                    self._pi - self._pd
+                )
+            if idle:
                 # idle-cycle fast-forward (cf. SimCore._fast_forward): no
                 # flit queued and no source armed anywhere, so every cycle
                 # until the next pre-generated admission is provably inert
                 # -- stall counters stay 0 and nothing moves.  Jump the
-                # clock instead of stepping empty kernels, but no further
+                # clock instead of stepping empty phases, but no further
                 # than the window edge: later admissions are not generated
                 # yet.
                 edge = min(self._pregen_done, stop)
@@ -1098,19 +1175,20 @@ class VecCore:
                         self._cyc[act] += target - self._cycle
                     self._cycle = target
                     continue
-            self._step(act, generate=True)
+            self._tick(act, all_alive, generate=True)
         if drain:
-            budget = np.full(self.B, 4 * max_cycles + 1000, dtype=np.int64)
+            budget = np.full(B, 4 * max_cycles + 1000, dtype=np.int64)
             while True:
                 act = (
                     self._alive
                     & ((self.in_flight > 0) | (self._backlog > 0))
                     & (budget > 0)
                 )
-                if not act.any():
+                live = np.count_nonzero(act)
+                if not live:
                     break
                 moved_before = self._fmoved.copy()
-                self._step(act, generate=False)
+                self._tick(act, live == B, generate=False)
                 # per-replica budget only burns on zero-progress cycles
                 # (matching the scalar engines), so a draining backlog
                 # that keeps moving flits always completes
@@ -1118,460 +1196,469 @@ class VecCore:
         return self.finalize()
 
     # ------------------------------------------------------------------
-    def _step(self, act: np.ndarray, generate: bool) -> None:
-        B, C, S, V, D, L = self.B, self.C, self.S, self.V, self.D, self.L
-        cycle = self._cycle
-        fifo = self._fifo
-        fifo_len = self._fifo_len
-        fl2 = fifo_len.reshape(B, C)
-        scan = self._scan
+    # one cycle, phase by phase
+    #
+    # Each phase returns early on an empty input set.  Index arrays are
+    # intp throughout: numpy converts any other index dtype on every
+    # gather and scatter, which cost more than the narrower arrays saved.
+    # With one replica, ``rb`` (the replica of each request) is identically
+    # zero and stays None, and the flat index is the channel itself.
+    # ------------------------------------------------------------------
+    def _tick(self, act: np.ndarray, all_alive: bool, generate: bool) -> None:
+        """Advance the replicas in ``act`` (all of them when ``all_alive``)
+        by one cycle, in the reference engine's phase order."""
+        ipos = self._inject(act, all_alive, generate)
+        req = self._route(act, all_alive)
+        gsel = None
+        granted = push = None
+        if req is not None:
+            gsel, heads = self._allocate(req)
+            if gsel.size:
+                push, granted = self._traverse(req, gsel, heads)
+        injected = self._push(ipos, push, gsel is not None and gsel.size > 0)
+        self._account(act, all_alive, req, gsel, granted, injected)
 
-        # single-replica fast path: per-replica reductions (bincounts keyed
-        # on the replica, masked peak/stall updates) collapse to Python
-        # scalar arithmetic on element 0.  Callers never step a lone dead
-        # replica, so b1 implies the replica is alive.
-        b1 = B == 1
-        all_alive = b1 or bool(act.all())
-        # indices whose active-set membership this cycle may have changed
-        src_touch: list[np.ndarray] = []
-
-        # ---- inject phase 1: traffic admission (pre-generated arrivals)
+    def _inject(self, act: np.ndarray, all_alive: bool, generate: bool) -> np.ndarray:
+        """Inject, first half: admit this cycle's pre-generated arrivals,
+        latch each idle source onto its next queued packet, and decide
+        which sources inject (space checked against the pre-move state).
+        Returns the flat ``(replica, source)`` indices that inject."""
         if generate:
-            ev = self._adm_events(cycle)
+            ev = self._adm_arrays.get(self._cycle)
             if ev is not None:
-                fidx, pids = ev
-                if b1:
-                    b_of = None
-                else:
-                    b_of = fidx // S
-                    if not all_alive:
-                        keep = act[b_of]
-                        if not keep.all():
-                            fidx = fidx[keep]
-                            pids = pids[keep]
-                            b_of = b_of[keep]
-                if fidx.size:
-                    np.add.at(self._qtail, fidx, 1)
-                    if b1:
-                        self._offered[0] += fidx.size
-                        self._backlog[0] += fidx.size
-                        self._pcreated[0, pids] = cycle
-                    else:
-                        bc = np.bincount(b_of, minlength=B)
-                        self._offered += bc
-                        self._backlog += bc
-                        self._pcreated.reshape(-1)[
-                            b_of * np.int64(self._pcap) + pids
-                        ] = cycle
-                    if not scan:
-                        # arm immediately: this cycle's latch phase must
-                        # see sources the admission just gave work; fidx
-                        # repeats a source that admitted several packets
-                        # this cycle, so dedupe before extending the set
-                        fresh = fidx.compress(~self._armed_mask.take(fidx))
-                        if fresh.size:
-                            if fresh.size > 1:
-                                fresh = np.unique(fresh)
-                            self._armed_mask[fresh] = True
-                            self._armed_idx = np.concatenate(
-                                (self._armed_idx, fresh)
-                            )
-
-        # ---- inject phase 2: idle sources latch the next queued packet
-        scode = self._scode
-        sflat = scode.reshape(-1)
-        if scan:
-            can_start = (sflat < 0) & (self._qstart < self._qtail)
-            if not all_alive:
-                can_start &= np.repeat(act, S)
-            sidx = np.flatnonzero(can_start)
-            arm = None
+                self._admit(ev, act, all_alive)
+        sflat = self._sflat
+        qstart, qtail = self._qstart, self._qtail
+        if self._scan:
+            if self.B == 1 and not self._backlog[0]:
+                # no packet admitted and not yet fully injected
+                return _EMPTYP
+            mask = None if all_alive else np.repeat(act, self.S)
+            can_start = (sflat < 0) & (qstart < qtail)
+            if mask is not None:
+                can_start &= mask
+            sidx = can_start.nonzero()[0]
+            if sidx.size:
+                self._latch(sidx)
+            ready = sflat >= 0
+            if mask is not None:
+                ready &= mask
+            ipos = ready.nonzero()[0]
         else:
-            arm = self._armed_idx
-            if not all_alive and arm.size:
-                arm = arm.compress(act.take(arm // S))
-            if arm.size:
-                sidx = arm.compress(
-                    (sflat.take(arm) < 0)
-                    & (self._qstart.take(arm) < self._qtail.take(arm))
-                )
-            else:
-                sidx = arm
-        if sidx.size:
-            if self._any_orphan_src:
-                bad = self._inj_ch[sidx % S] < 0
-                if bad.any():
-                    node = self._cn.end_ids[int(sidx[bad][0]) % S]
-                    self.net.out_links(node)[0]  # raises like the reference
-            qs = self._qstart.take(sidx)
-            self._qstart[sidx] = qs + 1
-            sflat[sidx] = self._qflat.take(sidx * self._qw + qs)
+            ipos = self._armed_idx
+            if not all_alive and ipos.size:
+                ipos = ipos[act[ipos // self.S]]
+            if not ipos.size:
+                return ipos
+            sidx = ipos[(sflat[ipos] < 0) & (qstart[ipos] < qtail[ipos])]
+            if sidx.size:
+                self._latch(sidx)
+            # post-latch every armed source holds a latched code (armed
+            # means latched-or-queued, and the latch above just converted
+            # the queued-only ones), so the armed set IS the ready set
+        if not ipos.size:
+            return ipos
+        return ipos[self._fifo_len[self._inj_flat[ipos]] < self.D]
 
-        # ---- route phase: desired output per occupied input buffer.
-        # The occupied set is (replica, channel)-sorted like the
-        # reference's sorted(occupied) -- maintained incrementally, or
-        # recomputed by full-width scan in scan mode; every occupied
-        # buffer produces exactly one request.
-        if scan:
-            occ = fl2 > 0
+    def _admit(self, ev: tuple, act: np.ndarray, all_alive: bool) -> None:
+        """Queue one cycle's arrivals ``ev = (sources, pids, repeats)``;
+        ``repeats`` says some source admits more than one packet."""
+        fidx, pids, repeats = ev
+        cycle = self._cycle
+        B = self.B
+        if B > 1:
+            b_of = fidx // self.S
             if not all_alive:
-                occ &= act[:, None]
-            # int32 index arithmetic: // and the derived remainder are
-            # several times cheaper than int64 %, and rb is free
-            off = np.flatnonzero(occ).astype(np.int32)
+                keep = act[b_of]
+                if np.count_nonzero(keep) < keep.size:
+                    fidx, pids, b_of = fidx[keep], pids[keep], b_of[keep]
+                    if not fidx.size:
+                        return
+        if repeats:
+            self._qtail += np.bincount(fidx, minlength=self._qtail.size)
+        else:
+            self._qtail[fidx] += 1
+        if B == 1:
+            self._offered[0] += fidx.size
+            self._backlog[0] += fidx.size
+            self._pcreated[0][pids] = cycle  # a row view: 2-D mixed indexing is slower
+        else:
+            bc = np.bincount(b_of, minlength=B)
+            self._offered += bc
+            self._backlog += bc
+            self._pcreated.reshape(-1)[b_of * self._pcap + pids] = cycle
+        if not self._scan:
+            # arm immediately: this cycle's latch must see sources the
+            # admission just gave work
+            fresh = fidx[~self._armed_mask[fidx]]
+            if fresh.size:
+                if repeats:
+                    fresh = np.unique(fresh)
+                self._armed_mask[fresh] = True
+                self._armed_idx = np.concatenate((self._armed_idx, fresh))
+
+    def _latch(self, sidx: np.ndarray) -> None:
+        """Idle sources ``sidx`` take the head of their next queued packet."""
+        if self._any_orphan_src:
+            bad = self._inj_ch[sidx % self.S] < 0
+            if bad.any():
+                node = self._cn.end_ids[int(sidx[bad][0]) % self.S]
+                self.net.out_links(node)[0]  # raises like the reference
+        qs = self._qstart[sidx]
+        self._qstart[sidx] = qs + 1
+        self._sflat[sidx] = self._qflat[sidx * self._qw + qs]
+
+    def _route(self, act: np.ndarray, all_alive: bool):
+        """The desired output of every occupied input buffer, or None when
+        no buffer is occupied.
+
+        The requests are ``(replica, channel)``-sorted like the reference's
+        ``sorted(occupied)``: the maintained index set, or a full-width scan
+        in scan mode.  Latched buffers keep their worm's output; unlatched
+        fronts are heads and read ``lut[router, ports[router, dest]]`` from
+        the per-channel row offsets.  Returns ``(off, rb, rc, ro, unl,
+        upos)``: flat index, replica, channel, desired output, the
+        unlatched mask and its positions.
+        """
+        C = self.C
+        if self._scan:
+            # 1-D nonzero on a bool mask: several times faster than on the
+            # int lengths, and than a 2-D nonzero yielding (replica, channel)
+            occ = self._fifo_len > 0
+            if not all_alive:
+                occ &= np.repeat(act, C)
+            off = occ.nonzero()[0]
         else:
             off = self._occ_idx
             if not all_alive and off.size:
-                off = off.compress(act.take(off // C))
-        if b1:
-            rb = None  # identically zero; materialized only by detections
+                off = off[act[off // C]]
+        if not off.size:
+            return None
+        if self.B == 1:
+            rb = None
             rc = off
         else:
             rb = off // C
             rc = off - rb * C
-        cur = self._cur_out.take(off)  # latched keep their worm's output
-        upos = (cur < 0).nonzero()[0]
+        ro = self._cur_out[off]
+        unl = ro < 0
+        upos = unl.nonzero()[0]
         if upos.size:
-            uoff = off.take(upos)
-            fronts = self._fifo_flat.take(uoff * self._Dp + self._fhead.take(uoff))
-            idxs = fronts & IDX_MASK
-            if idxs.any():
-                k = int(np.flatnonzero(idxs)[0])
+            uoff = off[upos]
+            fronts = self._fifo_flat[uoff * self._Dp + self._fhead[uoff]]
+            if np.bitwise_or.reduce(fronts) & IDX_MASK:
+                k = int(((fronts & IDX_MASK) != 0).nonzero()[0][0])
                 raise RuntimeError(
                     f"body flit without worm latch at "
                     f"{self._cn.ch_key(int(rc[upos[k]]))} "
                     f"(packet {int(fronts[k]) >> PID_SHIFT})"
                 )
-            dests = (fronts >> DEST_SHIFT) & DEST_MASK
-            urc = rc.take(upos)
-            # unlatched heads read lut[router, ports[router, dest]] straight
-            # off the table's port matrix; -1 takes the diagnostic path
-            base = next_channel(
-                self._lut, self._ports, self._ch_router.take(urc), dests
-            )
-            if (base < 0).any():
-                for k in np.flatnonzero(base < 0):
-                    base[k] = self._slow_route(int(urc[k]), int(dests[k]))
-            cur[upos] = base + urc % V if V > 1 else base
-        ro = cur  # (cur is a fresh gather; heads were patched in place)
+            urc = uoff if rb is None else rc[upos]
+            rows = self._route_rows.take(urc, axis=0)  # fancy 2-D rows are ~10x slower
+            port = self._ports_flat[rows[:, 0] + ((fronts >> DEST_SHIFT) & DEST_MASK)]
+            out = self._lutv[rows[:, 1] + port]
+            if np.minimum.reduce(out) < 0:
+                # -1: no usable entry; the table's own lookup raises
+                for k in (out < 0).nonzero()[0].tolist():
+                    dest = (int(fronts[k]) >> DEST_SHIFT) & DEST_MASK
+                    ch = int(urc[k])
+                    out[k] = self._slow_route(ch, dest) + ch % self.V
+            ro[upos] = out
+        return off, rb, rc, ro, unl, upos
 
-        # ---- inject phase 3 (decision): space check against pre-move state
-        if scan:
-            ready = sflat >= 0
-            if not all_alive:
-                ready &= np.repeat(act, S)
-            if ready.any():
-                ipos = np.flatnonzero(
-                    ready & (fifo_len.take(self._inj_flat) < D)
-                ).astype(np.int32)
-            else:
-                ipos = _EMPTY32
-        elif arm.size:
-            # post-latch every armed source holds a latched code (armed
-            # means latched-or-queued, and the latch above just converted
-            # the queued-only ones), so the armed set IS the ready set;
-            # only the injection-buffer space check remains
-            ipos = arm.compress(fifo_len.take(self._inj_flat.take(arm)) < D)
+    def _allocate(self, req) -> tuple[np.ndarray, int]:
+        """Grant outputs: every latched worm whose output has space, then one
+        round-robin winner per free output among the heads that want it.
+        Returns the granted request positions, latched grants first, and
+        where the heads (exactly the winners) start."""
+        off, rb, rc, ro, unl, upos = req
+        key = ro if rb is None else off + (ro - rc)  # == rb*C + desired output
+        # ejection channels never hold flits, so their space check passes
+        sp = self._fifo_len[key] < self.D
+        # a latched worm holds its output (the holder is its own channel)
+        grants = (sp & ~unl).nonzero()[0]
+        if not upos.size:
+            return grants, grants.size
+        hkey = key[upos]
+        ok = (self._holder[hkey] < 0) & sp[upos]
+        fpos = upos[ok]
+        if not fpos.size:
+            return grants, grants.size
+        fkey = hkey[ok]
+        if fpos.size == 1:
+            winners = fpos
+            gkeys = fkey
         else:
-            ipos = arm
+            # free-output head requests grouped by (replica, output) in
+            # ascending channel order, so round-robin arbitration picks the
+            # reference engine's winner; lone requesters win trivially
+            order, gstart, gkeys = _group_by_key(fkey, self._gbits)
+            counts = np.empty(gstart.size, dtype=np.intp)
+            np.subtract(gstart[1:], gstart[:-1], out=counts[:-1])
+            counts[-1] = fkey.size - gstart[-1]
+            winners = fpos[order[gstart + self._rr[gkeys] % counts]]
+        self._rr[gkeys] += 1
+        self._holder[gkeys] = rc[winners]
+        return np.concatenate((grants, winners)), grants.size
 
-        # ---- allocate phase: grants per (replica, output channel)
-        check = cycle % self.config.deadlock_check_interval == 0
-        n_desire_b = n_granted_b = None
-        gb = gc = go = None
-        parts = []
-        if off.size:
-            if check:
-                n_desire_b = off.size if b1 else np.bincount(rb, minlength=B)
-            key = ro if b1 else off + (ro - rc)  # == rb*C + desired output
-            sp = self._ch_end.take(ro) | (fifo_len.take(key) < D)
-            h = self._holder.take(key)
-            ghp = ((h == rc) & sp).nonzero()[0]  # h == -1 never matches
-            if ghp.size:
-                parts.append(ghp)
-            fpos = (h < 0).nonzero()[0]
-            if fpos.size:
-                # free-output head requests, grouped by (replica, output)
-                # with one composite (key, position) sort: an in-place
-                # value sort is ~3x faster than numpy's stable mergesort
-                # argsort on the bare key, the sorted positions come back
-                # out of the low bits for free, and -- unlike a bincount
-                # keyed on channels -- nothing here scales with B*C.  The
-                # stable order keeps group members in ascending channel
-                # order, so round-robin arbitration picks the reference
-                # engine's winner; single-requester groups win trivially.
-                fkey = key.take(fpos)
-                comp = (fkey.astype(np.int64) << 24) + np.arange(
-                    fkey.size, dtype=np.int64
-                )
-                comp.sort()
-                skey = comp >> 24
-                sk = comp & 0xFFFFFF
-                first = np.empty(skey.size, dtype=bool)
-                first[0] = True
-                np.not_equal(skey[1:], skey[:-1], out=first[1:])
-                gstart = first.nonzero()[0]
-                gkeys = skey.take(gstart)
-                gcounts = np.empty(gstart.size, dtype=np.int64)
-                np.subtract(gstart[1:], gstart[:-1], out=gcounts[:-1])
-                gcounts[-1] = skey.size - gstart[-1]
-                # every member of a group wants the same output, so space
-                # is a group-level property of the first member
-                gsp = sp.take(fpos.take(sk.take(gstart)))
-                if gsp.any():
-                    rrv = self._rr.take(gkeys)
-                    wpos = gstart + rrv % gcounts
-                    winners = fpos.take(sk.take(wpos[gsp]))
-                    wk = key.take(winners)
-                    self._rr[gkeys[gsp]] = rrv[gsp] + 1
-                    self._holder[wk] = rc.take(winners)
-                    parts.append(winners)
+    def _traverse(self, req, gsel: np.ndarray, heads: int):
+        """Traverse and eject: pop each granted flit, latch heads and unlatch
+        tails, count link flits and deliver what reached an end node.
 
-        # ---- traverse/eject phase: execute grants (grant order is
-        # immaterial: every scatter target below is unique per cycle, and
-        # deliveries are explicitly re-sorted)
-        moved0 = 0  # single-replica moved-flit tally (Python int)
-        moved_b = None if b1 else np.zeros(B, dtype=np.int64)
-        push_ch = push_codes = None  # FIFO pushes deferred and fused below
-        if parts:
-            gsel = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            bfc = off.take(gsel)
-            go = ro.take(gsel)
-            if b1:
-                gb = None
-                gc = bfc  # local channel == flat channel for one replica
-                okey = go
-            else:
-                gb = rb.take(gsel)
-                gc = rc.take(gsel)
-                okey = bfc + (go - gc)  # flat index of each grant's output
-            hd = self._fhead.take(bfc)
-            codes = self._fifo_flat.take(bfc * self._Dp + hd)
-            idx = codes & IDX_MASK
-            size = (codes >> SIZE_SHIFT) & SIZE_MASK
-            hpos = (idx == 0).nonzero()[0]
-            tpos = (idx == size - 1).nonzero()[0]
-            self._cur_out[bfc.take(hpos)] = go.take(hpos)
-            self._fhead[bfc] = (hd + 1) & (self._Dp - 1)  # ring-buffer pop
-            fifo_len[bfc] = fifo_len.take(bfc) - 1
-            self._cur_out[bfc.take(tpos)] = -1
-            self._holder[okey.take(tpos)] = -1
-            li = go // V if V > 1 else go
-            self._lf_pend.append(li if b1 else gb * L + li)
-            em = self._ch_end.take(go)
-            if b1:
-                ndel = int(np.count_nonzero(em))
-                self._fdel[0] += ndel
-                moved0 += em.size
-                if check:
-                    n_granted_b = em.size
-            else:
-                # one bincount keyed on (replica, end?) counts grants and
-                # deliveries together
-                both = np.bincount(gb * 2 + em, minlength=2 * B)
-                self._fdel += both[1::2]
-            dmi = tpos.compress(em.take(tpos))
+        Returns the deferred FIFO pushes ``(channels, codes)`` and the
+        grants per replica (a count with one replica).  Grant order is
+        immaterial: every scatter target is unique per cycle, and
+        deliveries are explicitly re-sorted.
+        """
+        off, rb, rc, ro, unl, upos = req
+        b1 = rb is None
+        V = self.V
+        bfc = off[gsel]
+        go = ro[gsel]
+        if b1:
+            gb = None
+            okey = go  # local channel == flat channel for one replica
+        else:
+            gb = rb[gsel]
+            okey = bfc + (go - rc[gsel])  # flat index of each grant's output
+        hd = self._fhead[bfc]
+        codes = self._fifo_flat[bfc * self._Dp + hd]
+        if heads < gsel.size:
+            self._cur_out[bfc[heads:]] = go[heads:]  # winning heads latch
+        self._fhead[bfc] = (hd + 1) & (self._Dp - 1)  # ring-buffer pop
+        self._fifo_len[bfc] -= 1
+        tpos = _is_tail(codes).nonzero()[0]
+        if tpos.size:
+            self._cur_out[bfc[tpos]] = -1
+            self._holder[okey[tpos]] = -1
+        li = go // V if V > 1 else go
+        self._lf_pend.append(li if b1 else gb * self.L + li)
+        em = self._ch_end[go]
+        if b1:
+            self._fdel[0] += np.count_nonzero(em)
+            granted = gsel.size
+        else:
+            # one bincount keyed on (replica, end?) counts grants and
+            # deliveries together
+            both = np.bincount(gb * 2 + em, minlength=2 * self.B)
+            self._fdel += both[1::2]
+            granted = both[0::2] + both[1::2]
+        if tpos.size:
+            dmi = tpos[em[tpos]]
             if dmi.size:
-                # deliveries sorted by (replica, output channel): the
-                # reference engine appends latencies in sorted out-key
-                # order, and channel ints sort exactly like the keys
-                dgo = go.take(dmi)
-                if b1:
-                    order = np.argsort(dgo)  # unique keys
-                    dp = (codes.take(dmi) >> PID_SHIFT).take(order)
-                    self._pdel[0, dp] = cycle
-                    self._pd[0] += dp.size
-                else:
-                    dbg = gb.take(dmi)
-                    order = np.argsort(dbg * C + dgo)  # unique keys
-                    db = dbg.take(order)
-                    dp = (codes.take(dmi) >> PID_SHIFT).take(order)
-                    self._pdel.reshape(-1)[db * np.int64(self._pcap) + dp] = cycle
-                    self._pd += np.bincount(db, minlength=B)
-                    self._del_b.append(db)
-                self._del_pid.append(dp)
-            pmi = (~em).nonzero()[0]
-            push_ch = okey.take(pmi)
-            push_codes = codes.take(pmi)
-            if not b1:
-                g_cnt = both[0::2] + both[1::2]
-                moved_b += g_cnt
-                if check:
-                    n_granted_b = g_cnt
+                self._deliver(dmi, gb, go, codes)
+        push = ~em
+        return (okey[push], codes[push]), granted
 
-        # ---- inject phase 4: execute injections
+    def _deliver(self, dmi, gb, go, codes) -> None:
+        """Stamp the packets whose tails reached an end node, in the order
+        the reference appends latencies: sorted by (replica, output
+        channel), whose ints sort exactly like the reference's keys."""
+        cycle = self._cycle
+        dgo = go[dmi]
+        dp = codes[dmi] >> PID_SHIFT
+        if gb is None:
+            if dmi.size > 1:
+                dp = dp[dgo.argsort()]  # unique keys
+            self._pdel[0][dp] = cycle
+            self._pd[0] += dp.size
+        else:
+            dbg = gb[dmi]
+            order = (dbg * self.C + dgo).argsort()  # unique keys
+            db = dbg[order]
+            dp = dp[order]
+            self._pdel.reshape(-1)[db * self._pcap + dp] = cycle
+            self._pd += np.bincount(db, minlength=self.B)
+            self._del_b.append(db)
+        self._del_pid.append(dp)
+
+    def _push(self, ipos: np.ndarray, push, popped: bool):
+        """Inject, second half, then one fused FIFO push and active-set
+        upkeep.
+
+        Sources ``ipos`` send their latched flit; injections join the
+        traverse pushes in one scatter (injection channels never receive
+        traverse pushes, so the targets stay unique).  Returns the flits
+        injected per replica (a count with one replica).
+        """
+        b1 = self.B == 1
+        scan = self._scan
+        injected = 0 if b1 else None
+        lpos = None
         if ipos.size:
+            S = self.S
+            sflat = self._sflat
+            codes = sflat[ipos]
             if b1:
                 isr = ipos
             else:
                 ib = ipos // S
                 isr = ipos - ib * S
-            codes = sflat.take(ipos)
-            idx = codes & IDX_MASK
-            size = (codes >> SIZE_SHIFT) & SIZE_MASK
-            io = self._inj_ch.take(isr)
-            heads = idx == 0
-            if heads.any():
-                hp = codes[heads] >> PID_SHIFT
+            io = self._inj_ch[isr]
+            heads = (codes & IDX_MASK) == 0
+            hp = codes[heads]
+            if hp.size:
                 # sequence stamps were precomputed at admission (_pair_rank)
+                hp >>= PID_SHIFT
                 if b1:
-                    self._pinj[0, hp] = cycle
+                    self._pinj[0][hp] = self._cycle
                     self._pi[0] += hp.size
                 else:
                     hb = ib[heads]
-                    self._pinj.reshape(-1)[hb * np.int64(self._pcap) + hp] = cycle
-                    self._pi += np.bincount(hb, minlength=B)
-            bfo = io if b1 else ib * C + io
-            # injections join the traverse pushes in one fused scatter:
-            # injection channels never receive traverse pushes, so the
-            # combined target set stays unique per cycle
-            if push_ch is None:
-                push_ch, push_codes = bfo, codes
-            else:
-                push_ch = np.concatenate((push_ch, bfo))
-                push_codes = np.concatenate((push_codes, codes))
-            li = io // V if V > 1 else io
-            self._lf_pend.append(li if b1 else ib * L + li)
-            last = idx == size - 1
-            sflat[ipos] = np.where(last, np.int64(-1), codes + 1)
+                    self._pinj.reshape(-1)[hb * self._pcap + hp] = self._cycle
+                    self._pi += np.bincount(hb, minlength=self.B)
+            li = self._inj_link[isr]
+            self._lf_pend.append(li if b1 else ib * self.L + li)
+            last = _is_tail(codes)
+            sflat[ipos] = np.where(last, -1, codes + 1)
             if b1:
-                nlast = int(np.count_nonzero(last))
+                nlast = np.count_nonzero(last)
                 if nlast:
-                    lpos = ipos[last]
                     self._backlog[0] -= nlast
                     if not scan:
-                        src_touch.append(lpos)
-                moved0 += ipos.size
+                        lpos = ipos[last]
+                injected = ipos.size
             else:
                 # one bincount keyed on (replica, last?) counts injections
                 # and packet completions together
-                ibl = np.bincount(ib * 2 + last, minlength=2 * B)
-                if last.any():
+                ibl = np.bincount(ib * 2 + last, minlength=2 * self.B)
+                self._backlog -= ibl[1::2]
+                if not scan:
                     lpos = ipos[last]
-                    self._backlog -= ibl[1::2]
-                    if not scan:
-                        src_touch.append(lpos)
-                moved_b += ibl[0::2] + ibl[1::2]
-
-        # ---- execute the fused FIFO pushes (targets unique per cycle)
+                injected = ibl[0::2] + ibl[1::2]
+            bfo = io if b1 else ib * self.C + io
+            if push is None:
+                push = (bfo, codes)
+            else:
+                push = (
+                    np.concatenate((push[0], bfo)),
+                    np.concatenate((push[1], codes)),
+                )
         occ_fresh = None
-        if push_ch is not None and push_ch.size:
-            fl_o = fifo_len.take(push_ch)
-            slot = (self._fhead.take(push_ch) + fl_o) & (self._Dp - 1)
+        if push is not None and push[0].size:
+            push_ch, push_codes = push
+            fl_o = self._fifo_len[push_ch]
+            slot = (self._fhead[push_ch] + fl_o) & (self._Dp - 1)
             self._fifo_flat[push_ch * self._Dp + slot] = push_codes
-            fifo_len[push_ch] = fl_o + 1
+            self._fifo_len[push_ch] = fl_o + 1
             if not scan:
                 # a push occupies its channel iff it found it empty AND the
                 # channel is not already a member (popped-to-zero inputs
                 # that were re-filled this cycle stay in the set)
-                occ_fresh = push_ch.compress(
-                    (fl_o == 0) & ~self._occ_mask.take(push_ch)
-                )
-
-        # ---- active-set maintenance: union the touched indices into the
-        # sorted sets and re-derive membership from post-move state.  Cost
-        # is O(active log active), never O(B*C): upkeep scales with what
-        # the cycle moved, not with the network width.
+                occ_fresh = push_ch[(fl_o == 0) & ~self._occ_mask[push_ch]]
         if not scan:
-            occ = self._occ_idx
-            if parts is not None and len(parts):
-                # only popped channels can empty, and every pop is in occ
-                keep = fifo_len.take(occ) > 0
-                if not keep.all():
-                    self._occ_mask[occ.compress(~keep)] = False
-                    occ = occ.compress(keep)
-            if occ_fresh is not None and occ_fresh.size:
-                self._occ_mask[occ_fresh] = True
-                occ_fresh.sort()
-                # two-sorted-array merge (np.insert pays an argsort)
-                at = np.searchsorted(occ, occ_fresh) + np.arange(
-                    occ_fresh.size, dtype=np.int64
-                )
-                merged = np.empty(occ.size + occ_fresh.size, dtype=occ.dtype)
-                merged[at] = occ_fresh
-                hole = np.ones(merged.size, dtype=bool)
-                hole[at] = False
-                merged[hole] = occ
-                occ = merged
-            self._occ_idx = occ
-            if src_touch:
-                # only sources that injected their worm's last flit this
-                # cycle (lpos) can disarm: every other armed source still
-                # holds a latched code (armed = latched-or-queued, and the
-                # latch phase converts queued-only sources on sight)
-                lp = (
-                    src_touch[0]
-                    if len(src_touch) == 1
-                    else np.concatenate(src_touch)
-                )
-                dis = lp.compress(self._qstart.take(lp) >= self._qtail.take(lp))
-                if dis.size:
-                    self._armed_mask[dis] = False
-                    am = self._armed_idx
-                    self._armed_idx = am.compress(self._armed_mask.take(am))
+            self._upkeep(popped, occ_fresh, lpos)
+        return injected
 
-        # ---- progress / deadlock bookkeeping
-        if len(self._lf_pend) >= 512:
+    def _upkeep(self, popped: bool, occ_fresh, lpos) -> None:
+        """Index mode: drop drained channels from the sorted occupied set,
+        merge in the freshly occupied ones, and disarm sources left with
+        no work.  Cost scales with what the cycle moved, never with B*C."""
+        occ = self._occ_idx
+        if popped:
+            # only popped channels can empty, and every pop is in occ
+            keep = self._fifo_len[occ] > 0
+            if np.count_nonzero(keep) < keep.size:
+                self._occ_mask[occ[~keep]] = False
+                occ = occ[keep]
+        if occ_fresh is not None and occ_fresh.size:
+            self._occ_mask[occ_fresh] = True
+            occ_fresh.sort()
+            # two-sorted-array merge (np.insert pays an argsort)
+            at = np.searchsorted(occ, occ_fresh)
+            at += np.arange(occ_fresh.size)
+            merged = np.empty(occ.size + occ_fresh.size, dtype=np.intp)
+            merged[at] = occ_fresh
+            hole = np.ones(merged.size, dtype=bool)
+            hole[at] = False
+            merged[hole] = occ
+            occ = merged
+        self._occ_idx = occ
+        if lpos is not None and lpos.size:
+            # only sources that injected their worm's last flit this cycle
+            # can disarm: every other armed source still holds a latched
+            # code (armed = latched-or-queued, and the latch converts
+            # queued-only sources on sight)
+            dis = lpos[self._qstart[lpos] >= self._qtail[lpos]]
+            if dis.size:
+                self._armed_mask[dis] = False
+                am = self._armed_idx
+                self._armed_idx = am[self._armed_mask[am]]
+
+    def _account(self, act, all_alive: bool, req, gsel, granted, injected) -> None:
+        """Progress, peak occupancy, stall counters and deadlock detection,
+        then advance the clock of every stepped replica."""
+        cycle = self._cycle
+        cfg = self.config
+        check = cycle % cfg.deadlock_check_interval == 0 and req is not None
+        # two chunks a cycle: fold every 128 cycles, which bounds the
+        # pending intp indices to a few MB at saturation
+        if len(self._lf_pend) >= 256:
             self._flush_lf()
-        if b1:
-            # scalar bookkeeping for the lone (alive) replica
-            self._fmoved[0] += moved0
-            if scan:
-                occ0 = int(np.count_nonzero(fifo_len))
-            else:
-                occ0 = self._occ_idx.size
+        if self.B == 1:
+            moved = (granted or 0) + injected
+            self._fmoved[0] += moved
+            occ0 = np.count_nonzero(self._fifo_len) if self._scan else self._occ_idx.size
             if occ0 > self._peak[0]:
                 self._peak[0] = occ0
-            stalled = moved0 == 0 and (
-                occ0 > 0 or int(self._pi[0]) > int(self._pd[0])
-            )
-            det1v = det2v = False
-            if stalled:
+            det1 = det2 = False
+            if not moved and (occ0 or self._pi[0] > self._pd[0]):
                 self._stall[0] += 1
-                det1v = bool(self._stall[0] >= self.config.stall_threshold)
+                det1 = self._stall[0] >= cfg.stall_threshold
             else:
                 self._stall[0] = 0
-                if check and n_desire_b is not None:
-                    det2v = (n_granted_b or 0) < n_desire_b
-            if det1v or det2v:
-                det1 = np.array([det1v])
-                det2 = np.array([det2v]) if check and n_desire_b is not None else None
-                rb = np.zeros_like(off)
-                if parts:
-                    gb = np.zeros_like(gc)
-                self._run_detections(det1, det2, rb, rc, ro, gb, gc, cycle)
+                det2 = check and (granted or 0) < req[0].size
+            if det1 or det2:
+                self._detect(
+                    np.array([det1]), np.array([det2]) if check else None, req, gsel
+                )
             self._cyc[0] += 1
             self._cycle = cycle + 1
             return
-        self._fmoved += moved_b
-        if scan:
-            occ_cnt = np.count_nonzero(fl2, axis=1)
+        B = self.B
+        moved = np.zeros(B, dtype=np.int64)
+        if granted is not None:
+            moved += granted
+        if injected is not None:
+            moved += injected
+        self._fmoved += moved
+        if self._scan:
+            occ_cnt = np.add.reduce(self._fl2 > 0, axis=1)
         elif self._occ_idx.size:
-            occ_cnt = np.bincount(self._occ_idx // C, minlength=B)
+            occ_cnt = np.bincount(self._occ_idx // self.C, minlength=B)
         else:
             occ_cnt = np.zeros(B, dtype=np.int64)
         if all_alive:
             np.maximum(self._peak, occ_cnt, out=self._peak)
         else:
             upd = act & (occ_cnt > self._peak)
-            if upd.any():
-                self._peak[upd] = occ_cnt[upd]
-        infl = self._pi - self._pd
-        stallm = act & (moved_b == 0) & ((infl > 0) | (occ_cnt > 0))
+            self._peak[upd] = occ_cnt[upd]
+        stallm = act & (moved == 0) & ((self._pi > self._pd) | (occ_cnt > 0))
         self._stall[stallm] += 1
         nonstall = act & ~stallm
         self._stall[nonstall] = 0
-        det1 = stallm & (self._stall >= self.config.stall_threshold)
-        if check and n_desire_b is not None:
-            if n_granted_b is None:
-                n_granted_b = np.zeros(B, dtype=np.int64)
-            det2 = nonstall & (n_granted_b < n_desire_b)
-        else:
-            det2 = None
-        if det1.any() or (det2 is not None and det2.any()):
-            self._run_detections(det1, det2, rb, rc, ro, gb, gc, cycle)
+        det1 = stallm & (self._stall >= cfg.stall_threshold)
+        det2 = None
+        if check:
+            n_desire = np.bincount(req[1], minlength=B)
+            det2 = nonstall & ((0 if granted is None else granted) < n_desire)
+        if np.count_nonzero(det1) or (det2 is not None and np.count_nonzero(det2)):
+            self._detect(det1, det2, req, gsel)
         self._cyc[act] += 1
         self._cycle = cycle + 1
+
+    def _detect(self, det1, det2, req, gsel) -> None:
+        """Run deadlock detection on this cycle's requests and grants."""
+        if req is None:
+            off = rc = ro = rb = _EMPTYP
+        else:
+            off, rb, rc, ro = req[:4]
+            if rb is None:
+                rb = np.zeros_like(off)
+        gb = gc = None
+        if gsel is not None and gsel.size:
+            gb, gc = rb[gsel], rc[gsel]
+        self._run_detections(det1, det2, rb, rc, ro, gb, gc, self._cycle)
 
     # ------------------------------------------------------------------
     def _slow_route(self, ch: int, dest_idx: int) -> int:

@@ -7,8 +7,8 @@ incrementally).  Both must produce, for every replica, the field-complete
 ``stats_signature`` -- every counter, every latency sample, every
 per-packet stamp -- of the reference interpreter run alone on the same
 stream, whatever the occupancy pattern (bursty explicit schedules,
-uniform plans, silence), batch size, or idle window (which exercises the
-fast-forward path the active sets key).
+uniform plans, silence), batch size, idle window (which exercises the
+fast-forward path the active sets key), VC count or buffer depth.
 """
 
 from dataclasses import replace
@@ -51,22 +51,22 @@ def _make_stream(spec):
     return lambda: explicit_traffic(schedule)
 
 
-def _reference_signatures(factories, cycles, drain):
+def _reference_signatures(factories, cycles, drain, cfg):
     """The oracle: each replica's stream run alone on the reference engine."""
     out = []
     for factory in factories:
         stream = factory()
         if isinstance(stream, UniformPlan):
             stream = stream.build(NET)
-        sim = make_sim(NET, TABLES, stream, replace(CFG, engine="reference"))
+        sim = make_sim(NET, TABLES, stream, replace(cfg, engine="reference"))
         sim.run(cycles, drain=drain)
         sim.finalize()
         out.append(stats_signature(sim))
     return out
 
 
-def _signatures(factories, cycles, drain, **core_kw):
-    core = VecCore(NET, TABLES, [f() for f in factories], CFG, **core_kw)
+def _signatures(factories, cycles, drain, cfg, **core_kw):
+    core = VecCore(NET, TABLES, [f() for f in factories], cfg, **core_kw)
     core.run(cycles, drain=drain)
     core.finalize()
     return [
@@ -102,11 +102,15 @@ _replica = st.one_of(_events, _plan)
     specs=st.lists(_replica, min_size=1, max_size=4),
     cycles=st.integers(10, 200),
     drain=st.booleans(),
+    vc_count=st.sampled_from([1, 2]),
+    buffer_depth=st.integers(1, 4),
 )
-def test_active_set_bit_identical_to_reference(specs, cycles, drain):
+def test_active_set_bit_identical_to_reference(specs, cycles, drain, vc_count, buffer_depth):
+    # depth 3 pads the FIFO ring to 4 slots; depth 1 is the one-slot FIFO
+    cfg = replace(CFG, vc_count=vc_count, buffer_depth=buffer_depth)
     factories = [_make_stream(s) for s in specs]
-    reference = _reference_signatures(factories, cycles, drain)
-    index = _signatures(factories, cycles, drain, active_set="index")
-    scan = _signatures(factories, cycles, drain, active_set="scan")
+    reference = _reference_signatures(factories, cycles, drain, cfg)
+    index = _signatures(factories, cycles, drain, cfg, active_set="index")
+    scan = _signatures(factories, cycles, drain, cfg, active_set="scan")
     assert index == reference
     assert scan == reference

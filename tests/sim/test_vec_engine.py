@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fractahedron import fat_fractahedron
 from repro.obs.parity import assert_counter_parity, compare_signatures, stats_signature
@@ -14,7 +16,20 @@ from repro.routing.cache import cached_tables
 from repro.sim.api import make_sim
 from repro.sim.engine import DeadlockDetected, SimConfig
 from repro.sim.traffic import explicit_traffic, pairs_traffic, uniform_traffic
-from repro.sim.vec import UniformPlan, VecCore, VecSim, _fires
+from repro.sim.vec import (
+    DEST_SHIFT,
+    MAX_ENDS,
+    MAX_PID,
+    MAX_SIZE,
+    PID_SHIFT,
+    SIZE_SHIFT,
+    UniformPlan,
+    VecCore,
+    VecSim,
+    _fires,
+    _group_by_key,
+    _is_tail,
+)
 from repro.topology.mesh import mesh
 
 CFG = SimConfig(raise_on_deadlock=False, stall_threshold=400)
@@ -319,3 +334,55 @@ class TestPlanValidation:
     @pytest.mark.parametrize("rate", [0.0, 1.0])
     def test_unit_interval_ends_are_accepted(self, rate):
         assert UniformPlan(rate, 1, 1).rate == rate
+
+
+class TestGroupByKey:
+    """The allocate phase groups free-output head requests by output with
+    one composite (key, position) value sort; the order must be the stable
+    argsort's, at every width the core can choose."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        keys=st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=64),
+        spread=st.sampled_from([1, 3, 2**31 - 1]),
+        slack=st.integers(0, 8),
+    )
+    def test_matches_stable_argsort(self, keys, spread, slack):
+        keys = np.array(keys, dtype=np.int64) % spread
+        # the tightest width any core can pick for this many requests
+        # (positions fill the field up to its top value), and wider ones
+        bits = len(keys).bit_length() + slack
+        order, starts, gkeys = _group_by_key(keys, bits)
+        want = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, want)
+        sk = keys[want]
+        assert np.array_equal(starts, np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]]))
+        assert np.array_equal(gkeys, np.unique(keys))
+
+    def test_widest_key_and_position_fit_62_bits(self):
+        keys = np.array([2**31 - 2, 5, 2**31 - 2, 0], dtype=np.int64)
+        order, starts, gkeys = _group_by_key(keys, 31)
+        assert order.tolist() == [3, 1, 0, 2]
+        assert starts.tolist() == [0, 1, 2]
+        assert gkeys.tolist() == [0, 5, 2**31 - 2]
+
+    @pytest.mark.parametrize("replicas", [1, 3, 40])
+    def test_core_width_covers_every_request(self, grid, replicas):
+        net, tables = grid
+        core = VecCore(net, tables, [UniformPlan(0.1, 2, s) for s in range(replicas)], CFG)
+        # at most one request per (replica, channel), and keys below B*C
+        assert core.B * core.C < 1 << core._gbits
+        assert core._gbits + (core.B * core.C - 1).bit_length() <= 62
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pid=st.integers(0, MAX_PID),
+    dest=st.integers(0, MAX_ENDS),
+    size=st.integers(1, MAX_SIZE),
+    data=st.data(),
+)
+def test_tail_test_matches_decoded_fields(pid, dest, size, data):
+    index = data.draw(st.integers(0, size - 1))
+    code = (pid << PID_SHIFT) | (dest << DEST_SHIFT) | (size << SIZE_SHIFT) | index
+    assert bool(_is_tail(np.array([code], dtype=np.int64))[0]) == (index == size - 1)
