@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.network.builder import NetworkBuilder
 from repro.network.graph import Network
 from repro.routing.base import RoutingError, RoutingTable
@@ -239,14 +241,98 @@ def general_fractahedron(params: GeneralFractaParams) -> Network:
 # routing
 # ----------------------------------------------------------------------
 
+#: (router, end) entries the in-group fill writes per numpy pass; bounds
+#: its temporaries (a depth-4 top level holds 2M entries).
+_PAIR_CHUNK = 1 << 20
 
-def _decode(value: int, params: GeneralFractaParams) -> tuple[int, int, int]:
-    """Node id -> (leaf group index, corner, down port)."""
-    if params.fanout_width:
-        value //= params.fanout_width
-    value, port = divmod(value, params.down_ports)
-    tetra, corner = divmod(value, params.corners)
-    return tetra, corner, port
+
+def _members(row_group: np.ndarray, end_group: np.ndarray):
+    """For each row, the ends whose group equals the row's: returned as
+    ``(order, lo, cnt)``, the row's ends being ``order[lo : lo + cnt]``."""
+    order = np.argsort(end_group, kind="stable")
+    ordered = end_group[order]
+    lo = np.searchsorted(ordered, row_group, "left")
+    return order, lo, np.searchsorted(ordered, row_group, "right") - lo
+
+
+def _labels(fmt, *columns):
+    """Node ids of the missing targets: ``fmt`` over the masked columns."""
+
+    def label(miss: np.ndarray) -> list[str]:
+        picked = (np.broadcast_to(c, miss.shape)[miss].tolist() for c in columns)
+        return [fmt(*t) for t in zip(*picked)]
+
+    return label
+
+
+class _ClassFill:
+    """The port matrix and neighbor lookups one router class at a time.
+
+    ``nbr[r, p]`` is the node router ``r`` reaches on port ``p`` (-1 where
+    uncabled; nodes numbered as in the network's link-array view).  A
+    missing link is recorded, not raised, as ``(router, stage, order,
+    target id)``: the smallest record is the error a router-by-router fill
+    meets first.
+    """
+
+    def __init__(self, net: Network, ports: np.ndarray) -> None:
+        arr = net.link_arrays()
+        width = int(arr.router_ports.max()) if arr.router_ports.size else 0
+        self.nbr = np.full((arr.num_routers, width), -1, dtype=np.int32)
+        out = np.flatnonzero(arr.src_is_router)
+        self.nbr[arr.src[out], arr.src_port[out]] = arr.dst[out]
+        self.ports = ports
+        self.missing: list[tuple[int, int, int, str]] = []
+
+    def need(self, rows, targets, stage, order, label, wanted=None) -> np.ndarray:
+        """Lowest port from each router in ``rows`` to the node in
+        ``targets`` (which broadcast together; a -1 target does not
+        exist), -1 where there is none.  Misses among ``wanted`` are
+        recorded with their ``stage``, ``order`` and ``label`` ids."""
+        hit = self.nbr[rows] == targets[..., None]
+        port = np.where(hit.any(axis=-1) & (targets >= 0), hit.argmax(axis=-1), -1)
+        miss = port < 0
+        if wanted is not None:
+            miss &= wanted
+        if miss.any():
+            r = np.broadcast_to(rows, miss.shape)[miss].tolist()
+            o = np.broadcast_to(order, miss.shape)[miss].tolist()
+            self.missing += zip(r, [stage] * len(r), o, label(miss))
+        return port
+
+    def fill_groups(self, rows: np.ndarray, members, value) -> None:
+        """``ports[rows[i], e] = value(i, e)`` for each row ``i`` and each
+        end ``e`` among its ``members``; ``value`` must broadcast.  A row
+        whose members are all the ends is written whole; the others go as
+        (row, end) pairs; both in chunks of about ``_PAIR_CHUNK`` entries."""
+        order, lo, cnt = members
+        width = self.ports.shape[1]
+        whole = np.flatnonzero(cnt == width)
+        step = max(1, _PAIR_CHUNK // max(width, 1))
+        for k in range(0, whole.size, step):
+            w = whole[k : k + step]
+            self.ports[rows[w]] = value(w[:, None], np.arange(width))
+        part = np.flatnonzero(cnt < width)
+        flat = self.ports.reshape(-1)
+        upto = np.cumsum(cnt[part])
+        start = 0
+        while start < part.size:
+            done = upto[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(upto, done + _PAIR_CHUNK, "right")))
+            rows_i, c = part[start:stop], cnt[part[start:stop]]
+            i = np.repeat(rows_i, c)
+            within = np.arange(i.size) - np.repeat(np.cumsum(c) - c, c)
+            e = order[np.repeat(lo[rows_i], c) + within]
+            flat[rows[i] * width + e] = value(i, e)
+            start = stop
+
+
+def _router_id(level: int, group: int, layer: int, corner: int) -> str:
+    """Canonical id of the router at these coordinates; level 0 is the
+    fan-out stage, keyed (0, tetra, port, corner)."""
+    if level == 0:
+        return general_fanout_id(group, corner, layer)
+    return general_router_id(level, group, layer, corner)
 
 
 def general_tables(net: Network) -> RoutingTable:
@@ -254,15 +340,17 @@ def general_tables(net: Network) -> RoutingTable:
 
     The §2.3 routing rule -- ascend while the destination's high-order
     address bits differ, descend matching one child index per level with
-    at most one lateral hop per assembly -- is evaluated per *router* over
-    the whole destination address vector at once, filling one row of a
-    :class:`~repro.routing.base.RoutingTable` port matrix.  The old
-    per-(destination, router) Python walk re-scanned every router's port
-    list for every one of its ``R x E`` entries, which is what made
-    depth-3 fabrics take seconds and depth-4 minutes.
+    at most one lateral hop per assembly -- fills the
+    :class:`~repro.routing.base.RoutingTable` port matrix one router
+    class at a time: the fan-out routers, then each level.  A class's
+    routers first get their "up" port broadcast over their whole row;
+    then each router's in-group destinations get the port of a small
+    per-router table indexed by the child (or corner) the destination
+    lies under.  Neighbor ports come from the network's link-array view,
+    and routers are found by their (level, group, layer, corner) attrs,
+    so nothing walks the links or formats ids per router.  Destinations
+    are matched by their ``address`` attr, whatever the end order.
     """
-    import numpy as np
-
     levels = net.attrs.get("levels")
     fat = net.attrs.get("fat")
     m = net.attrs.get("assembly_size")
@@ -273,105 +361,127 @@ def general_tables(net: Network) -> RoutingTable:
     cpg = m * d
 
     idx = net.indices()
-    E = len(idx.end_ids)
+    R, E = len(idx.router_ids), len(idx.end_ids)
     addr = np.fromiter(
         (net.node(e).attrs["address"] for e in idx.end_ids), dtype=np.int64, count=E
     )
-    # Vectorized :func:`_decode` over every destination at once.
-    a2 = addr // fanout if fanout else addr
-    value, dest_port = np.divmod(a2, d)
-    dest_tetra, dest_corner = np.divmod(value, m)
+    # every destination's leaf down port, decoded as (tetra, corner, port)
+    slot = addr // fanout if fanout else addr
+    leaf, dest_port = np.divmod(slot, d)
+    dest_tetra, dest_corner = np.divmod(leaf, m)
 
     table = RoutingTable(net)
-    ports_mat = table.ports
-    end_ids = idx.end_ids
+    fill = _ClassFill(net, table.ports)
 
-    def neighbor_ports(rid: str) -> dict[str, int]:
-        """Lowest output port toward each neighbor (one port scan total)."""
-        out: dict[str, int] = {}
-        for link in net.out_links(rid):
-            out.setdefault(link.dst, link.src_port)
-        return out
+    # every router's coordinates, the fan-out stage as level 0, and a dense
+    # code per coordinate so a target router is one gather away
+    coords = np.array(
+        [
+            (0, a["tetra"], a["port"], a["corner"])
+            if a.get("fanout")
+            else (a["level"], a["group"], a["layer"], a["corner"])
+            for a in (r.attrs for r in net.routers())
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    groups = np.array(
+        [cpg ** (levels - 1) if fanout else 0]
+        + [cpg ** (levels - k) for k in range(1, levels + 1)]
+        + [0]
+    )
+    layers = np.array([d] + [m ** (k - 1) if fat else 1 for k in range(1, levels + 1)] + [0])
+    offset = np.concatenate(([0], np.cumsum(groups * layers * m)))
+    at = np.full(int(offset[-1]) + 1, -1, dtype=np.int64)  # at[-1]: no router
 
-    def port_toward(rid: str, nbr: dict[str, int], target: str) -> int:
-        port = nbr.get(target)
-        if port is None:
-            raise RoutingError(f"no link {rid!r} -> {target!r}")
-        return port
+    def code(k, g, y, c):
+        k = np.clip(k, 0, levels + 1)
+        ok = (g >= 0) & (g < groups[k]) & (y >= 0) & (y < layers[k]) & (c >= 0) & (c < m)
+        return np.where(ok, offset[k] + (g * layers[k] + y) * m + c, -1)
 
-    for router in net.routers():
-        rid = router.node_id
-        attrs = router.attrs
-        nbr = neighbor_ports(rid)
-        row = ports_mat[idx.router_index[rid]]
+    def router_at(k, g, y, c):
+        return at[code(k, g, y, c)]
 
-        if attrs.get("fanout"):
-            tetra, corner, port = attrs["tetra"], attrs["corner"], attrs["port"]
-            mine = (dest_tetra == tetra) & (dest_corner == corner) & (dest_port == port)
-            others = ~mine
-            if others.any():
-                up = general_router_id(1, tetra, 0, corner)
-                row[others] = port_toward(rid, nbr, up)
-            for e in np.flatnonzero(mine):
-                row[e] = port_toward(rid, nbr, end_ids[e])
-            continue
+    codes = code(*coords.T)
+    at[codes[codes >= 0]] = np.flatnonzero(codes >= 0)
 
-        level = attrs["level"]
-        group = attrs["group"]
-        layer = attrs["layer"]
-        corner = attrs["corner"]
-        in_group = (dest_tetra // (cpg ** (level - 1))) == group
+    def fill_fanout(rows, t, p, c) -> None:
+        """Up to the leaf router; down to the router's own end nodes."""
+        members = _members((t * m + c) * d + p, slot)
+        up = members[2] < E  # some destination is not the router's own
+        target = router_at(1, t[up], 0, c[up])
+        label = _labels(_router_id, 1, t[up], 0, c[up])
+        table.ports[rows[up]] = fill.need(rows[up], target, 0, 0, label)[:, None]
+        fill.fill_groups(
+            rows,
+            members,
+            lambda i, e: fill.need(rows[i], R + e, 1, e, _labels(idx.end_ids.__getitem__, e)),
+        )
 
-        outside = ~in_group
-        if outside.any():
-            # Ascend: the local inter-level link (thin: via corner 0).
-            if not fat and corner != 0:
-                target = general_router_id(level, group, layer, 0)
-            else:
-                parent_group, position = divmod(group, cpg)
-                parent_corner = position // d
-                parent_layer = layer * m + corner if fat else 0
-                target = general_router_id(
-                    level + 1, parent_group, parent_layer, parent_corner
-                )
-            row[outside] = port_toward(rid, nbr, target)
+    child = np.arange(cpg)
+    owner = child // d
 
-        ig = np.flatnonzero(in_group)
-        if not ig.size:
-            continue
-        if level == 1:
-            dc = dest_corner[ig]
-            lateral = dc != corner
-            if lateral.any():
-                lat = np.full(m, -1, dtype=np.int16)
-                for c in np.unique(dc[lateral]).tolist():
-                    lat[c] = port_toward(rid, nbr, general_router_id(1, group, 0, c))
-                row[ig[lateral]] = lat[dc[lateral]]
-            own = ig[~lateral]
-            if fanout:
-                fp = np.full(d, -1, dtype=np.int16)
-                for p in np.unique(dest_port[own]).tolist():
-                    fp[p] = port_toward(rid, nbr, general_fanout_id(group, corner, p))
-                row[own] = fp[dest_port[own]]
-            else:
-                for e in own.tolist():
-                    row[e] = port_toward(rid, nbr, end_ids[e])
+    def fill_level(k, rows, g, y, c) -> None:
+        """Up the local inter-level link; a lateral or down port per child."""
+        end_group = dest_tetra // cpg ** (k - 1)
+        members = _members(g, end_group)
+        up = members[2] < E  # some destination is outside the router's group
+        if up.any():
+            # thin: non-zero corners reach the inter-level link via corner 0
+            ug, uy, uc = g[up], y[up], c[up]
+            via0 = np.full(ug.shape, not fat) & (uc != 0)
+            target = (
+                np.where(via0, k, k + 1),
+                np.where(via0, ug, ug // cpg),
+                np.where(via0, uy, uy * m + uc if fat else 0),
+                np.where(via0, 0, ug % cpg // d),
+            )
+            label = _labels(_router_id, *target)
+            table.ports[rows[up]] = fill.need(rows[up], router_at(*target), 0, 0, label)[:, None]
+
+        # the child (level 1: corner and down port) each destination lies
+        # under, and each router's port per child it has destinations in
+        if k > 1:
+            child_of = dest_tetra // cpg ** (k - 2) % cpg
         else:
-            child = (dest_tetra[ig] // (cpg ** (level - 2))) % cpg
-            owner = child // d
-            lateral = owner != corner
-            if lateral.any():
-                lat = np.full(m, -1, dtype=np.int16)
-                for c in np.unique(owner[lateral]).tolist():
-                    lat[c] = port_toward(rid, nbr, general_router_id(level, group, layer, c))
-                row[ig[lateral]] = lat[owner[lateral]]
-            down = ~lateral
-            if down.any():
-                cp = np.full(cpg, -1, dtype=np.int16)
-                for c in np.unique(child[down]).tolist():
-                    child_router = general_router_id(
-                        level - 1, group * cpg + c, layer // m, layer % m
-                    )
-                    cp[c] = port_toward(rid, nbr, child_router)
-                row[ig[down]] = cp[child[down]]
+            child_of = dest_corner * d + dest_port
+        present = np.isin(g[:, None] * cpg + child, np.unique(end_group * cpg + child_of))
+        lateral = owner != c[:, None]
+        rr, gg, yy, cc = rows[:, None], g[:, None], y[:, None], c[:, None]
+        lat = (k, gg, yy, owner)
+        ports = fill.need(
+            rr, router_at(*lat), 1, owner, _labels(_router_id, *lat), present & lateral
+        )
+        own_ends = k == 1 and not fanout
+        if not own_ends:
+            if k > 1:
+                down, order = (k - 1, gg * cpg + child, yy // m, yy % m), child
+            else:
+                down, order = (0, gg, child % d, cc), child % d
+            label = _labels(_router_id, *down)
+            downs = fill.need(rr, router_at(*down), 2, order, label, present & ~lateral)
+            ports = np.where(lateral, ports, downs)
+
+        def value(i: np.ndarray, e: np.ndarray) -> np.ndarray:
+            v = ports[i, child_of[e]]
+            if own_ends:  # level 1 without fan-out: eject to the end itself
+                own = dest_corner[e] == c[i]
+                label = _labels(idx.end_ids.__getitem__, e)
+                v = np.where(own, fill.need(rows[i], R + e, 2, e, label, own), v)
+            return v
+
+        fill.fill_groups(rows, members, value)
+
+    level, group, layer, corner = coords.T
+    for k in range(levels + 1):
+        rows = np.flatnonzero(level == k)
+        if not rows.size:
+            continue
+        if k == 0:
+            fill_fanout(rows, group[rows], layer[rows], corner[rows])
+        else:
+            fill_level(k, rows, group[rows], layer[rows], corner[rows])
+
+    if fill.missing:
+        r, _, _, target_id = min(fill.missing)
+        raise RoutingError(f"no link {idx.router_ids[r]!r} -> {target_id!r}")
     return table

@@ -19,11 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "LINK_SEP",
     "Link",
+    "LinkArrays",
     "Network",
     "NetworkError",
     "NetworkIndices",
@@ -126,6 +130,51 @@ class NetworkIndices:
     end_index: dict[str, int]
 
 
+@dataclass(frozen=True)
+class LinkArrays:
+    """Integer arrays over the links of one structural revision.
+
+    Link ``i`` is ``NetworkIndices.link_ids[i]``.  Nodes are numbered
+    routers first, then end nodes, each in ``indices()`` order: node
+    ``n < num_routers`` is router index ``n``, any other is end index
+    ``n - num_routers``.  Built in one pass over the links and cached per
+    :attr:`Network.version`, so the route LUT, the array route walk, the
+    simulator IR, the fractahedral table fill and the network fingerprint
+    all read the same read-only arrays instead of each walking the
+    :class:`Link` objects.
+    """
+
+    version: int
+    num_routers: int
+    #: per link: source / destination node index and cabled port
+    src: np.ndarray
+    dst: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    #: per link: whether the source / destination is a router
+    src_is_router: np.ndarray
+    dst_is_router: np.ndarray
+    #: per router: its port count
+    router_ports: np.ndarray
+    #: per end node: its lowest-port outgoing link (-1 when uncabled) and
+    #: its number of outgoing links
+    injection: np.ndarray
+    end_out_degree: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # shared by every reader
+
+    def dst_router(self) -> np.ndarray:
+        """Per link: the destination's router index, -1 for an end node."""
+        return np.where(self.dst_is_router, self.dst, -1)
+
+    def dst_end(self) -> np.ndarray:
+        """Per link: the destination's end index, -1 for a router."""
+        return np.where(self.dst_is_router, -1, self.dst - self.num_routers)
+
+
 class Network:
     """A directed network of routers and end nodes.
 
@@ -148,6 +197,7 @@ class Network:
         #: so derived artifacts (index maps, compiled IRs) can detect staleness
         self._version = 0
         self._indices: "NetworkIndices | None" = None
+        self._link_arrays: LinkArrays | None = None
         #: insertion-ordered id arenas, so router/end iteration is O(kind
         #: size) instead of a full-node scan (which turned every table
         #: build into an O(N^2) pass on deep fractahedrons)
@@ -360,6 +410,57 @@ class Network:
         self._new_links.clear()
         return got
 
+    def link_arrays(self) -> LinkArrays:
+        """The :class:`LinkArrays` view of the current structure.
+
+        Cached per :attr:`version` like :meth:`indices`; any mutation
+        rebuilds it on the next call.
+        """
+        got = self._link_arrays
+        if got is not None and got.version == self._version:
+            return got
+        idx = self.indices()
+        R, E = len(idx.router_ids), len(idx.end_ids)
+        node_index = dict(idx.router_index)
+        node_index.update(zip(idx.end_ids, range(R, R + E)))
+        links = list(map(self._links.__getitem__, idx.link_ids))
+        L = len(links)
+
+        def column(values: Iterator[Any]) -> np.ndarray:
+            return np.fromiter(values, np.int32, L)
+
+        src = column(map(node_index.__getitem__, map(attrgetter("src"), links)))
+        dst = column(map(node_index.__getitem__, map(attrgetter("dst"), links)))
+        src_port = column(map(attrgetter("src_port"), links))
+        # end-sourced links sorted by (end, port): each end's first is its
+        # lowest-port link
+        from_end = np.flatnonzero(src >= R)
+        by_end = from_end[np.lexsort((src_port[from_end], src[from_end]))]
+        ends = src[by_end] - R
+        first = np.ones(ends.size, dtype=bool)
+        first[1:] = ends[1:] != ends[:-1]
+        injection = np.full(E, -1, dtype=np.int32)
+        injection[ends[first]] = by_end[first]
+        got = LinkArrays(
+            version=self._version,
+            num_routers=R,
+            src=src,
+            dst=dst,
+            src_port=src_port,
+            dst_port=column(map(attrgetter("dst_port"), links)),
+            src_is_router=src < R,
+            dst_is_router=dst < R,
+            router_ports=np.fromiter(
+                map(attrgetter("num_ports"), map(self._nodes.__getitem__, idx.router_ids)),
+                np.int32,
+                R,
+            ),
+            injection=injection,
+            end_out_degree=np.bincount(ends, minlength=E).astype(np.int32),
+        )
+        self._link_arrays = got
+        return got
+
     @property
     def num_nodes(self) -> int:
         return len(self._nodes)
@@ -421,9 +522,9 @@ class Network:
     def next_free_port(self, node_id: str) -> int:
         """Lowest-numbered uncabled port, or raise :class:`PortBudgetError`."""
         node = self.node(node_id)
-        used = self._out_ports[node_id].keys() | self._in_ports[node_id].keys()
+        out, into = self._out_ports[node_id], self._in_ports[node_id]
         for port in range(node.num_ports):
-            if port not in used:
+            if port not in out and port not in into:
                 return port
         raise PortBudgetError(f"no free ports on {node_id!r}")
 

@@ -201,19 +201,15 @@ def port_link_lut(net: Network, ports: np.ndarray, vc_count: int = 1) -> np.ndar
     table is wide enough for the largest port in ``ports`` plus one
     trailing ``-1`` column, so an absent entry (``-1``, which reads the
     last column), an uncabled port and a port past the widest router all
-    read ``-1`` with no per-lookup clamp.  One pass over the links
-    replaces a per-entry ``out_link_on_port`` call.
+    read ``-1`` with no per-lookup clamp.  Reads the network's
+    :meth:`~repro.network.graph.Network.link_arrays` view.
     """
-    idx = net.indices()
-    max_ports = max((net.node(r).num_ports for r in idx.router_ids), default=0)
+    arr = net.link_arrays()
+    max_ports = int(arr.router_ports.max()) if arr.router_ports.size else 0
     top = int(ports.max()) + 1 if ports.size else 0
-    lut = np.full((len(idx.router_ids), max(max_ports, top) + 1), -1, dtype=np.int32)
-    router_index = idx.router_index
-    for li, lid in enumerate(idx.link_ids):
-        link = net.link(lid)
-        r = router_index.get(link.src)
-        if r is not None:
-            lut[r, link.src_port] = li * vc_count
+    lut = np.full((arr.num_routers, max(max_ports, top) + 1), -1, dtype=np.int32)
+    out = np.flatnonzero(arr.src_is_router)
+    lut[arr.src[out], arr.src_port[out]] = out * vc_count
     return lut
 
 

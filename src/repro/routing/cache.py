@@ -7,12 +7,14 @@ set.  Every load sweep, saturation search and experiment grid rebuilds the
 same handful of 64-node tables over and over, so this module memoizes the
 compilation behind a content key:
 
-    sha256(canonical network JSON) + algorithm name + params + disables
+    network_fingerprint(net) + algorithm name + params + disables
 
-The canonical JSON comes from :func:`repro.network.serialize.network_to_dict`
-(lossless, attribute-complete), so two structurally identical networks --
-even built by different code paths -- share a cache entry, while any
-mutation (a failed cable, an extra node) produces a fresh key.
+The fingerprint (:func:`network_fingerprint`) hashes everything
+:func:`repro.network.serialize.network_to_dict` records -- names, kinds,
+ports, cables and attrs, in insertion order -- so two structurally
+identical networks, even built by different code paths or reloaded from
+a fabric file, share a cache entry, while any mutation (a failed cable,
+an extra node, a changed attr) produces a fresh key.
 
 Cached tables are returned **by reference**: a hit hands back the very
 :class:`~repro.routing.base.RoutingTable` object built on the miss, frozen
@@ -27,6 +29,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -45,14 +48,62 @@ __all__ = [
 ]
 
 
-def network_fingerprint(net: Network) -> str:
-    """Stable content hash of a network's full structure."""
-    # Imported lazily: serialize itself imports repro.routing at load time.
-    from repro.network.serialize import network_to_dict
+#: Canonical JSON: sorted keys, no whitespace.  ``encode`` runs in C,
+#: nested attribute dicts included.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
-    doc = network_to_dict(net)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+
+def _tagged(value: Any) -> Any:
+    """``value`` with tuples and lists tagged apart for JSON, at any depth."""
+    if isinstance(value, tuple):
+        return {"__tuple__": [_tagged(v) for v in value]}
+    if isinstance(value, list):
+        return {"__list__": [_tagged(v) for v in value]}
+    if isinstance(value, dict):
+        return {k: _tagged(v) for k, v in value.items()}
+    return value
+
+
+def _attrs_json(dicts: list[dict[str, Any]]) -> str:
+    """Canonical JSON of a list of attribute dicts.
+
+    The whole list is encoded at C speed.  JSON writes tuples and lists
+    alike, so when the text holds an array (or a string with a ``[``) the
+    list is encoded again with both tagged; a text with no ``[`` inside
+    has neither, so the two forms never collide.
+    """
+    blob = _CANONICAL.encode(dicts)
+    if "[" in blob[1:-1]:
+        blob = _CANONICAL.encode([_tagged(d) for d in dicts])
+    return blob
+
+
+def network_fingerprint(net: Network) -> str:
+    """Stable content hash of a network's full structure.
+
+    Covers the name and attrs, every node's id, kind, port count and
+    attrs in insertion order, and every link's id (insertion order), its
+    endpoints and ports, and its attrs.  Attribute dicts hash by content:
+    key order does not count, while ``1``, ``1.0`` and ``True``, and a
+    tuple and a list, all differ.
+    """
+    arr = net.link_arrays()
+    nodes = list(net.nodes())
+    attrs = attrgetter("attrs")
+    h = hashlib.sha256()
+    for part in (
+        _attrs_json([{"name": net.name, "attrs": net.attrs}]),
+        _CANONICAL.encode([net.node_ids(), net.indices().router_ids]),
+        _CANONICAL.encode(list(map(attrgetter("num_ports"), nodes))),
+        _attrs_json(list(map(attrs, nodes))),
+        _CANONICAL.encode(net.link_ids()),
+        _attrs_json(list(map(attrs, net.links()))),
+    ):
+        h.update(part.encode())
+        h.update(b"\0")
+    for column in (arr.src, arr.src_port, arr.dst, arr.dst_port):
+        h.update(column.tobytes())
+    return h.hexdigest()
 
 
 def _disables_fingerprint(disables: Any) -> str:

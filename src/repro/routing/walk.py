@@ -68,28 +68,12 @@ def walkable(tables: RoutingTable) -> bool:
     return type(tables) is RoutingTable
 
 
-def _link_targets(net: Network, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _link_targets(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per link: destination router / end index (-1 when the other kind);
     per end node: its single injection link (-1 unless exactly one)."""
-    L, E = len(idx.link_ids), len(idx.end_ids)
-    dst_router = np.full(L, -1, dtype=np.int32)
-    dst_end = np.full(L, -1, dtype=np.int32)
-    injection = np.full(E, -1, dtype=np.int32)
-    out_degree = np.zeros(E, dtype=np.int32)
-    router_index, end_index = idx.router_index, idx.end_index
-    for li, lid in enumerate(idx.link_ids):
-        link = net.link(lid)
-        r = router_index.get(link.dst)
-        if r is not None:
-            dst_router[li] = r
-        else:
-            dst_end[li] = end_index.get(link.dst, -1)
-        e = end_index.get(link.src)
-        if e is not None:
-            out_degree[e] += 1
-            injection[e] = li
-    injection[out_degree != 1] = -1
-    return dst_router, dst_end, injection
+    arr = net.link_arrays()
+    injection = np.where(arr.end_out_degree == 1, arr.injection, -1)
+    return arr.dst_router(), arr.dst_end(), injection
 
 
 def _walk(
@@ -103,7 +87,7 @@ def _walk(
     max_hops = len(idx.router_ids)
     ports = tables.ports_on(net)
     lut = port_link_lut(net, ports)
-    dst_router, dst_end, injection = _link_targets(net, idx)
+    dst_router, dst_end, injection = _link_targets(net)
     ok = np.zeros(n, dtype=bool)
     hops = np.zeros(n, dtype=np.int32)
     used = np.zeros(L, dtype=bool)

@@ -54,6 +54,8 @@ import weakref
 from collections import deque
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.deadlock.waitfor import WaitForGraph
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
@@ -82,13 +84,16 @@ _IDX_MASK = (1 << FLIT_INDEX_BITS) - 1
 class CompiledNet:
     """Integer-interned view of one structural revision of a network.
 
-    Channel ``ch`` maps to ``(link_ids[ch // V], ch % V)``; every list
-    below is indexed by link or channel.  Instances are immutable after
-    construction and shared between simulations via :func:`compile_network`.
+    Channel ``ch`` maps to ``(link_ids[ch // V], ch % V)``; every array
+    below is indexed by link, channel or end index, expanded from the
+    network's :meth:`~repro.network.graph.Network.link_arrays` view.
+    Instances are immutable after construction and shared between
+    simulations via :func:`compile_network`.
     """
 
     def __init__(self, net: Network, vc_count: int = 1) -> None:
         idx = net.indices()
+        arr = net.link_arrays()
         self.net = net
         self.version = idx.version
         self.vc_count = V = vc_count
@@ -102,34 +107,24 @@ class CompiledNet:
         self.num_links = nL
         self.num_channels = nL * V
 
-        link_dst: list[str] = []
-        dst_is_end: list[bool] = []
-        dst_is_router: list[bool] = []
-        src_is_router: list[bool] = []
-        link_router: list[int] = []
-        for lid in idx.link_ids:
-            link = net.link(lid)
-            dst_node = net.node(link.dst)
-            link_dst.append(link.dst)
-            dst_is_end.append(dst_node.is_end_node)
-            dst_is_router.append(dst_node.is_router)
-            src_is_router.append(net.node(link.src).is_router)
-            link_router.append(idx.router_index[link.dst] if dst_node.is_router else -1)
-        self.link_dst = link_dst
-        self.link_dst_is_end = dst_is_end
+        #: per link: destination node id
+        self.link_dst = list(map((idx.router_ids + idx.end_ids).__getitem__, arr.dst.tolist()))
 
-        #: per-channel expansions (ch = li * V + vc)
-        self.ch_router = [link_router[li] for li in range(nL) for _ in range(V)]
-        self.ch_dst_is_end = [dst_is_end[li] for li in range(nL) for _ in range(V)]
-        self.ch_has_buffer = [dst_is_router[li] for li in range(nL) for _ in range(V)]
-        self.ch_has_output = [src_is_router[li] for li in range(nL) for _ in range(V)]
+        #: per channel (ch = li * V + vc): destination router index (-1 for
+        #: an end node), whether it ejects, whether it ends in a router
+        #: buffer, whether a router drives it
+        self.ch_router = np.repeat(arr.dst_router(), V).astype(np.intp)
+        self.ch_dst_is_end = np.repeat(~arr.dst_is_router, V)
+        self.ch_has_buffer = np.repeat(arr.dst_is_router, V)
+        self.ch_has_output = np.repeat(arr.src_is_router, V)
 
-        #: end node -> base injection channel (its lowest-port out link, VC 0)
-        inj: dict[str, int | None] = {}
-        for node_id in idx.end_ids:
-            links = net.out_links(node_id)
-            inj[node_id] = idx.link_index[links[0].link_id] * V if links else None
-        self.inj_ch = inj
+        #: per end index: base injection channel (its lowest-port out link,
+        #: VC 0), -1 when the end node is uncabled
+        self.inj_ch = np.where(arr.injection >= 0, arr.injection.astype(np.intp) * V, -1)
+        for shared in (
+            self.ch_router, self.ch_dst_is_end, self.ch_has_buffer, self.ch_has_output, self.inj_ch
+        ):
+            shared.flags.writeable = False
 
         #: lazily-built ``str((link_id, vc))`` per channel -- the wait-for
         #: graph node labels, kept identical to the reference engine's
@@ -226,11 +221,14 @@ class SimCore:
         self._cn = cn = compile_network(net, cfg.vc_count)
         self._ports, self._lut = self._route_from(tables)
         nC = cn.num_channels
+        # the step loop reads the IR one channel or source at a time, where
+        # a list or dict read beats a numpy scalar read
+        self._ch_router = cn.ch_router.tolist()
+        self._ch_dst_is_end = cn.ch_dst_is_end.tolist()
+        self._inj_ch = dict(zip(cn.end_ids, cn.inj_ch.tolist()))
 
         #: per-channel input FIFO of flit codes (None where dst is an end node)
-        self._q: list = [
-            deque() if cn.ch_has_buffer[ch] else None for ch in range(nC)
-        ]
+        self._q: list = [deque() if buffered else None for buffered in cn.ch_has_buffer.tolist()]
         self._cur_out = [-1] * nC  # worm latch: granted output channel
         self._cur_pid = [-1] * nC  # worm latch: owning packet
         self._holder = [-1] * nC  # output allocation (where src is a router)
@@ -434,8 +432,8 @@ class SimCore:
         cur_pid = self._cur_pid
         V = cfg.vc_count
         cn = self._cn
-        ch_router = cn.ch_router
-        ch_dst_is_end = cn.ch_dst_is_end
+        ch_router = self._ch_router
+        ch_dst_is_end = self._ch_dst_is_end
         depth = cfg.buffer_depth
 
         # 2. route phase: desired output for every occupied input buffer
@@ -472,7 +470,7 @@ class SimCore:
         # 2b. inject phase, part 2: sources drive their injection link
         injections: list[tuple[str, Flit, int]] | None = None
         inj_out = self._inj_out
-        inj_ch = cn.inj_ch
+        inj_ch = self._inj_ch
         for node_id, source in self._src_items:
             cursor = source.cursor
             if cursor:
@@ -485,7 +483,7 @@ class SimCore:
                 continue
             if flit.index == 0:  # is_head: heads and atoms carry index 0
                 base = inj_ch[node_id]
-                if base is None:
+                if base < 0:
                     self.net.out_links(node_id)[0]  # raises like the reference
                 inj_out[node_id] = base
             out = inj_out[node_id]

@@ -282,7 +282,7 @@ def _route_index(ch_router, ports_width: int, lut: np.ndarray, V: int):
     port lands on the previous row's trailing ``-1`` column, as in
     ``next_channel``.
     """
-    router = np.asarray(ch_router, dtype=np.intp)
+    router = np.array(ch_router, dtype=np.intp)  # a copy: scaled in place below
     rows = np.empty((router.size, 2), dtype=np.intp)
     np.multiply(router, ports_width, out=rows[:, 0])
     if V == 1:
@@ -584,11 +584,8 @@ class VecCore:
         self.D = D = cfg.buffer_depth
 
         # ---- static per-channel facts as arrays
-        self._ch_end = np.array(cn.ch_dst_is_end, dtype=bool)
-        self._inj_ch = np.array(
-            [-1 if cn.inj_ch[n] is None else cn.inj_ch[n] for n in cn.end_ids],
-            dtype=np.intp,
-        )
+        self._ch_end = cn.ch_dst_is_end
+        self._inj_ch = cn.inj_ch
         self._inj_link = self._inj_ch // self.V  # link of each source's channel
         self._any_orphan_src = bool((self._inj_ch < 0).any())
         # flat (replica, injection channel) indices for the space check
@@ -643,7 +640,8 @@ class VecCore:
         self._qstart = np.zeros(B * S, dtype=np.int64)
         self._qtail = np.zeros(B * S, dtype=np.int64)
         self._win_adm: list[tuple] = []  # (cyc, flat, pid) per pregen call
-        self._adm_arrays: dict[int, "tuple | None"] = {}
+        # cycle -> its admission slice, popped when admitted
+        self._adm_arrays: dict[int, tuple] = {}
         self._adm_cycles = np.empty(0, dtype=np.int64)  # sorted admission cycles
 
         # ---- active sets: sorted compressed index arrays the sparse step
@@ -1049,8 +1047,11 @@ class VecCore:
         arrays = self._adm_arrays
         for t, s, e in zip(uc.tolist(), starts.tolist(), ends.tolist()):
             arrays[t] = (flats[s:e], pids[s:e], t in repeats)
-        # windows arrive in ascending cycle ranges, so this stays sorted
-        self._adm_cycles = np.concatenate((self._adm_cycles, uc))
+        # windows arrive in ascending cycle ranges, so this stays sorted;
+        # cycles already passed are dropped (their slices were popped when
+        # admitted), so both memos hold about one window
+        passed = int(np.searchsorted(self._adm_cycles, self._cycle))
+        self._adm_cycles = np.concatenate((self._adm_cycles[passed:], uc))
 
     def _pack_queues(self) -> None:
         """Append the codes pre-generated since the last pack to the
@@ -1224,7 +1225,7 @@ class VecCore:
         which sources inject (space checked against the pre-move state).
         Returns the flat ``(replica, source)`` indices that inject."""
         if generate:
-            ev = self._adm_arrays.get(self._cycle)
+            ev = self._adm_arrays.pop(self._cycle, None)
             if ev is not None:
                 self._admit(ev, act, all_alive)
         sflat = self._sflat

@@ -24,6 +24,7 @@ from repro.routing.cache import (
     cached_tables,
     network_fingerprint,
 )
+from repro.network.serialize import network_from_dict, network_to_dict
 from repro.routing.dimension_order import dimension_order_tables
 from repro.sim.parallel import SweepRunner, derive_seed
 from repro.topology.hypercube import hypercube
@@ -63,12 +64,70 @@ class TestCacheProperties:
         cold = ALGORITHMS[algorithm_for(net)](net)
         assert sorted(first.items()) == sorted(cold.items())
 
-    @given(small_network())
+    @given(small_network(), st.data())
     @settings(max_examples=10, deadline=None)
-    def test_fingerprint_is_content_addressed(self, net):
-        # a structurally identical rebuild fingerprints identically
-        rebuilt_fp = network_fingerprint(net)
-        assert network_fingerprint(net) == rebuilt_fp
+    def test_fingerprint_is_content_addressed(self, net, data):
+        fp = network_fingerprint(net)
+        # a rebuild from the serialized form fingerprints identically
+        assert network_fingerprint(network_from_dict(network_to_dict(net))) == fp
+
+        routers = net.router_ids()
+        rid = data.draw(st.sampled_from(routers))
+
+        def variant(edit):
+            doc = network_to_dict(net)
+            edit(doc)
+            return network_fingerprint(network_from_dict(doc))
+
+        def set_attrs(**attrs):
+            def edit(doc):
+                next(n for n in doc["nodes"] if n["id"] == rid)["attrs"].update(attrs)
+
+            return edit
+
+        def set_attr(value):
+            return set_attrs(tag=value)
+
+        # attrs are content: the order they were set in does not count
+        assert variant(set_attrs(x=1, y=2)) == variant(set_attrs(y=2, x=1))
+
+        def swap_ports(doc):
+            # the router's first two cables trade their port numbers on it
+            ends = [
+                (c, side)
+                for c in doc["cables"]
+                for side in ("a", "b")
+                if c[side] == rid
+            ][:2]
+            (c1, s1), (c2, s2) = ends
+            c1[s1 + "_port"], c2[s2 + "_port"] = c2[s2 + "_port"], c1[s1 + "_port"]
+
+        def extra_cable(doc):
+            a, b = [r for r in routers if net.free_ports(r)][:2]
+            doc["cables"].append(
+                {"a": a, "a_port": net.next_free_port(a), "b": b,
+                 "b_port": net.next_free_port(b), "attrs": {}}
+            )
+
+        tagged = {
+            name: variant(edit)
+            for name, edit in {
+                "int attr": set_attr(1),
+                "float attr": set_attr(1.0),
+                "bool attr": set_attr(True),
+                "tuple attr": set_attr((1, 2)),
+                "list attr": set_attr([1, 2]),
+                "cable attr": lambda doc: doc["cables"][0]["attrs"].update(tag=1),
+                "network tuple attr": lambda doc: doc["attrs"].update(tag=(1, 2)),
+                "network list attr": lambda doc: doc["attrs"].update(tag=[1, 2]),
+                "swapped port": swap_ports,
+                "extra cable": extra_cable,
+            }.items()
+        }
+        distinct = [fp, *tagged.values()]
+        assert len(set(distinct)) == len(distinct), tagged
+        # a changed attr value changes the key too
+        assert variant(set_attr((1, 3))) != tagged["tuple attr"]
 
     @given(st.integers(2, 4), st.integers(2, 4))
     @settings(max_examples=10, deadline=None)

@@ -164,3 +164,44 @@ def test_rate_one_chained_windows():
     # 2**64, so every raw word fires, and no window may lose a draw
     n = assert_windowing_invisible(NET, TABLES, [_plan(1.0, 2, 9)], [23, 1, 40], False, 3)
     assert n > 3
+
+
+@pytest.mark.parametrize("runs", [[600], [250, 1, 349]])
+def test_admission_memo_keeps_only_pending_cycles(runs):
+    """Each admission slice is popped when its cycle is admitted, and each
+    window drops the passed cycles, so after a long run the memos hold only
+    what is not yet admitted instead of one entry per admission cycle."""
+    per_window = 7
+    factories = [_plan(0.1, 3, 21), _plan(0.05, 2, 22)]
+    args = (NET, TABLES, factories, runs, False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vec, "BUDGET", per_window * NET.num_end_nodes)
+        core = VecCore(NET, TABLES, [f() for f in factories], CFG)
+        admitted: list[int] = []
+        window_starts: list[int] = []
+        admit, consolidate = core._admit, core._consolidate_adm
+
+        def spy_admit(ev, act, all_alive):
+            admitted.append(core._cycle)
+            admit(ev, act, all_alive)
+
+        def spy_consolidate():
+            window_starts.append(core._cycle)
+            consolidate()
+
+        mp.setattr(core, "_admit", spy_admit)
+        mp.setattr(core, "_consolidate_adm", spy_consolidate)
+        for n in runs[:-1]:
+            core.run(n)
+            assert all(t >= core._cycle for t in core._adm_arrays)
+        core.run(runs[-1])
+    assert len(admitted) > 10 * per_window  # many windows' worth
+    assert core._adm_arrays == {}  # every generated cycle was admitted
+    assert core._adm_cycles.size <= per_window
+    assert (core._adm_cycles >= window_starts[-1]).all()
+    core.finalize()
+    sigs = [
+        stats_signature(_Shaped(core.stats_of(b), core.packets_of(b)))
+        for b in range(len(factories))
+    ]
+    assert sigs == _core_signatures(*args, None)[0] == _compiled_signatures(*args)
