@@ -208,7 +208,9 @@ def make_sim(
     cfg = config or SimConfig()
     engine = preferred_engine(net, cfg, traffic, **hooks)
     if engine == "vectorized":
-        return VecSim(net, tables, traffic, cfg)
+        # every other hook is a blocker (vec_blockers), hence None here
+        recovery = {k: hooks.get(k) for k in ("fault", "failover", "recovery")}
+        return VecSim(net, tables, traffic, cfg, **recovery)
     if isinstance(traffic, UniformPlan):
         traffic = traffic.build(net)
     hooks = {k: v for k, v in hooks.items() if v is not None}
@@ -225,40 +227,41 @@ def execute(spec: SimSpec) -> RunResult:
     return RunResult.of(sim, sim.finalize())
 
 
-#: Calibrated per-cycle step costs in microseconds, fit on the fat
-#: fanout-2 fractahedron curve (depths 1-3 plus the 64-node Table-2
-#: fabric) at offered rates from trickle to saturation.  The compiled
-#: core walks occupied channels in a Python loop, so its cost is almost
-#: purely per-occupancy; the vectorized core pays a fixed dispatch
-#: overhead per cycle (its phases make about 33 C-level calls per cycle
-#: on the depth-3 fabric, 112 before the phase split; ufunc operators
-#: come on top) and then near-zero marginal cost per
-#: occupied channel.  The lines cross at roughly 55 occupied channels.
-#: The phase split lowered the measured vectorized line (see
-#: docs/performance.md); these constants still hold the older fit.
-VEC_FIXED_US = 121.0
-VEC_PER_OCC_US = 0.30
-COMPILED_FIXED_US = 10.0
-COMPILED_PER_OCC_US = 2.3
+#: Calibrated costs per simulated cycle in microseconds: least-squares
+#: lines over the grid in docs/performance.md ("The dispatch cost model":
+#: fat fanout-2 fractahedrons of depths 1-3 at packet 8, the 128-end one
+#: at packet 4, and the 64-node Table-2 fabric, at offered rates from
+#: trickle to saturation, against each run's mean occupied-buffer count).
+#: The compiled core walks occupied channels in a Python loop, so its
+#: cost is almost purely per occupancy; the vectorized core pays a fixed
+#: dispatch overhead per cycle (about 33 C-level calls on the depth-3
+#: fabric, plus its ufunc operators) and then near-zero marginal cost per
+#: occupied channel.  The constants average two passes over the grid;
+#: the lines cross at about 59 occupied channels, and with
+#: :func:`expected_occupancy` the decision picks the measured faster engine
+#: at every grid point.
+VEC_FIXED_US = 144.0
+VEC_PER_OCC_US = 0.09
+COMPILED_FIXED_US = 20.0
+COMPILED_PER_OCC_US = 2.2
 
 
 def expected_occupancy(num_channels: int, num_ends: int, plan: UniformPlan) -> float:
-    """Predicted steady-state occupied-channel count for a uniform load.
+    """Predicted mean occupied-buffer count for a uniform load.
 
-    Queueing arithmetic, not simulation: packets arrive at
-    ``rate * ends / size`` per cycle, live for roughly ``hops + size``
-    cycles (wormhole pipeline fill plus drain), and each in-flight worm
-    spreads over ``min(hops, size)`` channels.  The average hop count is
-    approximated as ``0.75 * log2(num_channels)``, which tracks the
-    measured mean within a hop on every fractahedron depth.  The estimate
-    lands within ~2x of measured occupancy across the calibration grid --
-    enough to sit on the correct side of the dispatch crossover at every
-    calibrated point.
+    Little's law on flits, not simulation: ``rate * ends`` packets of
+    ``packet_size`` flits enter per cycle, and each flit holds one buffer
+    per hop it crosses.  The mean hop count, injection link included, is
+    approximated as ``0.9 * log2(ends)``, which matches the measured
+    low-load flit residence within a hop on the calibration grid (3.6 on
+    16 ends, 4.6-4.9 on 64, 6.2-6.7 on 128, 8.9 on 1024).  Saturated
+    fabrics hold flits in about half their buffers, hence the cap.  The
+    estimate lands within 0.64-1.18x of the measured mean occupancy across
+    the grid.
     """
-    hops = 0.75 * math.log2(max(num_channels, 2))
-    packets_per_cycle = plan.rate * num_ends / max(plan.packet_size, 1)
-    in_flight = packets_per_cycle * (hops + plan.packet_size)
-    return min(float(num_channels), in_flight * min(hops, float(plan.packet_size)))
+    hops = 0.9 * math.log2(max(num_ends, 2))
+    flits_per_cycle = plan.rate * num_ends * plan.packet_size
+    return min(0.5 * num_channels, flits_per_cycle * hops)
 
 
 def _scalar_only(config: SimConfig, hooks: dict[str, Any]) -> list[str]:
@@ -285,10 +288,11 @@ def preferred_engine(
     :func:`~repro.sim.vec.vec_blockers` (config features, hooks, the
     vectorized core's capacity limits on ``net`` and the plan's packet
     size) runs compiled.  A batch of several replicas runs vectorized; a
-    single run compares the two calibrated per-cycle cost lines at the
-    spec's :func:`expected_occupancy` and takes the cheaper engine, so a
-    depth-3 fractahedron goes vectorized while a lightly loaded 64-node
-    fabric stays compiled.
+    single run, fault schedule and recovery manager included, compares the
+    two calibrated per-cycle cost lines at the spec's
+    :func:`expected_occupancy` and takes the cheaper engine, so a depth-3
+    fractahedron and the 128-end fail/repair episodes go vectorized while
+    a lightly loaded 64-node fabric stays compiled.
     """
     engine = config.engine
     if engine == "reference":

@@ -167,11 +167,12 @@ def compile_network(net: Network, vc_count: int = 1) -> CompiledNet:
 class SimCore:
     """The compiled wormhole engine (see module docstring).
 
-    Drop-in state surface for the recovery layer and the tests: exposes
-    ``cycle``, ``stats``, ``packets``, ``sources``, ``sinks``,
-    ``drop_packet``, ``swap_tables``, ``in_flight``, ``backlog``, plus
+    Drop-in state surface for the tests: exposes ``cycle``, ``stats``,
+    ``packets``, ``sources``, ``sinks``, ``in_flight``, ``backlog``, plus
     ``buffers``/``outputs`` properties that materialize reference-shaped
-    snapshots on demand.
+    snapshots on demand.  The recovery manager uses only its
+    :class:`~repro.sim.recovery.RecoverySurface` (``drop_packet``,
+    ``requeue``, ``swap_tables``, ``packet_info``, ``recovery_stats``).
     """
 
     engine = "compiled"
@@ -204,19 +205,10 @@ class SimCore:
         self.cycle = 0
 
         self.recovery = recovery
-        if self.recovery is None and (
-            cfg.retry is not None or cfg.reroute is not None or failover is not None
-        ):
-            from repro.sim.recovery import RecoveryManager
+        if recovery is None:
+            from repro.sim.recovery import implied_manager
 
-            self.recovery = RecoveryManager(
-                net,
-                tables,
-                retry=cfg.retry,
-                reroute=cfg.reroute,
-                fault=fault,
-                failover=failover,
-            )
+            self.recovery = implied_manager(net, tables, cfg, fault, failover)
 
         self._cn = cn = compile_network(net, cfg.vc_count)
         self._ports, self._lut = self._route_from(tables)
@@ -254,20 +246,7 @@ class SimCore:
         #: engine's lazy ``is_down(link, cycle)`` because every query within
         #: one step uses the same cycle.
         self._down = [False] * cn.num_links
-        events: list[tuple[int, int, bool]] = []
-        if fault is not None:
-            for link_id, evs in fault.events().items():
-                li = cn.link_index.get(link_id)
-                if li is None:
-                    continue
-                prev = False
-                for c in sorted({c for c, _ in evs}):
-                    now = fault.is_down(link_id, c)
-                    if now != prev:
-                        events.append((c, li, now))
-                        prev = now
-            events.sort()
-        self._fault_events = events
+        self._fault_events = [] if fault is None else fault.state_changes(cn.link_index)
         self._fault_ptr = 0
 
     # ------------------------------------------------------------------
@@ -391,7 +370,7 @@ class SimCore:
 
         # 0a. recovery actions due this cycle
         if self.recovery is not None:
-            self.recovery.before_cycle(self)
+            self.recovery.before_cycle(self, cycle)
 
         # 1. traffic admission (inject phase, part 1: offered load)
         if generate:
@@ -565,7 +544,7 @@ class SimCore:
                         stats.packets_delivered += 1
                         stats.latencies.append(packet.latency)
                         if recovery is not None:
-                            recovery.on_delivered(packet, cycle)
+                            recovery.on_delivered(pid, cycle)
                         if trace is not None:
                             trace.record(cycle, "deliver", pid, link_dst[li])
                 elif pipe_delay:
@@ -598,7 +577,7 @@ class SimCore:
                     packet.sequence = seq
                     pair_seq[pkey] = seq
                     if self.recovery is not None:
-                        self.recovery.on_injected(packet, cycle)
+                        self.recovery.on_injected(pid, cycle)
                     if self.trace is not None:
                         self.trace.record(cycle, "inject", pid, node_id)
                         self.trace.record(
@@ -795,6 +774,22 @@ class SimCore:
                 packet.src,
             )
         return dropped
+
+    def requeue(self, packet_id: int) -> None:
+        """Queue a timed-out packet at its source again (a retry)."""
+        packet = self.packets[packet_id]
+        packet.injected = None
+        self.sources[packet.src].enqueue(packet)
+
+    def packet_info(self, packet_id: int) -> tuple[str, str, int, int]:
+        """The packet's ``(src, dst, size, created)``."""
+        p = self.packets[packet_id]
+        return p.src, p.dst, p.size, p.created
+
+    @property
+    def recovery_stats(self) -> SimStats:
+        """The stats object the recovery manager counts into."""
+        return self.stats
 
     def swap_tables(self, tables: RoutingTable) -> None:
         """Atomically install a new routing table."""

@@ -122,6 +122,28 @@ class FaultSchedule:
         """Copy of the full per-link transition timeline."""
         return {l: list(ev) for l, ev in self._events.items()}
 
+    def state_changes(self, link_index: dict[str, int]) -> list[tuple[int, int, bool]]:
+        """The timeline as sorted ``(cycle, link index, down)`` state changes.
+
+        Only links in ``link_index`` count, and only transitions that flip
+        a link's state.  Applying every change at or before cycle ``c``
+        gives exactly :meth:`is_down` at ``c``, which is how the compiled
+        and vectorized cores step their down masks with a pointer.
+        """
+        changes: list[tuple[int, int, bool]] = []
+        for link_id, events in self._events.items():
+            li = link_index.get(link_id)
+            if li is None:
+                continue
+            prev = False
+            for c in sorted({c for c, _ in events}):
+                now = self.is_down(link_id, c)
+                if now != prev:
+                    changes.append((c, li, now))
+                    prev = now
+        changes.sort()
+        return changes
+
     def __len__(self) -> int:
         return len(self._events)
 

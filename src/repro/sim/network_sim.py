@@ -112,21 +112,10 @@ class ReferenceSim:
         #: when the config carries a retry/reroute policy or a failover
         #: plan is given, or injected explicitly for bespoke managers.
         self.recovery = recovery
-        if self.recovery is None and (
-            self.config.retry is not None
-            or self.config.reroute is not None
-            or failover is not None
-        ):
-            from repro.sim.recovery import RecoveryManager
+        if recovery is None:
+            from repro.sim.recovery import implied_manager
 
-            self.recovery = RecoveryManager(
-                net,
-                tables,
-                retry=self.config.retry,
-                reroute=self.config.reroute,
-                fault=fault,
-                failover=failover,
-            )
+            self.recovery = implied_manager(net, tables, self.config, fault, failover)
 
         vcs = range(self.config.vc_count)
         #: input FIFO per (link into a router, VC)
@@ -233,7 +222,7 @@ class ReferenceSim:
         # their source queues, detected faults trigger recomputation, and
         # reconverged tables swap in.
         if self.recovery is not None:
-            self.recovery.before_cycle(self)
+            self.recovery.before_cycle(self, self.cycle)
         # 1. traffic admission
         if generate:
             for packet in self.traffic(self.cycle):
@@ -360,7 +349,7 @@ class ReferenceSim:
                 packet.sequence = self._pair_sequences.get(key, -1) + 1
                 self._pair_sequences[key] = packet.sequence
                 if self.recovery is not None:
-                    self.recovery.on_injected(packet, self.cycle)
+                    self.recovery.on_injected(packet.packet_id, self.cycle)
                 if self.trace is not None:
                     self.trace.record(self.cycle, "inject", flit.packet_id, node_id)
                     # the injection hop is a link traversal too
@@ -451,7 +440,7 @@ class ReferenceSim:
                 self.stats.packets_delivered += 1
                 self.stats.latencies.append(packet.latency)
                 if self.recovery is not None:
-                    self.recovery.on_delivered(packet, self.cycle)
+                    self.recovery.on_delivered(packet.packet_id, self.cycle)
                 if self.trace is not None:
                     self.trace.record(
                         self.cycle, "deliver", packet.packet_id, self._link_dst[link_id]
@@ -573,6 +562,22 @@ class ReferenceSim:
                 packet.src,
             )
         return dropped
+
+    def requeue(self, packet_id: int) -> None:
+        """Queue a timed-out packet at its source again (a retry)."""
+        packet = self.packets[packet_id]
+        packet.injected = None
+        self.sources[packet.src].enqueue(packet)
+
+    def packet_info(self, packet_id: int) -> tuple[str, str, int, int]:
+        """The packet's ``(src, dst, size, created)``."""
+        p = self.packets[packet_id]
+        return p.src, p.dst, p.size, p.created
+
+    @property
+    def recovery_stats(self) -> SimStats:
+        """The stats object the recovery manager counts into."""
+        return self.stats
 
     def swap_tables(self, tables: RoutingTable) -> None:
         """Atomically install a new routing table.

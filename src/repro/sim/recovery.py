@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any, Protocol
 
 from repro.network.graph import Network
 from repro.routing.base import RoutingError, RoutingTable, compute_route
@@ -44,15 +44,14 @@ from repro.routing.cache import DEFAULT_CACHE, RoutingTableCache
 from repro.routing.disables import DisableSet
 from repro.sim.engine import RetryPolicy, ReroutePolicy, SimConfig
 from repro.sim.fault import FaultSchedule, random_cable_schedule
-from repro.sim.packet import Packet
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.api import Simulator
+from repro.sim.stats import SimStats
 
 __all__ = [
     "FailoverPlan",
     "RecoveredTables",
     "RecoveryManager",
+    "RecoverySurface",
+    "implied_manager",
     "recompute_recovery_tables",
     "simulate_with_recovery",
 ]
@@ -178,14 +177,19 @@ class FailoverPlan:
 class RecoveryManager:
     """Wires retry, re-routing and failover into the simulator's cycle loop.
 
-    The simulator calls :meth:`on_injected` / :meth:`on_delivered` as
-    packets move and :meth:`before_cycle` once per cycle; the manager does
-    the rest: deadline tracking (a heap ordered by (deadline, packet id),
-    so timeout processing is deterministic), worm kills and re-queues,
-    fault detection, memoized table recomputation, and the delayed atomic
-    swap.  Everything it schedules is a pure function of the fault
-    schedule and the packet timeline, which is what keeps parallel sweeps
-    bit-identical to serial ones.
+    The simulator calls :meth:`on_injected` / :meth:`on_delivered` with
+    packet ids as packets move and :meth:`before_cycle` once per cycle; the
+    manager does the rest: deadline tracking (a heap ordered by (deadline,
+    packet id), so timeout processing is deterministic), worm kills and
+    re-queues, fault detection, memoized table recomputation, and the
+    delayed atomic swap.  Everything it schedules is a pure function of the
+    fault schedule and the packet timeline, which is what keeps parallel
+    sweeps bit-identical to serial ones.
+
+    It drives every engine through one narrow surface (:class:`RecoverySurface`):
+    ``drop_packet``, ``requeue``, ``swap_tables``, ``packet_info`` and the
+    ``recovery_stats`` counters, so the same manager runs on the reference
+    interpreter, the compiled core and a lone vectorized core.
     """
 
     def __init__(
@@ -214,7 +218,7 @@ class RecoveryManager:
         self._attempts: dict[int, int] = {}
         self._outstanding: set[int] = set()
         self._deadlines: list[tuple[int, int, int]] = []  # (deadline, pid, attempt)
-        self._resends: dict[int, list[Packet]] = {}  # due cycle -> packets
+        self._resends: dict[int, list[int]] = {}  # due cycle -> packet ids
         self._pending_resends = 0
 
         # reroute state
@@ -240,36 +244,34 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # simulator hooks
     # ------------------------------------------------------------------
-    def on_injected(self, packet: Packet, cycle: int) -> None:
+    def on_injected(self, packet_id: int, cycle: int) -> None:
         if self.retry is None:
             return
-        attempt = self._attempts.get(packet.packet_id, 0)
+        attempt = self._attempts.get(packet_id, 0)
         deadline = cycle + self.retry.timeout_for_attempt(attempt)
-        heapq.heappush(self._deadlines, (deadline, packet.packet_id, attempt))
-        self._outstanding.add(packet.packet_id)
+        heapq.heappush(self._deadlines, (deadline, packet_id, attempt))
+        self._outstanding.add(packet_id)
 
-    def on_delivered(self, packet: Packet, cycle: int) -> None:
-        self._outstanding.discard(packet.packet_id)
+    def on_delivered(self, packet_id: int, cycle: int) -> None:
+        self._outstanding.discard(packet_id)
 
-    def before_cycle(self, sim: "Simulator") -> None:
-        cycle = sim.cycle
+    def before_cycle(self, sim: "RecoverySurface", cycle: int) -> None:
         if self._detect_at and self._detect_at[0] <= cycle:
             while self._detect_at and self._detect_at[0] <= cycle:
-                self._detect(sim, self._detect_at.pop(0))
+                self._detect(self._detect_at.pop(0))
         if self._pending_swaps:
             self._apply_due_swaps(sim, cycle)
         if self.retry is not None:
             self._expire_timeouts(sim, cycle)
         if self._pending_resends:
-            for packet in self._resends.pop(cycle, ()):
+            for pid in self._resends.pop(cycle, ()):
                 self._pending_resends -= 1
-                packet.injected = None
-                sim.sources[packet.src].enqueue(packet)
+                sim.requeue(pid)
 
     # ------------------------------------------------------------------
     # timeout/retry
     # ------------------------------------------------------------------
-    def _expire_timeouts(self, sim: "Simulator", cycle: int) -> None:
+    def _expire_timeouts(self, sim: "RecoverySurface", cycle: int) -> None:
         while self._deadlines and self._deadlines[0][0] <= cycle:
             _, pid, attempt = heapq.heappop(self._deadlines)
             if pid not in self._outstanding:
@@ -278,30 +280,31 @@ class RecoveryManager:
                 continue  # stale deadline from an earlier attempt
             self._timeout(sim, pid, attempt, cycle)
 
-    def _timeout(self, sim: "Simulator", pid: int, attempt: int, cycle: int) -> None:
-        packet = sim.packets[pid]
+    def _timeout(
+        self, sim: "RecoverySurface", pid: int, attempt: int, cycle: int
+    ) -> None:
         sim.drop_packet(pid, at_cycle=cycle)
         self._outstanding.discard(pid)
         self._attempts[pid] = attempt + 1
+        stats = sim.recovery_stats
         if attempt + 1 <= self.retry.max_retries:
-            sim.stats.packets_retried += 1
+            stats.packets_retried += 1
             due = cycle + self.retry.resend_delay
-            self._resends.setdefault(due, []).append(packet)
+            self._resends.setdefault(due, []).append(pid)
             self._pending_resends += 1
         elif self.failover is not None:
-            sim.stats.packets_failed_over += 1
+            stats.packets_failed_over += 1
             self.failed_over.add(pid)
-            latency = (cycle - packet.created) + self.failover.latency(
-                packet.src, packet.dst, packet.size
-            )
-            sim.stats.failover_latencies.append(latency)
+            src, dst, size, created = sim.packet_info(pid)
+            latency = (cycle - created) + self.failover.latency(src, dst, size)
+            stats.failover_latencies.append(latency)
         else:
-            sim.stats.packets_dropped += 1
+            stats.packets_dropped += 1
 
     # ------------------------------------------------------------------
     # online re-routing
     # ------------------------------------------------------------------
-    def _detect(self, sim: "Simulator", cycle: int) -> None:
+    def _detect(self, cycle: int) -> None:
         down = frozenset(self.fault.down_links(cycle))
         if down:
             recovered = recompute_recovery_tables(self.net, down, self.cache)
@@ -340,7 +343,7 @@ class RecoveryManager:
         recovered = _certify(self.net, self.base_tables, "baseline", DisableSet())
         return recovered if key is None else self.cache.memo_put(key, recovered)
 
-    def _apply_due_swaps(self, sim: "Simulator", cycle: int) -> None:
+    def _apply_due_swaps(self, sim: "RecoverySurface", cycle: int) -> None:
         for due in sorted(c for c in self._swaps if c <= cycle):
             for swap in self._swaps.pop(due):
                 self._pending_swaps -= 1
@@ -348,9 +351,52 @@ class RecoveryManager:
                     continue
                 sim.swap_tables(swap["tables"])
                 swap["event"]["swapped_at"] = cycle
-                sim.stats.reconvergence_cycles.append(
+                sim.recovery_stats.reconvergence_cycles.append(
                     cycle - (swap["event"]["detected_at"] - self.reroute.detection_delay)
                 )
+
+
+class RecoverySurface(Protocol):
+    """What :class:`RecoveryManager` needs of an engine, and all it touches.
+
+    ``ReferenceSim``, ``SimCore`` and a lone (``B = 1``) ``VecCore`` each
+    implement it; the manager never reads an engine's packets, queues or
+    buffers directly.
+    """
+
+    #: the run's stats object the manager counts retries, drops,
+    #: failovers and reconvergence delays into
+    recovery_stats: SimStats
+
+    def drop_packet(self, packet_id: int, at_cycle: int | None = None) -> int:
+        """Purge the packet's worm: its latches, fabric flits and NIC cursor."""
+
+    def requeue(self, packet_id: int) -> None:
+        """Queue the packet at its source again, behind what waits there."""
+
+    def swap_tables(self, tables: RoutingTable) -> None:
+        """Atomically install new routing tables."""
+
+    def packet_info(self, packet_id: int) -> tuple[str, str, int, int]:
+        """The packet's ``(src, dst, size, created)``."""
+
+
+def implied_manager(
+    net: Network,
+    tables: RoutingTable,
+    config: SimConfig,
+    fault: FaultSchedule | None,
+    failover: FailoverPlan | None,
+) -> RecoveryManager | None:
+    """The manager an engine builds when none is passed: one exactly when
+    the config carries a retry or reroute policy or a failover plan is
+    given."""
+    if config.retry is None and config.reroute is None and failover is None:
+        return None
+    return RecoveryManager(
+        net, tables, retry=config.retry, reroute=config.reroute, fault=fault,
+        failover=failover,
+    )
 
 
 def simulate_with_recovery(
@@ -387,9 +433,9 @@ def simulate_with_recovery(
     """
     import numpy as np
 
-    from repro.sim.api import make_sim
+    from repro.sim.api import RunResult, make_sim
     from repro.sim.parallel import derive_seed
-    from repro.sim.traffic import uniform_traffic
+    from repro.sim.vec import UniformPlan
 
     if fault is None and faults > 0:
         rng = np.random.default_rng(derive_seed(seed, "faults", faults))
@@ -402,7 +448,7 @@ def simulate_with_recovery(
         )
 
     config = SimConfig(
-        buffer_depth=max(4, packet_size if packet_size < 4 else 4),
+        buffer_depth=4,
         raise_on_deadlock=False,
         stall_threshold=stall_threshold,
         retry=retry,
@@ -411,7 +457,6 @@ def simulate_with_recovery(
         engine=engine,
     )
     plan = FailoverPlan(net, tables) if failover else None
-    traffic = uniform_traffic(net.end_node_ids(), rate, packet_size, seed)
     # The manager is built even when every policy is None: routing a run
     # through this entry point declares "faults are expected here", which
     # also disarms the simulator's stalled-without-deadlock tripwire.
@@ -420,12 +465,18 @@ def simulate_with_recovery(
         cache=cache,
     )
     sim = make_sim(
-        net, tables, traffic, config, fault=fault, recovery=manager, probe=probe
+        net,
+        tables,
+        UniformPlan(rate, packet_size, seed),
+        config,
+        fault=fault,
+        recovery=manager,
+        probe=probe,
     )
-    stats = sim.run(cycles, drain=drain)
-    sim.finalize()
+    sim.run(cycles, drain=drain)
+    stats = sim.finalize()
 
-    events = sim.recovery.events if sim.recovery is not None else []
+    events = manager.events
     swap_cycles = [e["swapped_at"] for e in events if e["swapped_at"] is not None]
     if swap_cycles:
         window_start = max(swap_cycles)
@@ -433,15 +484,17 @@ def simulate_with_recovery(
         window_start = max(fault.transition_cycles())
     else:
         window_start = 0
-    failed_over_ids = sim.recovery.failed_over if sim.recovery is not None else set()
-    post = [p for p in sim.packets.values() if p.created >= window_start]
-    # a failed-over packet completed on the second fabric: it counts as
-    # delivered for the post-recovery service-rate question
-    post_delivered = sum(
-        1
-        for p in post
-        if p.delivered is not None or p.packet_id in failed_over_ids
-    )
+    # a plan numbers its packets 0, 1, ... in creation order, so a record's
+    # position is its packet id; a failed-over packet completed on the
+    # second fabric and counts as delivered for the post-recovery
+    # service-rate question
+    records = RunResult.of(sim, stats).records
+    done = records.delivered >= 0
+    if manager.failed_over:
+        done[np.fromiter(manager.failed_over, np.int64)] = True
+    post = records.created >= window_start
+    post_offered = int(np.count_nonzero(post))
+    post_delivered = int(np.count_nonzero(done & post))
 
     delivered_total = stats.packets_delivered + stats.packets_failed_over
     return {
@@ -466,9 +519,9 @@ def simulate_with_recovery(
         "reroute_events": [
             {k: v for k, v in e.items() if k != "tables"} for e in events
         ],
-        "post_recovery_offered": len(post),
+        "post_recovery_offered": post_offered,
         "post_recovery_delivered": post_delivered,
-        "post_recovery_rate": post_delivered / len(post) if post else 1.0,
+        "post_recovery_rate": post_delivered / post_offered if post_offered else 1.0,
         "avg_latency": stats.avg_latency,
         "cycles": stats.cycles,
         "deadlocked": stats.deadlocked,

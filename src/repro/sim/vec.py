@@ -79,10 +79,24 @@ counts, deadlock cycles, exception text.  At batch size B, replica ``b``
 is bit-identical to an independent run of the same (traffic, config),
 which subsumes statistical equivalence.
 
-Unsupported features (faults, recovery, router pipelining, VC selection,
-route overrides, delivery hooks, store-and-forward, traces, probes) stay
-on the reference/compiled engines; :func:`vec_blockers` names them and
-:func:`repro.sim.api.preferred_engine` decides.
+Fault recovery
+--------------
+
+A lone core (``B = 1``) also runs fault schedules and the recovery
+manager (:mod:`repro.sim.recovery`): a per-channel up mask, stepped from
+the schedule's state changes, joins the space tests of injection and
+allocation; :meth:`VecCore.drop_packet` purges a worm's latches, FIFO
+flits and NIC cursor, touching only the rows the worm occupies;
+:meth:`VecCore.requeue` puts a
+retried packet back into its source's queue row; and
+:meth:`VecCore.swap_tables` replaces the route phase's ``(ports, lut,
+row offsets)`` in one step.  The fault-free step loop pays one flag test
+per phase for all of it.
+
+Unsupported features (recovery in a batch, router pipelining, VC
+selection, route overrides, delivery hooks, store-and-forward, traces,
+probes) stay on the reference/compiled engines; :func:`vec_blockers` names
+them and :func:`repro.sim.api.preferred_engine` decides.
 """
 
 from __future__ import annotations
@@ -100,10 +114,12 @@ from repro.network.graph import Network
 from repro.routing.base import RoutingTable
 from repro.sim.compile import CompiledNet, compile_network
 from repro.sim.engine import DeadlockDetected, SimConfig
+from repro.sim.fault import FaultSchedule
 from repro.sim.packet import Packet, PacketRecords
-from repro.sim.stats import LatencySeries, SimStats
+from repro.sim.stats import SimStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.recovery import FailoverPlan, RecoveryManager
     from repro.sim.traffic import TrafficGenerator
 
 __all__ = ["UniformPlan", "VecCore", "VecSim", "vec_blockers"]
@@ -177,7 +193,9 @@ def vec_blockers(
     """Features of a run the vectorized engine does not model.
 
     An empty list means the run is expressible as array kernels; anything
-    named here needs the reference or compiled engine.  Given ``net`` (and
+    named here needs the reference or compiled engine.  Fault schedules,
+    recovery policies and recovery managers run on a lone core only, so a
+    batch of ``replicas > 1`` names them with the remedy.  Given ``net`` (and
     the batch's ``replicas``), the engine's capacity limits are checked
     too: the flit code's destination field (:data:`MAX_ENDS`) and the
     int32 flat-index range of the step kernels.  The engine decision
@@ -205,22 +223,32 @@ def vec_blockers(
         blockers.append(f"switching={config.switching!r}")
     if config.router_delay:
         blockers.append("router_delay")
-    if config.retry is not None or config.reroute is not None:
-        blockers.append("recovery policies")
     if vc_select is not None:
         blockers.append("vc_select")
     if route_override is not None:
         blockers.append("route_override")
     if on_deliver is not None:
         blockers.append("on_deliver")
-    if fault is not None:
-        blockers.append("fault schedule")
+    if fault is not None and not isinstance(fault, FaultSchedule):
+        blockers.append("non-FaultSchedule fault object")
     if trace is not None:
         blockers.append("trace")
-    if failover is not None or recovery is not None:
-        blockers.append("recovery manager")
     if probe is not None:
         blockers.append("probe")
+    if replicas > 1:
+        # fault schedules and recovery run on a lone core only
+        lone = []
+        if config.retry is not None or config.reroute is not None:
+            lone.append("recovery policies")
+        if fault is not None:
+            lone.append("fault schedule")
+        if failover is not None or recovery is not None:
+            lone.append("recovery manager")
+        blockers += [
+            f"{name} in a batch of {replicas} replicas (run each episode "
+            "lone, or use engine='compiled')"
+            for name in lone
+        ]
     return blockers
 
 
@@ -554,6 +582,11 @@ class VecCore:
     ``active_set`` selects the sparse stepping discipline (``"auto"`` /
     ``"scan"`` / ``"index"``; see the module docstring) -- the knob exists
     for the property suite and benchmarks; every mode is bit-identical.
+
+    ``fault``, ``failover`` and ``recovery`` are the scalar engines'
+    recovery hooks, for a lone core only (module docstring, "Fault
+    recovery"); as there, retry/reroute policies or a failover plan
+    without a manager build one (:func:`repro.sim.recovery.implied_manager`).
     """
 
     def __init__(
@@ -564,18 +597,23 @@ class VecCore:
         config: SimConfig | None = None,
         *,
         active_set: str = "auto",
+        fault: FaultSchedule | None = None,
+        failover: "FailoverPlan | None" = None,
+        recovery: "RecoveryManager | None" = None,
     ) -> None:
         self.net = net
         self.tables = tables
         self.config = cfg = config or SimConfig()
-        bad = vec_blockers(cfg, net=net, replicas=len(streams))
+        bad = vec_blockers(
+            cfg, net=net, replicas=len(streams), fault=fault, failover=failover,
+            recovery=recovery,
+        )
         if bad:
             raise ValueError("vectorized engine does not support: " + ", ".join(bad))
         if not streams:
             raise ValueError("VecCore needs at least one traffic stream")
 
         self._cn = cn = compile_network(net, cfg.vc_count)
-        self._ports, self._lut = self._route_from(tables)
         self.B = B = len(streams)
         self.C = C = cn.num_channels
         self.L = L = cn.num_links
@@ -593,10 +631,7 @@ class VecCore:
             np.arange(B, dtype=np.intp)[:, None] * C
             + np.maximum(self._inj_ch, 0)[None, :]
         ).reshape(-1)
-        self._ports_flat = self._ports.reshape(-1)
-        self._route_rows, self._lutv = _route_index(
-            cn.ch_router, self._ports.shape[1], self._lut, self.V
-        )
+        self._install_routes(tables)
         # the allocate phase's (output key, position) sort key: positions
         # count requests, at most B*C, and keys stay below B*C < 2**31
         self._gbits = (B * C).bit_length()
@@ -689,11 +724,40 @@ class VecCore:
 
         self._streams = [_Stream(s, net, cn.end_index) for s in streams]
 
+        # ---- fault recovery, on a lone core (vec_blockers refuses batches).
+        # Every check the step phases make sits behind ``_recovering`` or
+        # ``_ch_up is not None``, so a fault-free run does no extra work.
+        from repro.sim.recovery import implied_manager
+
+        self.fault = fault
+        self.recovery = (
+            recovery if recovery is not None
+            else implied_manager(net, tables, cfg, fault, failover)
+        )
+        self._recovering = fault is not None or self.recovery is not None
+        #: the counters the recovery manager (and drop/swap) count into
+        self.recovery_stats = SimStats()
+        # link state changes as (cycle, link, down), applied by pointer
+        self._fault_events = [] if fault is None else fault.state_changes(cn.link_index)
+        self._fault_ptr = 0
+        self._ch_up = None if fault is None else np.ones(C, dtype=bool)
+        self._killed = np.zeros(B, dtype=np.int64)  # injected worms dropped
+        self._pair_sent: dict[int, int] = {}  # injections per (src, dst) pair
+
     # ------------------------------------------------------------------
     def _route_from(self, tables: RoutingTable) -> tuple[np.ndarray, np.ndarray]:
         from repro.routing.cache import DEFAULT_CACHE
 
         return DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count)
+
+    def _install_routes(self, tables: RoutingTable) -> None:
+        """Point the route phase at ``tables``: the port matrix, the LUT and
+        the per-channel row offsets into both."""
+        self._ports, self._lut = self._route_from(tables)
+        self._ports_flat = self._ports.reshape(-1)
+        self._route_rows, self._lutv = _route_index(
+            self._cn.ch_router, self._ports.shape[1], self._lut, self.V
+        )
 
     def _grow_pcap(self, need: int) -> None:
         if need > MAX_PID:
@@ -1144,7 +1208,10 @@ class VecCore:
                 # continues the streams exactly where the last one stopped
                 self._pregen_to(min(stop, self._cycle + window))
                 self._pack_queues()
-            if not self._scan:
+            if self._recovering:
+                # fault transitions and recovery timers act on idle cycles
+                idle = False
+            elif not self._scan:
                 idle = not self._occ_idx.size and not self._armed_idx.size
             # armed implies backlog > 0 (the count drops only at last-flit
             # injection) and occupied implies in-flight packets, so scalar
@@ -1180,11 +1247,10 @@ class VecCore:
         if drain:
             budget = np.full(B, 4 * max_cycles + 1000, dtype=np.int64)
             while True:
-                act = (
-                    self._alive
-                    & ((self.in_flight > 0) | (self._backlog > 0))
-                    & (budget > 0)
-                )
+                busy = (self.in_flight > 0) | (self._backlog > 0)
+                if self.recovery is not None and self.recovery.pending:
+                    busy[:] = True  # a retry or swap is still scheduled
+                act = self._alive & busy & (budget > 0)
                 live = np.count_nonzero(act)
                 if not live:
                     break
@@ -1208,6 +1274,8 @@ class VecCore:
     def _tick(self, act: np.ndarray, all_alive: bool, generate: bool) -> None:
         """Advance the replicas in ``act`` (all of them when ``all_alive``)
         by one cycle, in the reference engine's phase order."""
+        if self._recovering:
+            self._recover()
         ipos = self._inject(act, all_alive, generate)
         req = self._route(act, all_alive)
         gsel = None
@@ -1259,7 +1327,11 @@ class VecCore:
             # the queued-only ones), so the armed set IS the ready set
         if not ipos.size:
             return ipos
-        return ipos[self._fifo_len[self._inj_flat[ipos]] < self.D]
+        inj = self._inj_flat[ipos]
+        ok = self._fifo_len[inj] < self.D
+        if self._ch_up is not None:
+            ok &= self._ch_up[inj]  # a lone core: flat index == channel
+        return ipos[ok]
 
     def _admit(self, ev: tuple, act: np.ndarray, all_alive: bool) -> None:
         """Queue one cycle's arrivals ``ev = (sources, pids, repeats)``;
@@ -1376,6 +1448,8 @@ class VecCore:
         key = ro if rb is None else off + (ro - rc)  # == rb*C + desired output
         # ejection channels never hold flits, so their space check passes
         sp = self._fifo_len[key] < self.D
+        if self._ch_up is not None:
+            sp &= self._ch_up[key]  # a down output grants nothing
         # a latched worm holds its output (the holder is its own channel)
         grants = (sp & ~unl).nonzero()[0]
         if not upos.size:
@@ -1463,6 +1537,10 @@ class VecCore:
                 dp = dp[dgo.argsort()]  # unique keys
             self._pdel[0][dp] = cycle
             self._pd[0] += dp.size
+            if self.recovery is not None:
+                on_delivered = self.recovery.on_delivered
+                for pid in dp.tolist():
+                    on_delivered(pid, cycle)
         else:
             dbg = gb[dmi]
             order = (dbg * self.C + dgo).argsort()  # unique keys
@@ -1504,6 +1582,8 @@ class VecCore:
                 if b1:
                     self._pinj[0][hp] = self._cycle
                     self._pi[0] += hp.size
+                    if self.recovery is not None:
+                        self._sent(hp)
                 else:
                     hb = ib[heads]
                     self._pinj.reshape(-1)[hb * self._pcap + hp] = self._cycle
@@ -1684,7 +1764,13 @@ class VecCore:
         for b in np.flatnonzero(flagged).tolist():
             if b in cyclic:
                 self._report_deadlock(b, cyclic[b], cycle)
-            elif det1[b] and self._stall[b] >= 10 * self.config.stall_threshold:
+            elif (
+                det1[b]
+                and self._stall[b] >= 10 * self.config.stall_threshold
+                and self.recovery is None
+            ):
+                # with recovery a long stall is legitimate: worms blocked at
+                # a down link wait for their timeout or the table swap
                 raise RuntimeError(
                     f"simulation stalled {int(self._stall[b])} cycles without "
                     f"a wait-for cycle at cycle {cycle}; "
@@ -1711,12 +1797,198 @@ class VecCore:
             self._alive[b] = False
             if cfg.raise_on_deadlock:
                 raise DeadlockDetected(cyc, wfg.blocked_packets(cyc), at)
-        elif self._stall[b] >= 10 * cfg.stall_threshold:  # pragma: no cover
+        elif (
+            self._stall[b] >= 10 * cfg.stall_threshold and self.recovery is None
+        ):  # pragma: no cover
             raise RuntimeError(
                 f"simulation stalled {int(self._stall[b])} cycles without a "
                 f"wait-for cycle at cycle {at}; "
                 f"in_flight={int(self._pi[b] - self._pd[b])}"
             )
+
+    # ------------------------------------------------------------------
+    # recovery surface (a lone core; see repro.sim.recovery.RecoverySurface)
+    # ------------------------------------------------------------------
+    def _lone(self, what: str) -> None:
+        if self.B != 1:
+            raise ValueError(
+                f"{what} needs a lone core (B = 1); this one runs {self.B} replicas"
+            )
+
+    def _recover(self) -> None:
+        """Apply the link state changes due by now, then the recovery
+        actions due this cycle (the compiled core's order)."""
+        cycle = self._cycle
+        events = self._fault_events
+        ptr = self._fault_ptr
+        if ptr < len(events):
+            V = self.V
+            while ptr < len(events) and events[ptr][0] <= cycle:
+                _, li, down = events[ptr]
+                self._ch_up[li * V : li * V + V] = not down
+                ptr += 1
+            self._fault_ptr = ptr
+        if self.recovery is not None:
+            self.recovery.before_cycle(self, cycle)
+
+    def _sent(self, pids: np.ndarray) -> None:
+        """Recovery bookkeeping for the heads injected this cycle: number
+        each by its pair's injections so far, as the scalar NICs do (a
+        retry re-injects out of creation order), and arm its timeout.  A
+        source injects at most one head per cycle, so the pairs differ."""
+        cycle = self._cycle
+        S = self.S
+        src, dst, seq = self._psrc[0], self._pdst[0], self._pseq[0]
+        sent = self._pair_sent
+        on_injected = self.recovery.on_injected
+        for pid in pids.tolist():
+            key = int(src[pid]) * S + int(dst[pid])
+            n = sent.get(key, 0)
+            sent[key] = n + 1
+            seq[pid] = n
+            on_injected(pid, cycle)
+
+    def _worm_latches(self, pid: int, starts: list[int]) -> list[int]:
+        """The channels whose worm latch belongs to packet ``pid``.
+
+        A worm's latches form one path along ``cur_out`` from its
+        tail-most flit to its head, so walking from every channel holding
+        its flits, and from its injection channel while its source still
+        serializes it, covers them all.  A latched channel is the worm's
+        when its front flit is the worm's, or when it is empty: the worm
+        holds the output into it, so no other worm's flits can be on
+        their way there.
+        """
+        cur_out, fl = self._cur_out, self._fifo_len
+        fifo, fhead = self._fifo, self._fhead
+        chain: list[int] = []
+        seen: set[int] = set()
+        for ch in starts:
+            while (
+                ch not in seen
+                and cur_out[ch] >= 0
+                and (not fl[ch] or int(fifo[ch, fhead[ch]]) >> PID_SHIFT == pid)
+            ):
+                seen.add(ch)
+                chain.append(ch)
+                ch = int(cur_out[ch])
+        return chain
+
+    def drop_packet(self, packet_id: int, at_cycle: int | None = None) -> int:
+        """Remove every trace of a packet's worm from a lone core.
+
+        The NIC-timeout cleanup, as on the scalar engines: the worm's
+        latches are released (with the outputs they hold), its flits are
+        purged from the input FIFOs in order, and its source drops the
+        rest of the packet.  Returns the number of flits dropped, which
+        also accrues in ``recovery_stats.flits_dropped``.  An injected
+        worm leaves the in-flight census here; the scalar engines leave
+        that to the manager's retry/drop/failover counters.  ``at_cycle``
+        is accepted for the engines' common signature.
+        """
+        self._lone("drop_packet")
+        pid = packet_id
+        fifo, fhead, fl = self._fifo, self._fhead, self._fifo_len
+        wrap = self._Dp - 1
+        # its flits: rows holding its pid in any slot, live or stale (a
+        # popped slot keeps its old code), then each row's live prefix
+        occ = self._occ_idx if not self._scan else fl.nonzero()[0]
+        rows = occ[((fifo[occ] >> PID_SHIFT) == pid).any(axis=1)].tolist()
+        purge: list[tuple[int, list[int], int]] = []
+        for ch in rows:
+            h, n = int(fhead[ch]), int(fl[ch])
+            slots = fifo[ch].tolist()
+            live = [slots[(h + i) & wrap] for i in range(n)]
+            kept = [c for c in live if c >> PID_SHIFT != pid]
+            if len(kept) < n:
+                purge.append((ch, kept, n))
+        src = int(self._psrc[0, pid])
+        starts = [ch for ch, _, _ in purge]
+        code = int(self._sflat[src])
+        cursor = 0
+        if code >= 0 and code >> PID_SHIFT == pid:
+            # flits still to serialize: size - index
+            cursor = ((code >> SIZE_SHIFT) & SIZE_MASK) - (code & IDX_MASK)
+            starts.append(int(self._inj_ch[src]))
+        # latches first: the walk reads the fronts the purge rewrites
+        cur_out, holder = self._cur_out, self._holder
+        for ch in self._worm_latches(pid, starts):
+            out = cur_out[ch]
+            if holder[out] == ch:
+                holder[out] = -1
+            cur_out[ch] = -1
+        dropped = cursor
+        emptied = []
+        for ch, kept, n in purge:
+            dropped += n - len(kept)
+            fifo[ch, : len(kept)] = kept
+            fhead[ch] = 0
+            fl[ch] = len(kept)
+            if not kept:
+                emptied.append(ch)
+        if emptied and not self._scan:
+            self._occ_mask[emptied] = False
+            self._occ_idx = self._occ_idx[self._occ_mask[self._occ_idx]]
+        if cursor:
+            self._sflat[src] = -1
+            self._backlog[0] -= 1
+            if not self._scan and self._qstart[src] >= self._qtail[src]:
+                self._armed_mask[src] = False
+                self._armed_idx = self._armed_idx[self._armed_mask[self._armed_idx]]
+        if self._pinj[0, pid] >= 0 and self._pdel[0, pid] < 0:
+            self._pi[0] -= 1
+            self._killed[0] += 1
+        self._stall[0] = 0  # freed resources; give movement a fresh window
+        self.recovery_stats.flits_dropped += dropped
+        return dropped
+
+    def requeue(self, packet_id: int) -> None:
+        """Queue a timed-out packet at its source again (a retry): it goes
+        behind every packet already admitted there and ahead of later
+        arrivals, whose pre-generated queue entries shift back one."""
+        self._lone("requeue")
+        pid = packet_id
+        src = int(self._psrc[0, pid])
+        code = (
+            (pid << PID_SHIFT)
+            | (int(self._pdst[0, pid]) << DEST_SHIFT)
+            | (int(self._psize[0, pid]) << SIZE_SHIFT)
+        )
+        t, f = int(self._qtail[src]), int(self._qfill[src])
+        if f >= self._qw:
+            grow = max(1, self._qw // 4)
+            self._qcodes = np.pad(self._qcodes, ((0, 0), (0, grow)))
+            self._qflat, self._qw = self._qcodes.reshape(-1), self._qw + grow
+        row = self._qcodes[src]
+        row[t + 1 : f + 1] = row[t:f].copy()
+        row[t] = code
+        self._qtail[src] = t + 1
+        self._qfill[src] = f + 1
+        self._backlog[0] += 1
+        self._pinj[0, pid] = -1
+        if not self._scan and not self._armed_mask[src]:
+            self._armed_mask[src] = True
+            self._armed_idx = np.append(self._armed_idx, src)
+
+    def swap_tables(self, tables: RoutingTable) -> None:
+        """Atomically install new routing tables: one replacement of the
+        port matrix, the LUT and the row offsets.  Latched worms keep
+        their outputs; heads route by the new tables from now on."""
+        self.tables = tables
+        self._install_routes(tables)
+        self.recovery_stats.table_swaps += 1
+        self._stall[:] = 0
+
+    def packet_info(self, packet_id: int) -> tuple[str, str, int, int]:
+        """The packet's ``(src, dst, size, created)`` on a lone core."""
+        ends = self._cn.end_ids
+        pid = packet_id
+        return (
+            ends[int(self._psrc[0, pid])],
+            ends[int(self._pdst[0, pid])],
+            int(self._psize[0, pid]),
+            int(self._pcreated[0, pid]),
+        )
 
     # ------------------------------------------------------------------
     # results
@@ -1760,26 +2032,33 @@ class VecCore:
         same = sp[1:] == sp[:-1]
         if not (same & (sq[1:] <= sq[:-1])).any():
             return []
-        # exact replay of SinkState's per-sink bookkeeping (rare path)
+        # exact replay of SinkState's per-sink bookkeeping: a delivery is
+        # out of order when its sequence does not exceed the largest one its
+        # (sink, source) pair delivered before it.  An offset per pair keeps
+        # one running maximum from crossing into the next pair.
+        first = np.ones(sp.size, dtype=bool)
+        first[1:] = ~same
+        group = np.cumsum(first) - 1
+        top = int(sq.max()) + 2
+        runmax = np.maximum.accumulate(sq + group * top)
+        lastv = np.full(sp.size, -1, dtype=np.int64)
+        lastv[1:] = runmax[:-1] - group[1:] * top
+        bad = sq <= lastv
+        # reported sink by sink, each in delivery order
+        pos, lastv = order[bad], lastv[bad]
+        k = np.argsort(dst[pos].astype(np.int64) * pids.size + pos)
+        pos, lastv = pos[k], lastv[k]
         ends = self._cn.end_ids
-        per_sink: dict[int, list[str]] = {}
-        last: dict[tuple[int, int], int] = {}
-        for i in range(pids.size):
-            d = int(dst[i])
-            s = int(src[i])
-            q = int(seq[i])
-            lastv = last.get((d, s), -1)
-            if q <= lastv:
-                per_sink.setdefault(d, []).append(
-                    f"out-of-order: {ends[s]}->{ends[d]} seq {q}"
-                    f" after {lastv} (cycle {int(self._pdel[b, pids[i]])})"
-                )
-            else:
-                last[(d, s)] = q
-        out: list[str] = []
-        for d in range(self.S):
-            out.extend(per_sink.get(d, ()))
-        return out
+        return [
+            f"out-of-order: {ends[s_]}->{ends[d]} seq {q} after {last} (cycle {c})"
+            for s_, d, q, last, c in zip(
+                src[pos].tolist(),
+                dst[pos].tolist(),
+                seq[pos].tolist(),
+                lastv.tolist(),
+                self._pdel[b, pids[pos]].tolist(),
+            )
+        ]
 
     def stats_of(self, b: int) -> SimStats:
         """Materialize replica ``b``'s stats (bit-identical to a solo run)."""
@@ -1787,7 +2066,7 @@ class VecCore:
         stats = SimStats()
         stats.cycles = int(self._cyc[b])
         stats.packets_offered = int(self._offered[b])
-        stats.packets_injected = int(self._pi[b])
+        stats.packets_injected = int(self._pi[b] + self._killed[b])
         stats.packets_delivered = int(self._pd[b])
         stats.flits_moved = int(self._fmoved[b])
         stats.flits_delivered = int(self._fdel[b])
@@ -1805,6 +2084,14 @@ class VecCore:
         )
         stats.deadlock_at = self._dl_at[b]
         stats.in_order_violations = self._violations(b)
+        rs = self.recovery_stats  # all zero but on a lone recovering core
+        stats.packets_retried = rs.packets_retried
+        stats.packets_dropped = rs.packets_dropped
+        stats.packets_failed_over = rs.packets_failed_over
+        stats.failover_latencies.extend(rs.failover_latencies)
+        stats.flits_dropped = rs.flits_dropped
+        stats.table_swaps = rs.table_swaps
+        stats.reconvergence_cycles = list(rs.reconvergence_cycles)
         return stats
 
     def finalize(self) -> list[SimStats]:
@@ -1905,6 +2192,8 @@ class VecSim:
     decision picks ``"vectorized"``: the reference-shaped attribute
     surface (``run``/``finalize``/``stats``/``packets``/``cycle``) over
     one replica, so parity checks and the sweep machinery stay oblivious.
+    The ``fault``, ``failover`` and ``recovery`` hooks go to the core,
+    which runs fault schedules and the recovery manager itself.
     """
 
     engine = "vectorized"
@@ -1915,21 +2204,37 @@ class VecSim:
         tables: RoutingTable,
         traffic: "TrafficGenerator | UniformPlan",
         config: SimConfig | None = None,
+        *,
+        fault: FaultSchedule | None = None,
+        failover: "FailoverPlan | None" = None,
+        recovery: "RecoveryManager | None" = None,
     ) -> None:
         self.net = net
-        self.tables = tables
         self.config = config or SimConfig()
         self.traffic = traffic
         self.vc_select = None
         self.route_override = None
         self.on_deliver = None
-        self.fault = None
         self.trace = None
         self.probe = None
-        self.recovery = None
-        self.core = VecCore(net, tables, [traffic], self.config)
+        self.core = VecCore(
+            net, tables, [traffic], self.config, fault=fault, failover=failover,
+            recovery=recovery,
+        )
+        self.fault = fault
+        self.recovery = self.core.recovery
         self._stats: SimStats | None = None
         self._stats_at = -1
+
+    @property
+    def tables(self) -> RoutingTable:
+        """The routing tables in force (a recovery swap replaces them)."""
+        return self.core.tables
+
+    def drop_packet(self, packet_id: int, at_cycle: int | None = None) -> int:
+        """:meth:`VecCore.drop_packet` on the lone replica."""
+        self._stats = None
+        return self.core.drop_packet(packet_id, at_cycle)
 
     @property
     def cycle(self) -> int:
@@ -1955,14 +2260,16 @@ class VecSim:
         return int(self.core._backlog[0])
 
     def run(self, max_cycles: int, drain: bool = False) -> SimStats:
-        self.core.run(max_cycles, drain=drain)
-        self._stats = None
-        return self.stats
+        self._stats = self.core.run(max_cycles, drain=drain)[0]
+        self._stats_at = self.cycle
+        return self._stats
 
     def finalize(self) -> SimStats:
-        self.core.finalize()
-        self._stats = None
-        return self.stats
+        # ``run`` already finalized the core; nothing has moved since
+        if self._stats is None or self._stats_at != self.cycle:
+            self._stats = self.core.finalize()[0]
+            self._stats_at = self.cycle
+        return self._stats
 
     def link_flit_snapshot(self) -> dict[str, int]:
         link_ids = self.core._cn.link_ids

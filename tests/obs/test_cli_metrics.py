@@ -84,6 +84,16 @@ class TestSimulateMetrics:
         ]) == 0
         assert "counter parity OK" in capsys.readouterr().out
 
+    def test_check_parity_recovery_path_without_deliveries(self, capsys):
+        # no traffic: every engine reports a NaN average latency, which
+        # is agreement, not a parity failure
+        assert main([
+            "simulate", "ring", "--param", "num_routers=4",
+            "--rate", "0", "--cycles", "100",
+            "--faults", "1", "--retry", "--check-parity",
+        ]) == 0
+        assert "identical on 3 engines" in capsys.readouterr().out
+
     def test_metrics_out_with_sampling(self, tmp_path):
         out = str(tmp_path / "sim.jsonl")
         assert main([

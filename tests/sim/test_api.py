@@ -151,6 +151,32 @@ class TestBatchingEligibility:
         results = api.execute_batch(specs)
         assert all(r.engine != "vectorized" for r in results)
 
+    def test_batch_refuses_recovery_and_names_the_remedy(self, small):
+        from repro.sim.engine import RetryPolicy
+        from repro.sim.fault import FaultSchedule
+        from repro.sim.vec import VecCore
+
+        net, tables = small
+        remedy = r"\(run each episode lone, or use engine='compiled'\)"
+        retry = dataclasses.replace(CFG, retry=RetryPolicy())
+        assert vec_blockers(retry, net=net) == []  # a lone core runs it
+        (blocker,) = vec_blockers(retry, net=net, replicas=2)
+        assert blocker.startswith("recovery policies in a batch of 2 replicas")
+        forced = dataclasses.replace(CFG, engine="vectorized")
+        batch3 = r"fault schedule in a batch of 3 replicas "
+        with pytest.raises(ValueError, match=batch3 + remedy):
+            api.preferred_engine(
+                net, forced, UniformPlan(0.05, 4, 1), replicas=3, fault=FaultSchedule()
+            )
+        plan = UniformPlan(0.05, 4, 1)
+        batch2 = r"recovery manager in a batch of 2 replicas "
+        with pytest.raises(ValueError, match=batch2 + remedy):
+            VecCore(net, tables, [plan, plan], CFG, recovery=object())
+        # under auto the batch splits and each spec decides alone
+        specs = [spec_for((net, tables), seed=s, retry=RetryPolicy()) for s in (1, 2)]
+        assert api.preferred_engine(net, specs[0].config, plan, replicas=2) == "compiled"
+        assert [r.engine for r in api.execute_batch(specs)] == ["compiled", "compiled"]
+
     def test_blocker_list_names_each_unsupported_feature(self):
         cfg = dataclasses.replace(CFG, switching="store_and_forward")
         blockers = vec_blockers(cfg, probe=object(), trace=object())

@@ -14,6 +14,7 @@ The contract under test (see ``repro/sim/recovery.py``):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -25,14 +26,18 @@ from repro.routing.cache import cached_tables
 from repro.sim.engine import RetryPolicy, ReroutePolicy, SimConfig
 from repro.sim.fault import FaultSchedule, LinkFault, random_cable_schedule
 from repro.sim.api import make_sim
+from repro.obs.parity import stats_signature
 from repro.sim.compile import SimCore
 from repro.sim.network_sim import ReferenceSim
+from repro.sim.parallel import derive_seed
 from repro.sim.recovery import (
     FailoverPlan,
+    RecoveryManager,
     recompute_recovery_tables,
     simulate_with_recovery,
 )
 from repro.sim.traffic import explicit_traffic
+from repro.sim.vec import UniformPlan, VecSim
 from repro.topology.registry import build_topology
 
 
@@ -207,10 +212,10 @@ class TestDropPacket:
                 failover=True,
                 engine=engine,
             )
-            for engine in ("compiled", "reference")
+            for engine in ("compiled", "reference", "vectorized")
         }
         assert rows["compiled"]["retried"] > 100
-        assert rows["compiled"] == rows["reference"]
+        assert rows["compiled"] == rows["reference"] == rows["vectorized"]
 
     def test_traffic_flows_after_drop(self):
         # the channels a dropped worm held must be reusable immediately
@@ -227,6 +232,144 @@ class TestDropPacket:
         sim.run(200, drain=True)
         assert sim.packets[1].delivered is not None
         assert not sim.stats.deadlocked
+
+
+class TestVectorizedRecovery:
+    """A lone vectorized core runs the recovery paths bit-identically to the
+    compiled core: worm drops, retries, budget exhaustion, failover and
+    fail/repair table swaps."""
+
+    @staticmethod
+    def _drop_and_drain(cls, buffer_depth, steps, schedule):
+        net, tables = mesh33()
+        nodes = net.end_node_ids()
+        traffic = explicit_traffic(
+            [(c, nodes[s], nodes[d], n) for c, s, d, n in schedule]
+        )
+        config = SimConfig(buffer_depth=buffer_depth, raise_on_deadlock=False)
+        sim = cls(net, tables, traffic, config)
+        sim.run(steps)
+        dropped = sim.drop_packet(0)
+        # manual bookkeeping (no manager here), on the engine's counters
+        getattr(sim, "core", sim).recovery_stats.packets_dropped += 1
+        sim.run(200, drain=True)
+        sim.finalize()
+        return sim, dropped
+
+    @pytest.mark.parametrize("buffer_depth", [1, 2])
+    @pytest.mark.parametrize("steps", [3, 4, 6, 9])
+    def test_drop_matches_compiled(self, buffer_depth, steps):
+        # a long worm, dropped mid-flight (one-flit FIFOs leave latched,
+        # empty channels behind its head), with a second worm queued
+        # behind it at the same source and a third crossing its path
+        schedule = [(0, 0, 8, 6), (1, 0, 8, 4), (2, 2, 6, 5)]
+        com, dropped_c = self._drop_and_drain(SimCore, buffer_depth, steps, schedule)
+        vec, dropped_v = self._drop_and_drain(VecSim, buffer_depth, steps, schedule)
+        assert vec.engine == "vectorized"
+        assert dropped_v == dropped_c > 0
+        assert stats_signature(vec) == stats_signature(com)
+        assert vec.packets[1].delivered is not None
+        assert vec.in_flight == 0 and not vec.stats.deadlocked
+
+    def test_traffic_flows_after_drop(self):
+        net, tables = mesh33()
+        nodes = net.end_node_ids()
+        traffic = explicit_traffic(
+            [(0, nodes[0], nodes[-1], 6), (1, nodes[0], nodes[-1], 4)]
+        )
+        sim = VecSim(net, tables, traffic, SimConfig(buffer_depth=2))
+        sim.run(4)
+        assert sim.in_flight == 1
+        assert sim.drop_packet(0) > 0
+        assert sim.in_flight == 0
+        sim.run(200, drain=True)
+        assert sim.packets[1].delivered is not None
+        assert not sim.stats.deadlocked
+
+    @staticmethod
+    def _rows(**kwargs):
+        net, tables = mesh33()
+        return [
+            simulate_with_recovery(net, tables, engine=engine, **kwargs)
+            for engine in ("compiled", "vectorized")
+        ]
+
+    def test_fail_and_repair_both_swap_tables(self):
+        compiled, vectorized = self._rows(
+            rate=0.04, cycles=600, packet_size=4, seed=5, faults=2,
+            fault_cycle=150, repair_cycle=450,
+            retry=RetryPolicy(timeout=32, max_retries=3),
+            reroute=ReroutePolicy(detection_delay=16, reconvergence_delay=32),
+        )
+        assert vectorized["reroutes"] == 2
+        assert vectorized["reconvergence_cycles"] == [48, 48]
+        assert vectorized == compiled
+
+    @pytest.mark.parametrize("failover", [False, True])
+    def test_budget_exhaustion(self, failover):
+        net, _ = mesh33()
+        fault = FaultSchedule()
+        for link in net.router_links()[:4]:
+            fault.fail_cable(net, link.link_id, 0)
+        compiled, vectorized = self._rows(
+            rate=0.05, cycles=300, packet_size=4, seed=2, fault=fault,
+            retry=RetryPolicy(timeout=24, max_retries=1), failover=failover,
+        )
+        gone = "failed_over" if failover else "dropped"
+        assert vectorized[gone] > 0 and vectorized["retried"] > 0
+        assert vectorized == compiled
+
+    def test_retries_report_out_of_order_deliveries_alike(self):
+        # a retried packet is re-numbered when it re-injects, so it can
+        # arrive behind a later packet of its pair: both engines must
+        # report the same violations, word for word
+        net = build_topology("fat_fractahedron", levels=2, fanout_width=2)
+        tables = cached_tables(net)
+        # the benchmark's two-cable episode, which has one such delivery
+        cables = np.random.default_rng(derive_seed(1996, "faults128", "cables", 2))
+        fault = random_cable_schedule(net, 2, cables, at_cycle=400, repair_at=1200)
+        config = SimConfig(buffer_depth=4, raise_on_deadlock=False)
+        sigs = []
+        for engine in ("compiled", "vectorized"):
+            manager = RecoveryManager(
+                net, tables, retry=RECOVERY_RETRY, reroute=RECOVERY_REROUTE,
+                fault=fault, failover=FailoverPlan(net, tables),
+            )
+            sim = make_sim(
+                net, tables, UniformPlan(0.02, 4, derive_seed(1996, "faults128", 2)),
+                dataclasses.replace(config, engine=engine), fault=fault,
+                recovery=manager,
+            )
+            sim.run(1600, drain=True)
+            sim.finalize()
+            sigs.append(stats_signature(sim))
+        assert sigs[0]["in_order_violations"]
+        assert sigs[1] == sigs[0]
+
+    def test_auto_runs_the_128_end_episode_vectorized(self):
+        # the e2e fail/repair episode config: 128 ends at rate 0.02 with
+        # 4-flit packets clears the cost model's crossover
+        from repro.sim.api import make_sim as build
+
+        net = build_topology("fat_fractahedron", levels=2, fanout_width=2)
+        tables = cached_tables(net)
+        fault = random_cable_schedule(
+            net, 2, np.random.default_rng(2), at_cycle=400, repair_at=1200
+        )
+        manager = RecoveryManager(
+            net, tables, retry=RECOVERY_RETRY, reroute=RECOVERY_REROUTE,
+            fault=fault, failover=FailoverPlan(net, tables),
+        )
+        config = SimConfig(
+            buffer_depth=4, raise_on_deadlock=False, stall_threshold=400,
+            retry=RECOVERY_RETRY, reroute=RECOVERY_REROUTE,
+        )
+        sim = build(
+            net, tables, UniformPlan(0.02, 4, 1996), config, fault=fault,
+            recovery=manager,
+        )
+        assert sim.engine == "vectorized"
+        assert sim.recovery is manager
 
 
 class TestRetry:

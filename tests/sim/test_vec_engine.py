@@ -386,3 +386,31 @@ def test_tail_test_matches_decoded_fields(pid, dest, size, data):
     index = data.draw(st.integers(0, size - 1))
     code = (pid << PID_SHIFT) | (dest << DEST_SHIFT) | (size << SIZE_SHIFT) | index
     assert bool(_is_tail(np.array([code], dtype=np.int64))[0]) == (index == size - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 3), st.sampled_from([1, 2]))
+def test_in_order_replay_matches_the_sinks(seed, replicas, size):
+    """``_violations`` reports what ``SinkState`` would, sink by sink in
+    delivery order.  Sequence stamps are scrambled within each (source,
+    destination) pair after the run, so most pairs deliver out of order."""
+    from repro.sim.nic import SinkState
+    from repro.sim.packet import Packet
+
+    net = mesh((3, 3), nodes_per_router=1)
+    plans = [UniformPlan(0.3, size, seed + b) for b in range(replicas)]
+    core = VecCore(net, cached_tables(net), plans, CFG)
+    core.run(120, drain=True)
+    rng = np.random.default_rng(seed)
+    ends = core._cn.end_ids
+    for b in range(replicas):
+        seq = core._pseq[b]
+        seq[:] = rng.integers(0, 4, size=seq.size)  # ties count as violations too
+        sinks = {e: SinkState(e) for e in ends}
+        for pid in core._delivery_order()[b].tolist():
+            src, dst = ends[core._psrc[b, pid]], ends[core._pdst[b, pid]]
+            packet = Packet(pid, src, dst, size, created=0, sequence=int(seq[pid]))
+            sinks[dst].deliver(packet, int(core._pdel[b, pid]))
+        expected = [v for e in ends for v in sinks[e].violations]
+        assert expected
+        assert core._violations(b) == expected

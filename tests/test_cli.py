@@ -69,14 +69,26 @@ def test_simulate(capsys):
     assert "avg latency" in out
 
 
-def test_simulate_forced_vec_refuses_faults(capsys):
+def test_simulate_forced_vec_runs_faults(capsys):
+    # a lone fault-recovery run is vectorized work: forcing the engine
+    # prints exactly what the compiled core prints
+    argv = ["simulate", "ring", "--param", "num_routers=4", "--faults", "1",
+            "--cycles", "200", "--retry", "--engine"]
+    outs = []
+    for engine in ("compiled", "vec"):
+        assert main(argv + [engine]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "recovery: retried=" in outs[1]
+
+
+def test_simulate_forced_vec_refuses_probes(capsys):
     # the engine decision refuses the spec; the CLI prints why and exits 2
     argv = ["simulate", "ring", "--param", "num_routers=4", "--engine", "vec",
-            "--faults", "1", "--cycles", "200"]
+            "--faults", "1", "--cycles", "200", "--sample-interval", "10"]
     assert main(argv) == 2
     out = capsys.readouterr().out
-    assert "engine='vectorized' does not support" in out
-    assert "fault schedule" in out
+    assert "engine='vectorized' does not support: probe" in out
 
 
 def test_build_save_and_inspect(tmp_path, capsys):
