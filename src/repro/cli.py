@@ -236,13 +236,14 @@ def cmd_sweep(args) -> int:
         print(runner.stats.report(per_task=args.verbose))
         if args.metrics_out:
             from repro.obs import run_manifest
-            from repro.sim.engine import SimConfig
+            from repro.sim.recovery import recovery_config
 
             manifest = run_manifest(
                 net,
-                SimConfig(retry=retry, reroute=reroute, seed=args.seed),
+                recovery_config(retry, reroute, engine=args.engine),
                 engine=args.engine,
                 jobs=args.jobs,
+                seed=args.seed,
                 wall_seconds=time.perf_counter() - start,
                 command="sweep",
                 rate=args.rate,
@@ -310,21 +311,14 @@ def cmd_sweep(args) -> int:
     print(runner.stats.report(per_task=args.verbose))
     if args.metrics_out:
         from repro.obs import run_manifest
-        from repro.sim.engine import SimConfig
+        from repro.sim.sweep import _point_config
 
         manifest = run_manifest(
             net,
-            SimConfig(
-                buffer_depth=max(
-                    4, args.packet_size if args.switching == "store_and_forward" else 4
-                ),
-                raise_on_deadlock=False,
-                stall_threshold=400,
-                switching=args.switching,
-                seed=args.seed,
-            ),
+            _point_config(args.packet_size, args.switching, args.engine),
             engine=args.engine,
             jobs=args.jobs,
+            seed=args.seed,
             sample_interval=args.sample_interval,
             wall_seconds=time.perf_counter() - start,
             command="sweep",
@@ -447,8 +441,9 @@ def cmd_certify(args) -> int:
     return 0 if result.certified else 1
 
 
-def _simulate_metrics(args, net, config, point, probe, wall) -> None:
-    """Write `simulate`'s manifest + point + timeline rows to --metrics-out."""
+def _simulate_metrics(args, net, config, point, timeline, wall) -> None:
+    """Write `simulate`'s manifest (of the ``config`` it ran) + point +
+    timeline rows to --metrics-out."""
     from repro.obs import run_manifest
 
     rows = [
@@ -457,6 +452,7 @@ def _simulate_metrics(args, net, config, point, probe, wall) -> None:
             config,
             engine=args.engine,
             jobs=1,
+            seed=args.seed,
             sample_interval=args.sample_interval,
             wall_seconds=wall,
             command="simulate",
@@ -465,8 +461,7 @@ def _simulate_metrics(args, net, config, point, probe, wall) -> None:
         )
     ]
     rows.extend(_point_rows([point]))
-    if probe is not None:
-        rows.extend(probe.timeline_rows(rate=args.rate))
+    rows.extend(timeline)
     _write_metrics_file(args.metrics_out, rows)
 
 
@@ -530,23 +525,21 @@ def _engine_refused(args, exc: ValueError) -> int:
 def cmd_simulate(args) -> int:
     import time
 
-    from repro.sim.engine import SimConfig
-
     net = _build(args.topology, args.param)
     tables = _routing_for(net)
     retry, reroute = _recovery_policies(args)
-    probe = None
-    if args.sample_interval:
-        from repro.obs import SimProbe
-
-        probe = SimProbe(args.sample_interval)
     _engine_arg(args)
     start = time.perf_counter()
     if args.faults or retry or reroute or args.failover:
-        from repro.sim.recovery import simulate_with_recovery
+        from repro.sim.recovery import recovery_config, simulate_with_recovery
 
         if args.check_parity:
             return _check_parity_recovery(args, net, tables, retry, reroute)
+        probe = None
+        if args.sample_interval:
+            from repro.obs import SimProbe
+
+            probe = SimProbe(args.sample_interval)
         try:
             r = simulate_with_recovery(
                 net,
@@ -588,12 +581,14 @@ def cmd_simulate(args) -> int:
             _simulate_metrics(
                 args,
                 net,
-                SimConfig(retry=retry, reroute=reroute, seed=args.seed),
+                recovery_config(retry, reroute, engine=args.engine),
                 r,
-                probe,
+                [] if probe is None else probe.timeline_rows(rate=args.rate),
                 time.perf_counter() - start,
             )
         return 0 if not r["deadlocked"] else 1
+    from repro.experiments.future_simulation import POINT_CONFIG, point_row, point_spec
+
     if args.check_parity:
         from repro.obs import CounterParityError, assert_counter_parity
         from repro.sim.traffic import uniform_traffic
@@ -605,9 +600,7 @@ def cmd_simulate(args) -> int:
                 lambda: uniform_traffic(
                     net.end_node_ids(), args.rate, args.packet_size, args.seed
                 ),
-                SimConfig(
-                    buffer_depth=4, raise_on_deadlock=False, stall_threshold=200
-                ),
+                POINT_CONFIG,
                 cycles=args.cycles,
                 drain=False,
                 engines=("reference", "compiled", "vectorized"),
@@ -621,21 +614,21 @@ def cmd_simulate(args) -> int:
             return 1
         print(f"counter parity OK: {len(sig)} signature fields identical")
         return 0
-    from repro.experiments.future_simulation import simulate_load_point
+    from repro.sim import api
+    from repro.sim.sweep import sample_point
 
+    spec = point_spec(
+        net, tables, args.rate, args.cycles, args.packet_size, args.seed, args.engine
+    )
+    timeline: list[dict[str, Any]] = []
     try:
-        point = simulate_load_point(
-            net,
-            tables,
-            rate=args.rate,
-            cycles=args.cycles,
-            packet_size=args.packet_size,
-            seed=args.seed,
-            engine=args.engine,
-            probe=probe,
-        )
+        if args.sample_interval:
+            result, timeline = sample_point(args.sample_interval, spec)
+        else:
+            result = api.execute(spec)
     except ValueError as exc:
         return _engine_refused(args, exc)
+    point = point_row(spec, result)
     print(
         f"{net.name} @ rate {args.rate}: accepted "
         f"{point['accepted_flits_per_node_cycle']:.4f} flits/node/cycle, "
@@ -644,17 +637,7 @@ def cmd_simulate(args) -> int:
     )
     if args.metrics_out:
         _simulate_metrics(
-            args,
-            net,
-            SimConfig(
-                buffer_depth=4,
-                raise_on_deadlock=False,
-                stall_threshold=200,
-                seed=args.seed,
-            ),
-            point,
-            probe,
-            time.perf_counter() - start,
+            args, net, spec.config, point, timeline, time.perf_counter() - start
         )
     return 0
 

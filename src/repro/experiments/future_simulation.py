@@ -19,20 +19,26 @@ because of its long paths.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
+
+import numpy as np
 
 from repro.core.fractahedron import fat_fractahedron
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
 from repro.routing.cache import cached_tables
+from repro.sim import api
 from repro.sim.engine import SimConfig
-from repro.sim.api import make_sim
 from repro.sim.parallel import SweepRunner, derive_seed
+from repro.sim.sweep import steady_window
+from repro.sim.vec import UniformPlan
 from repro.topology.fattree import fat_tree
 from repro.topology.mesh import mesh
 from repro.workloads.database import DatabaseWorkload
 
-__all__ = ["CONTENDERS", "run", "report", "simulate_load_point"]
+__all__ = ["CONTENDERS", "POINT_CONFIG", "point_row", "point_spec", "report", "run",
+           "simulate_load_point"]
 
 
 def _mesh64() -> tuple[Network, RoutingTable]:
@@ -56,15 +62,57 @@ CONTENDERS: dict[str, Callable[[], tuple[Network, RoutingTable]]] = {
     "fat fractahedron": _fracta64,
 }
 
-#: Per-process memo so a worker builds each contender at most once.
-_CONTENDER_MEMO: dict[str, tuple[Network, RoutingTable]] = {}
+#: The config every section 4.0 point runs under (grid cells, lone load
+#: points, database points and ``repro simulate``): ServerNet-sized
+#: FIFOs, deadlocks recorded rather than raised.
+POINT_CONFIG = SimConfig(buffer_depth=4, raise_on_deadlock=False, stall_threshold=200)
 
 
-def _contender(name: str) -> tuple[Network, RoutingTable]:
-    got = _CONTENDER_MEMO.get(name)
-    if got is None:
-        got = _CONTENDER_MEMO[name] = CONTENDERS[name]()
-    return got
+def point_spec(
+    net: Network,
+    tables: RoutingTable,
+    rate: float,
+    cycles: int = 3000,
+    packet_size: int = 8,
+    seed: int = 1996,
+    engine: str = "auto",
+) -> api.SimSpec:
+    """One uniform-load point as a :class:`~repro.sim.api.SimSpec`.
+
+    The offered load travels as a :class:`~repro.sim.vec.UniformPlan`
+    recipe, so specs that share a network batch into one vectorized
+    kernel under :func:`repro.sim.api.execute_batch`.
+    """
+    return api.SimSpec(
+        network=(net, tables),
+        traffic=UniformPlan(rate, packet_size, seed),
+        config=dataclasses.replace(POINT_CONFIG, engine=engine),
+        cycles=cycles,
+        drain=False,
+    )
+
+
+def point_row(spec: api.SimSpec, result: api.RunResult) -> dict:
+    """The section 4.0 row of a :func:`point_spec` and its run's result.
+
+    Whole-run figures come from the run's stats; ``steady_avg_latency``
+    averages over the sweep's :func:`~repro.sim.sweep.steady_window`
+    (``nan`` when the window delivered nothing).
+    """
+    stats, records = result.stats, result.records
+    steady = steady_window(records, spec.cycles)
+    latency = records.delivered[steady] - records.created[steady]
+    return {
+        "offered_rate": spec.traffic.rate,
+        "accepted_flits_per_node_cycle": stats.accepted_load(spec.resolve()[0].num_end_nodes),
+        "avg_latency": stats.avg_latency,
+        "p99_latency": stats.p99_latency,
+        "steady_avg_latency": float(np.mean(latency)) if latency.size else float("nan"),
+        "delivered": stats.packets_delivered,
+        "offered": stats.packets_offered,
+        "deadlocked": stats.deadlocked,
+        "order_violations": len(stats.in_order_violations),
+    }
 
 
 def simulate_load_point(
@@ -75,56 +123,14 @@ def simulate_load_point(
     packet_size: int = 8,
     seed: int = 1996,
     engine: str = "auto",
-    probe=None,
 ) -> dict:
-    """One point of the latency/throughput curve.
+    """One point of the latency/throughput curve, run alone.
 
-    Latency statistics are also reported over the steady-state window
-    (packets created after a warm-up of ``cycles // 5``), the standard
-    discipline for saturation curves: cold-start packets see an empty
-    network and bias the average down.
-
-    The offered load travels as a :class:`~repro.sim.vec.UniformPlan`
-    recipe (identical stream to ``uniform_traffic`` on the same seed), so
-    ``engine="auto"`` can route wide single fabrics to the vectorized
-    core and ``engine="vectorized"`` hits its array fast path.
+    ``engine="auto"`` routes wide single fabrics to the vectorized core;
+    a forced engine that cannot run the point raises ``ValueError``.
     """
-    import numpy as np
-
-    from repro.sim.vec import UniformPlan
-
-    traffic = UniformPlan(rate=rate, packet_size=packet_size, seed=seed)
-    sim = make_sim(
-        net,
-        tables,
-        traffic,
-        SimConfig(
-            buffer_depth=4,
-            raise_on_deadlock=False,
-            stall_threshold=200,
-            engine=engine,
-        ),
-        probe=probe,
-    )
-    stats = sim.run(cycles, drain=False)
-    sim.finalize()
-    warmup = cycles // 5
-    steady = [
-        p.latency
-        for p in sim.packets.values()
-        if p.delivered is not None and p.created >= warmup
-    ]
-    return {
-        "offered_rate": rate,
-        "accepted_flits_per_node_cycle": stats.accepted_load(net.num_end_nodes),
-        "avg_latency": stats.avg_latency,
-        "p99_latency": stats.p99_latency,
-        "steady_avg_latency": float(np.mean(steady)) if steady else float("nan"),
-        "delivered": stats.packets_delivered,
-        "offered": stats.packets_offered,
-        "deadlocked": stats.deadlocked,
-        "order_violations": len(stats.in_order_violations),
-    }
+    spec = point_spec(net, tables, rate, cycles, packet_size, seed, engine)
+    return point_row(spec, api.execute(spec))
 
 
 def database_point(
@@ -135,8 +141,6 @@ def database_point(
     seed: int = 7,
 ) -> dict:
     """Sustained database-query traffic (4 CPUs -> 4 disks per query)."""
-    import numpy as np
-
     workload = DatabaseWorkload(net.end_node_ids(), seed=seed)
     queries = workload.queries(num_queries=64)
     rng = np.random.default_rng(seed)
@@ -156,14 +160,8 @@ def database_point(
                     out.append(counter.make(src, dst, packet_size, cycle))
         return out
 
-    sim = make_sim(
-        net,
-        tables,
-        traffic,
-        SimConfig(buffer_depth=4, raise_on_deadlock=False, stall_threshold=200),
-    )
-    stats = sim.run(cycles, drain=True)
-    sim.finalize()
+    spec = api.SimSpec((net, tables), traffic, POINT_CONFIG, cycles, drain=True)
+    stats = api.execute(spec).stats
     return {
         "avg_latency": stats.avg_latency,
         "p99_latency": stats.p99_latency,
@@ -207,22 +205,8 @@ def large_scale_point(
     return point
 
 
-def _sweep_task(args: tuple[str, float, int]) -> dict:
-    """One (contender, rate) cell of the saturation grid."""
-    name, rate, cycles = args
-    net, tables = _contender(name)
-    return simulate_load_point(
-        net,
-        tables,
-        rate,
-        cycles,
-        seed=derive_seed(1996, "contender", name, "rate", repr(float(rate))),
-    )
-
-
-def _db_task(args: tuple[str, int]) -> dict:
-    name, cycles = args
-    net, tables = _contender(name)
+def _db_task(args: tuple[Network, RoutingTable, int]) -> dict:
+    net, tables, cycles = args
     return database_point(net, tables, cycles)
 
 
@@ -232,30 +216,41 @@ def run(
     jobs: int = 1,
     runner: SweepRunner | None = None,
 ) -> dict:
-    """The full grid: |contenders| x |rates| sweep cells plus one database
-    workload per contender, all independent tasks fanned over the runner.
+    """The full grid: |contenders| x |rates| load points plus one database
+    workload per contender.
+
+    Every (contender, rate) cell is one :func:`point_spec`, seeded from
+    its identity, and all cells go through ``runner.execute_batch``: at
+    ``jobs=1`` each contender's rates form one batch, which advances as
+    one vectorized kernel where the engine decision picks it; under
+    ``jobs>1`` the cells fan out one per task.  The database points use
+    generator traffic and run alone, fanned over ``runner.map``.
 
     Pass a ``runner`` to keep its timing stats; otherwise one is created
     with ``jobs`` workers.  Results are bit-identical for any worker count.
     """
     runner = runner or SweepRunner(jobs)
-    names = list(CONTENDERS)
-    grid = [(name, float(r), cycles) for name in names for r in rates]
-    points = runner.map(
-        _sweep_task, grid, labels=[f"{n} rate={r:g}" for n, r, _ in grid]
-    )
+    targets = {name: build() for name, build in CONTENDERS.items()}
+    specs = [
+        point_spec(
+            *target,
+            rate,
+            cycles,
+            seed=derive_seed(1996, "contender", name, "rate", repr(rate)),
+        )
+        for name, target in targets.items()
+        for rate in map(float, rates)
+    ]
+    points = [point_row(*pair) for pair in zip(specs, runner.execute_batch(specs))]
     dbs = runner.map(
         _db_task,
-        [(name, cycles) for name in names],
-        labels=[f"{n} database" for n in names],
+        [(*target, cycles) for target in targets.values()],
+        labels=[f"{name} database" for name in targets],
     )
-    results: dict[str, dict] = {}
-    for i, name in enumerate(names):
-        results[name] = {
-            "sweep": points[i * len(rates) : (i + 1) * len(rates)],
-            "database": dbs[i],
-        }
-    return results
+    return {
+        name: {"sweep": points[i * len(rates) : (i + 1) * len(rates)], "database": db}
+        for i, (name, db) in enumerate(zip(targets, dbs))
+    }
 
 
 def report(cycles: int = 3000, jobs: int = 1) -> str:

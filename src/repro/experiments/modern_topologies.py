@@ -32,8 +32,6 @@ run (reference vs compiled vs vectorized, bit-identical by
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.deadlock.analysis import certify_deadlock_free
 from repro.deadlock.cdg import channel_dependency_graph_vc, find_cycle
 from repro.deadlock.certifier import certify_channel_order
@@ -213,10 +211,7 @@ def _parity_row(name: str, spec: NetworkSpec, cycles: int) -> dict:
                 drain=True,
             )
         )
-        shaped = dataclasses.make_dataclass("Shaped", ["stats", "packets"])(
-            result.stats, result.packets
-        )
-        signatures[engine] = stats_signature(shaped)
+        signatures[engine] = stats_signature(result)
         delivered = result.stats.packets_delivered
     reference = signatures["reference"]
     return {

@@ -44,10 +44,11 @@ def run_manifest(
 ) -> dict[str, Any]:
     """Provenance row for one simulation run (or one sweep over ``net``).
 
-    ``engine`` defaults to the config's engine selector; pass the
-    *resolved* engine name when you know it (``sim.engine``).
-    ``extra`` keys (e.g. ``rates=[...]``, ``traffic="uniform"``) are
-    folded in verbatim so callers can record what they swept.
+    ``config`` is the config the engine ran.  ``engine`` defaults to the
+    config's engine selector; pass the *resolved* engine name when you
+    know it (``sim.engine``).
+    ``extra`` keys (e.g. ``seed=1996``, ``rates=[...]``) are folded in
+    verbatim so callers can record their traffic seed and what they swept.
 
     The engine selector is lifted out of the nested ``sim_config`` into
     the top-level ``engine`` key: :func:`repro.obs.export.deterministic_view`
@@ -65,7 +66,6 @@ def run_manifest(
         "num_end_nodes": net.num_end_nodes,
         "num_links": net.num_links,
         "sim_config": cfg,
-        "seed": config.seed,
         "engine": engine if engine is not None else cfg_engine,
         "jobs": jobs,
         "sample_interval": sample_interval,

@@ -59,6 +59,9 @@ def _comparable(value: Any) -> Any:
 def stats_signature(sim) -> dict[str, Any]:
     """Every observable counter of a finished run.
 
+    ``sim`` is anything with ``stats`` and ``packets``: a finished
+    simulator or a :class:`~repro.sim.api.RunResult`.
+
     Enumerates ``dataclasses.fields(SimStats)`` rather than a hand-kept
     list, so any counter added to the stats dataclass is automatically
     part of the parity contract.  Adds the per-packet timestamps on top:

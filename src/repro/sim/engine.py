@@ -138,7 +138,6 @@ class SimConfig:
         retry: NIC send-side timeout/retry policy, or None to disable
             recovery retransmission (the pre-recovery behaviour).
         reroute: online re-routing policy, or None for static tables.
-        seed: base RNG seed for traffic generation.
         engine: which step kernel executes the simulation; one of
             ``"auto"`` (default), ``"reference"`` (the string-keyed
             interpreter), ``"compiled"`` (the integer-indexed core) or
@@ -163,7 +162,6 @@ class SimConfig:
     raise_on_deadlock: bool = True
     retry: RetryPolicy | None = None
     reroute: ReroutePolicy | None = None
-    seed: int = 1996
     engine: str = "auto"
 
     def __post_init__(self) -> None:

@@ -53,6 +53,7 @@ __all__ = [
     "RecoverySurface",
     "implied_manager",
     "recompute_recovery_tables",
+    "recovery_config",
     "simulate_with_recovery",
 ]
 
@@ -399,6 +400,25 @@ def implied_manager(
     )
 
 
+def recovery_config(
+    retry: RetryPolicy | None = None,
+    reroute: ReroutePolicy | None = None,
+    engine: str = "auto",
+) -> SimConfig:
+    """The config a :func:`simulate_with_recovery` episode runs under, and
+    the one its run manifests record: deadlocks are recorded, not raised,
+    and the stall window lets worms wait behind a dead cable until a
+    timeout or a table swap frees them."""
+    return SimConfig(
+        buffer_depth=4,
+        raise_on_deadlock=False,
+        stall_threshold=400,
+        retry=retry,
+        reroute=reroute,
+        engine=engine,
+    )
+
+
 def simulate_with_recovery(
     net: Network,
     tables: RoutingTable,
@@ -414,7 +434,6 @@ def simulate_with_recovery(
     reroute: ReroutePolicy | None = None,
     failover: bool = False,
     drain: bool = True,
-    stall_threshold: int = 400,
     cache: RoutingTableCache | None = None,
     engine: str = "auto",
     probe: Any = None,
@@ -447,15 +466,7 @@ def simulate_with_recovery(
             repair_at=repair_cycle,
         )
 
-    config = SimConfig(
-        buffer_depth=4,
-        raise_on_deadlock=False,
-        stall_threshold=stall_threshold,
-        retry=retry,
-        reroute=reroute,
-        seed=seed,
-        engine=engine,
-    )
+    config = recovery_config(retry, reroute, engine)
     plan = FailoverPlan(net, tables) if failover else None
     # The manager is built even when every policy is None: routing a run
     # through this entry point declares "faults are expected here", which

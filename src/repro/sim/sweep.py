@@ -35,6 +35,7 @@ __all__ = [
     "measure_point",
     "recovery_curve",
     "sample_point",
+    "steady_window",
 ]
 
 
@@ -60,6 +61,15 @@ def _point_config(packet_size: int, switching: str, engine: str) -> SimConfig:
     )
 
 
+def steady_window(records: PacketRecords, cycles: int) -> np.ndarray:
+    """Mask of the packets a load point measures: the delivered ones
+    created at or after the ``cycles // 5`` warmup (cold-start packets see
+    an empty network and bias the average down).  The one definition of
+    the window; :func:`_window_summary` and the section 4.0 rows read it.
+    """
+    return (records.delivered >= 0) & (records.created >= cycles // 5)
+
+
 def _window_summary(
     records: PacketRecords,
     rate: float,
@@ -70,21 +80,19 @@ def _window_summary(
 ) -> LoadPoint:
     """Summarize one run's packet records into a :class:`LoadPoint`.
 
-    The single source of truth for the warmup/measure window: every
-    reported figure uses the same post-warmup window -- latency comes from
-    packets created at or after ``cycles // 5``, and accepted load counts
-    exactly those packets' flits over the remaining cycles (the whole-run
-    average would fold the warmup ramp into the steady state and
-    understate accepted throughput near saturation).
+    Every reported figure uses the :func:`steady_window`: latency comes
+    from its packets, and accepted load counts exactly their flits over
+    the post-warmup cycles (the whole-run average would fold the warmup
+    ramp into the steady state and understate accepted throughput near
+    saturation).
     """
-    warmup = cycles // 5
     created, delivered, size = records
-    steady = (delivered >= 0) & (created >= warmup)
+    steady = steady_window(records, cycles)
     latency = delivered[steady] - created[steady]
     avg = float(np.mean(latency)) if latency.size else float("inf")
     p99 = float(np.percentile(latency, 99)) if latency.size else float("inf")
     steady_flits = int(size[steady].sum())
-    window = max(1, cycles - warmup)
+    window = max(1, cycles - cycles // 5)
     return LoadPoint(
         offered_rate=rate,
         accepted_flits_per_node_cycle=steady_flits / window / max(1, num_end_nodes),
@@ -231,10 +239,11 @@ def _zero_load_latency(net: Network, tables: RoutingTable, packet_size: int) -> 
 
 
 def sample_point(sample_interval: int, spec) -> tuple[Any, list[dict[str, Any]]]:
-    """Execute one curve spec with a :class:`repro.obs.SimProbe` attached.
+    """Execute one load-point spec with a :class:`repro.obs.SimProbe` attached.
 
     Returns the :class:`~repro.sim.api.RunResult` and the probe's timeline
-    rows.  Bind the interval with :func:`functools.partial` and fan the
+    rows; ``repro simulate --sample-interval`` runs its point here.  Bind
+    the interval with :func:`functools.partial` and fan the
     specs with :meth:`repro.sim.parallel.SweepRunner.map`: the probe is
     created inside the worker and its rows travel back with the point, so
     reassembling them in submission order keeps ``jobs=N`` output

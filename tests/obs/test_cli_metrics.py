@@ -115,3 +115,54 @@ class TestRunMetrics:
         assert rows[0]["kind"] == "manifest"
         assert rows[0]["experiment"] == "fig1"
         assert any(r["kind"] == "row" for r in rows)
+
+
+class TestManifestConfig:
+    """The manifest's ``sim_config`` is the config the engine ran."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        # every engine constructor asks preferred_engine with its config
+        from repro.sim import api
+
+        configs = []
+        decide = api.preferred_engine
+
+        def spy(net, config, *args, **kwargs):
+            configs.append(config)
+            return decide(net, config, *args, **kwargs)
+
+        monkeypatch.setattr(api, "preferred_engine", spy)
+        return configs
+
+    def _check(self, tmp_path, ran, argv):
+        from repro.obs.manifest import sim_config_dict
+
+        out = str(tmp_path / "m.jsonl")
+        assert main(argv + ["--metrics-out", out]) in (0, 1)
+        manifest = read_metrics(out)[0]
+        assert ran
+        for config in ran:
+            want = sim_config_dict(config)
+            want.pop("engine")
+            assert manifest["sim_config"] == want
+        assert manifest["seed"] == 5
+
+    MESH = ["mesh", "--param", "shape=3,3", "--cycles", "300", "--seed", "5"]
+
+    def test_simulate(self, tmp_path, ran):
+        self._check(tmp_path, ran, ["simulate", *self.MESH, "--rate", "0.03"])
+
+    def test_simulate_faulted(self, tmp_path, ran):
+        self._check(
+            tmp_path, ran,
+            ["simulate", *self.MESH, "--faults", "2", "--retry", "--reroute"],
+        )
+
+    def test_sweep_curve(self, tmp_path, ran):
+        self._check(tmp_path, ran, ["sweep", *self.MESH, "--rates", "0.01,0.05"])
+
+    def test_sweep_faults(self, tmp_path, ran):
+        self._check(
+            tmp_path, ran, ["sweep", *self.MESH, "--faults", "1,2", "--retry"]
+        )

@@ -10,8 +10,9 @@ def test_run_manifest_records_provenance():
     net = mesh((3, 3), nodes_per_router=1)
     man = run_manifest(
         net,
-        SimConfig(seed=42),
+        SimConfig(),
         engine="compiled",
+        seed=42,
         jobs=4,
         sample_interval=100,
         wall_seconds=1.23456789,
