@@ -307,7 +307,7 @@ def cmd_sweep(args) -> int:
             switching=args.switching,
             engine=args.engine,
         )
-        print(f"  saturation rate: {sat:.4f} flits/node/cycle")
+        print(f"  saturation rate: {sat:.4f} offered packets/node/cycle")
     print(runner.stats.report(per_task=args.verbose))
     if args.metrics_out:
         from repro.obs import run_manifest

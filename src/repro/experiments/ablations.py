@@ -195,12 +195,14 @@ def vc_ring_demo(packet_size: int = 16) -> dict:
     )
     stats2 = sim2.run(2000, drain=True)
 
+    # one input FIFO per (link into a router, VC), on every engine
+    into_routers = int(net.link_arrays().dst_is_router.sum())
     return {
         "single_vc_deadlocked": stats1.deadlocked,
         "dateline_deadlocked": stats2.deadlocked,
         "dateline_delivered": stats2.packets_delivered,
-        "buffer_cost_single": len(sim1.buffers) * base.buffer_depth,
-        "buffer_cost_vc": len(sim2.buffers) * vc_cfg.buffer_depth,
+        "buffer_cost_single": into_routers * base.vc_count * base.buffer_depth,
+        "buffer_cost_vc": into_routers * vc_cfg.vc_count * vc_cfg.buffer_depth,
     }
 
 

@@ -32,20 +32,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fractahedron import fat_fractahedron
+from repro.experiments.future_simulation import CONTENDERS
 from repro.routing.base import all_pairs_routes
 from repro.routing.cache import cached_tables
 from repro.servernet.fabric import DualFabric
 from repro.sim.engine import RetryPolicy, ReroutePolicy
-from repro.sim.api import NetworkSpec, resolve_target
 from repro.sim.parallel import SweepRunner, derive_seed
 from repro.sim.sweep import recovery_curve
 
 __all__ = ["RECOVERY_TOPOLOGIES", "run", "report", "single_fabric_availability"]
 
-#: the Table 2 head-to-head pair, as picklable sweep specs
-RECOVERY_TOPOLOGIES: dict[str, NetworkSpec] = {
-    "fat_tree_4_2": NetworkSpec.make("fat_tree", height=3, down=4, up=2),
-    "fat_fractahedron": NetworkSpec.make("fat_fractahedron", levels=2),
+#: the Table 2 head-to-head pair, as ``(net, tables)`` builders
+RECOVERY_TOPOLOGIES = {
+    "fat_tree_4_2": CONTENDERS["fat tree 4-2"],
+    "fat_fractahedron": CONTENDERS["fat fractahedron"],
 }
 
 #: one fail/repair episode: cables die at 1/4 of the run, are repaired at
@@ -160,8 +160,8 @@ def run_recovery(
     """
     runner = runner or SweepRunner(jobs)
     out: list[dict] = []
-    for name, spec in RECOVERY_TOPOLOGIES.items():
-        net, tables = resolve_target(spec)
+    for name, build in RECOVERY_TOPOLOGIES.items():
+        net, tables = build()
         points = recovery_curve(
             net,
             tables,

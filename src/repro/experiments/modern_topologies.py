@@ -32,12 +32,18 @@ run (reference vs compiled vs vectorized, bit-identical by
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 from repro.deadlock.analysis import certify_deadlock_free
 from repro.deadlock.cdg import channel_dependency_graph_vc, find_cycle
 from repro.deadlock.certifier import certify_channel_order
+from repro.experiments.future_simulation import CONTENDERS
 from repro.metrics.report import format_table
+from repro.network.graph import Network
 from repro.obs.parity import stats_signature
-from repro.routing.base import all_pairs_routes
+from repro.routing.base import RoutingTable, all_pairs_routes
+from repro.routing.cache import cached_tables
 from repro.routing.dragonfly import dragonfly_vc_assign
 from repro.routing.fullmesh import fullmesh_spread_routes
 from repro.routing.hyperx import hyperx_valiant_routes
@@ -45,25 +51,31 @@ from repro.routing.validate import validate_routing
 from repro.sim import SimConfig, UniformPlan
 from repro.sim import api
 from repro.sim.engine import RetryPolicy, ReroutePolicy
-from repro.sim.api import NetworkSpec
 from repro.sim.parallel import SweepRunner, derive_seed
 from repro.sim.sweep import find_saturation, recovery_curve
+from repro.topology.registry import build_topology
 
 __all__ = ["MODERN_TOPOLOGIES", "run", "report"]
 
-#: the scenario pack, as picklable sweep specs (registry topologies)
-MODERN_TOPOLOGIES: dict[str, NetworkSpec] = {
-    "hyperx_3x3": NetworkSpec.make("hyperx", shape=(3, 3)),
-    "dragonfly_g5": NetworkSpec.make(
-        "dragonfly", groups=5, routers_per_group=2, global_per_router=2
+
+def _registry_pair(topology: str, **params) -> tuple[Network, RoutingTable]:
+    net = build_topology(topology, **params)
+    return net, cached_tables(net)
+
+
+#: the scenario pack, as zero-argument ``(net, tables)`` builders
+MODERN_TOPOLOGIES: dict[str, Callable[[], tuple[Network, RoutingTable]]] = {
+    "hyperx_3x3": partial(_registry_pair, "hyperx", shape=(3, 3)),
+    "dragonfly_g5": partial(
+        _registry_pair, "dragonfly", groups=5, routers_per_group=2, global_per_router=2
     ),
-    "fullmesh_6": NetworkSpec.make("fully_connected", num_routers=6),
+    "fullmesh_6": partial(_registry_pair, "fully_connected", num_routers=6),
 }
 
 #: the paper's Table 2 head-to-head, for certifier cross-validation
-TABLE2_MATRIX: dict[str, NetworkSpec] = {
-    "fat_tree_4_2": NetworkSpec.make("fat_tree", height=3, down=4, up=2),
-    "fat_fractahedron": NetworkSpec.make("fat_fractahedron", levels=2),
+TABLE2_MATRIX: dict[str, Callable[[], tuple[Network, RoutingTable]]] = {
+    "fat_tree_4_2": CONTENDERS["fat tree 4-2"],
+    "fat_fractahedron": CONTENDERS["fat fractahedron"],
 }
 
 VALIDATE_SAMPLE = 120
@@ -107,14 +119,14 @@ def _certification_rows() -> list[dict]:
     rows: list[dict] = []
 
     # -- paper matrix: the order certifier must agree with the CDG check
-    for name, spec in TABLE2_MATRIX.items():
-        net, tables = spec.build()
+    for name, build in TABLE2_MATRIX.items():
+        net, tables = build()
         rows.append(
             {"name": name, "routing": "shipped", "virtual_channels": 0}
             | _dual_certify(net, tables)
         )
 
-    hx, hx_tables = MODERN_TOPOLOGIES["hyperx_3x3"].build()
+    hx, hx_tables = MODERN_TOPOLOGIES["hyperx_3x3"]()
     rows.append(
         {"name": "hyperx_3x3", "routing": "dimension_order", "virtual_channels": 0}
         | _dual_certify(hx, hx_tables)
@@ -136,7 +148,7 @@ def _certification_rows() -> list[dict]:
         }
     )
 
-    df, df_tables = MODERN_TOPOLOGIES["dragonfly_g5"].build()
+    df, df_tables = MODERN_TOPOLOGIES["dragonfly_g5"]()
     physical = _dual_certify(df, df_tables)
     df_routes = all_pairs_routes(df, df_tables)
     ladder_cdg = channel_dependency_graph_vc(
@@ -161,7 +173,7 @@ def _certification_rows() -> list[dict]:
         }
     )
 
-    fm, fm_tables = MODERN_TOPOLOGIES["fullmesh_6"].build()
+    fm, fm_tables = MODERN_TOPOLOGIES["fullmesh_6"]()
     rows.append(
         {"name": "fullmesh_6", "routing": "minimal", "virtual_channels": 0}
         | _dual_certify(fm, fm_tables)
@@ -180,8 +192,8 @@ def _certification_rows() -> list[dict]:
 def _validation_rows() -> list[dict]:
     """The sampled-pairs routing validation leg (deterministic, seeded)."""
     rows = []
-    for name, spec in MODERN_TOPOLOGIES.items():
-        net, tables = spec.build()
+    for name, build in MODERN_TOPOLOGIES.items():
+        net, tables = build()
         report = validate_routing(
             net, tables, sample=VALIDATE_SAMPLE, seed=derive_seed(1996, "validate", name)
         )
@@ -196,8 +208,7 @@ def _validation_rows() -> list[dict]:
     return rows
 
 
-def _parity_row(name: str, spec: NetworkSpec, cycles: int) -> dict:
-    net, tables = spec.build()
+def _parity_row(name: str, net: Network, tables: RoutingTable, cycles: int) -> dict:
     plan = UniformPlan(rate=0.05, packet_size=4, seed=derive_seed(1996, "modern", name))
     signatures = {}
     delivered = 0
@@ -230,8 +241,8 @@ def run(cycles: int = 500, recovery_cycles: int = 600, jobs: int = 1) -> dict:
     recovery = []
     parity = []
     with SweepRunner(jobs) as runner:
-        for name, spec in MODERN_TOPOLOGIES.items():
-            net, tables = spec.build()
+        for name, build in MODERN_TOPOLOGIES.items():
+            net, tables = build()
             saturation.append(
                 {
                     "name": name,
@@ -253,7 +264,7 @@ def run(cycles: int = 500, recovery_cycles: int = 600, jobs: int = 1) -> dict:
                 runner=runner,
             ):
                 recovery.append({"name": name} | row)
-            parity.append(_parity_row(name, spec, cycles))
+            parity.append(_parity_row(name, net, tables, cycles))
 
     by_scheme = {(r["name"], r["routing"], r["virtual_channels"]): r for r in certification}
     return {

@@ -66,7 +66,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.vec import UniformPlan, VecCore, VecSim, vec_blockers
 from repro.sim import api
-from repro.sim.api import NetworkSpec, RunResult, SimSpec, make_sim
+from repro.sim.api import RunResult, SimSpec, make_sim
 
 __all__ = [
     "CompiledNet",
@@ -93,7 +93,6 @@ __all__ = [
     "recovery_curve",
     "simulate_with_recovery",
     "LoadPoint",
-    "NetworkSpec",
     "SweepRunner",
     "SweepStats",
     "TaskTiming",

@@ -11,8 +11,8 @@ This module is the only home of that logic.  Every measured point is an
 independent task with a seed derived from its identity
 (:func:`repro.sim.parallel.derive_seed`), so fanning the points over a
 :class:`repro.sim.parallel.SweepRunner` -- ``run_batch=runner.execute_batch``
-for curves, ``runner=`` for recovery sweeps -- returns results
-bit-identical to a serial run.
+for curves, which ships each batch group as one task, ``runner=`` for
+recovery sweeps -- returns results bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ def curve_points(
     switching: str = "wormhole",
     engine: str = "auto",
     run_batch: "Callable | None" = None,
-    network=None,
 ) -> list[LoadPoint]:
     """The one shared latency-curve implementation.
 
@@ -165,17 +164,11 @@ def curve_points(
     over worker processes, or a :func:`sample_point` executor to attach a
     probe to every point; the warmup/measure-window logic
     (:func:`_window_summary`) stays here either way.
-
-    ``network`` optionally carries the hashable
-    :class:`~repro.sim.api.NetworkSpec` recipe the ``(net, tables)`` pair
-    was built from; specs then ship the recipe to worker processes, which
-    rebuild it through the memoized routing-table cache instead of
-    unpickling the full network.
     """
     zero = _zero_load_latency(net, tables, packet_size)
     return _measure_rates(
         net, tables, rates, cycles, packet_size, seed, zero, saturation_factor,
-        switching, engine, run_batch, network,
+        switching, engine, run_batch,
     )
 
 
@@ -191,7 +184,6 @@ def _measure_rates(
     switching: str,
     engine: str,
     run_batch: "Callable | None" = None,
-    network=None,
 ) -> list[LoadPoint]:
     """Measure several rates as one batch: the probe seam
     :func:`curve_points` and :func:`find_saturation` share.
@@ -206,10 +198,9 @@ def _measure_rates(
 
     rates = [float(rate) for rate in rates]
     cfg = _point_config(packet_size, switching, engine)
-    net_field = network if network is not None else (net, tables)
     specs = [
         api.SimSpec(
-            network=net_field,
+            network=(net, tables),
             traffic=UniformPlan(
                 rate,
                 packet_size,
@@ -253,9 +244,8 @@ def sample_point(sample_interval: int, spec) -> tuple[Any, list[dict[str, Any]]]
     from repro.obs.probe import SimProbe
     from repro.sim import api
 
-    net, tables = spec.resolve()
     probe = SimProbe(sample_interval)
-    sim = api.make_sim(net, tables, spec.build_traffic(net), spec.config, probe=probe)
+    sim = api.make_sim(*spec.network, spec.traffic, spec.config, probe=probe)
     sim.run(spec.cycles, drain=spec.drain)
     result = api.RunResult.of(sim, sim.finalize())
     return result, probe.timeline_rows(rate=spec.traffic.rate)

@@ -81,11 +81,11 @@ def test_disabled_probe_is_default():
 def test_sweep_timelines_identical_across_job_counts():
     import functools
 
-    from repro.sim.api import NetworkSpec, resolve_target
     from repro.sim.parallel import SweepRunner
     from repro.sim.sweep import curve_points, sample_point
 
-    spec = NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1)
+    net = mesh((3, 3), nodes_per_router=1)
+    tables = cached_tables(net)
     results = {}
     for jobs in (1, 4):
         rows = []
@@ -97,8 +97,7 @@ def test_sweep_timelines_identical_across_job_counts():
                 return [result for result, _ in observed]
 
             points = curve_points(
-                *resolve_target(spec), (0.01, 0.05), cycles=400,
-                run_batch=sampled, network=spec,
+                net, tables, (0.01, 0.05), cycles=400, run_batch=sampled
             )
         results[jobs] = (points, rows)
     assert results[1] == results[4]

@@ -34,10 +34,9 @@ from repro.topology.ring import ring
 
 def _saturation(target, **kwargs):
     """One saturation search per runner task (module level, so it pickles)."""
-    from repro.sim.api import resolve_target
     from repro.sim.sweep import find_saturation
 
-    return find_saturation(*resolve_target(target), **kwargs)
+    return find_saturation(*target, **kwargs)
 
 
 @st.composite
@@ -214,15 +213,15 @@ class TestSaturationBracket:
             assert not point.saturated, f"saturated below bracket at {rate}"
 
     def test_saturation_through_runner_matches_direct(self):
-        from repro.sim.api import NetworkSpec
         from repro.sim.sweep import find_saturation
 
         net = mesh((3, 3), nodes_per_router=1)
         tables = dimension_order_tables(net)
         direct = find_saturation(net, tables, cycles=600, resolution=0.02)
-        spec = NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1)
+        rebuilt = mesh((3, 3), nodes_per_router=1)
         with SweepRunner(2) as runner:
             (via_runner,) = runner.map(
-                functools.partial(_saturation, cycles=600, resolution=0.02), [spec]
+                functools.partial(_saturation, cycles=600, resolution=0.02),
+                [(rebuilt, cached_tables(rebuilt))],
             )
         assert direct == via_runner

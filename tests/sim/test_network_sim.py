@@ -112,6 +112,21 @@ class TestVirtualChannels:
         assert result["dateline_delivered"] == 4
         assert result["buffer_cost_vc"] == 2 * result["buffer_cost_single"]
 
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    def test_buffer_cost_counts_each_engines_fifos(self, engine):
+        """The demo's engine-neutral buffer cost is the FIFO count an
+        engine allocates, times the depth."""
+        from repro.experiments.ablations import vc_ring_demo
+
+        result = vc_ring_demo()
+        net = ring(4, nodes_per_router=1)
+        tables = shortest_path_tables(net)
+        for key, vcs in (("buffer_cost_single", 1), ("buffer_cost_vc", 2)):
+            cfg = SimConfig(buffer_depth=2, vc_count=vcs, engine=engine)
+            sim = make_sim(net, tables, pairs_traffic([], 1), cfg)
+            assert sim.engine == engine
+            assert result[key] == len(sim.buffers) * cfg.buffer_depth
+
 
 class TestFaults:
     def test_failed_link_blocks_traffic(self):

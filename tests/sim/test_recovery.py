@@ -618,11 +618,9 @@ class TestRecoveryDeterminism:
     """Serial and parallel recovery sweeps must agree bit-for-bit."""
 
     def test_jobs2_matches_serial(self):
-        from repro.sim.api import NetworkSpec, resolve_target
         from repro.sim.parallel import SweepRunner
         from repro.sim.sweep import recovery_curve
 
-        spec = NetworkSpec.make("mesh", shape=(3, 3), nodes_per_router=1)
         kwargs = dict(
             failure_counts=(0, 1, 2),
             rate=0.04,
@@ -635,9 +633,9 @@ class TestRecoveryDeterminism:
             failover=True,
         )
         with SweepRunner(1) as serial:
-            a = recovery_curve(*resolve_target(spec), runner=serial, **kwargs)
+            a = recovery_curve(*mesh33(), runner=serial, **kwargs)
         with SweepRunner(2) as parallel:
-            b = recovery_curve(*resolve_target(spec), runner=parallel, **kwargs)
+            b = recovery_curve(*mesh33(), runner=parallel, **kwargs)
         assert a == b
 
     def test_repeated_serial_runs_identical(self):

@@ -102,6 +102,25 @@ def test_build_save_and_inspect(tmp_path, capsys):
     assert "deadlock_free=True" in out
 
 
+def test_sweep_saturation_prints_offered_packet_rate(capsys):
+    """The search returns a plan rate, packets per node per cycle, the
+    unit of the curve's offered column."""
+    import re
+
+    from repro.routing.cache import cached_tables
+    from repro.sim.sweep import find_saturation
+    from repro.topology.mesh import mesh
+
+    net = mesh((3, 3))
+    expected = find_saturation(net, cached_tables(net), cycles=400)
+    args = ["sweep", "mesh", "--param", "shape=3,3", "--rates", "0.05",
+            "--cycles", "400", "--saturation"]
+    assert main(args) == 0
+    line = re.search(r"saturation rate: (\S+) (.*)", capsys.readouterr().out)
+    assert float(line.group(1)) == round(expected, 4)
+    assert line.group(2) == "offered packets/node/cycle"
+
+
 def test_sweep_saturation_honours_seed(capsys):
     from repro.routing.cache import cached_tables
     from repro.sim.sweep import find_saturation
