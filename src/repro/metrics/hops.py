@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.network.graph import Network
 from repro.routing.base import RouteSet, RoutingTable, compute_route
+from repro.routing.walk import walk_pairs, walkable
 
 __all__ = ["HopStats", "hop_stats", "hop_stats_sampled"]
 
@@ -65,32 +68,42 @@ def hop_stats_sampled(
     """Hop statistics from a random sample of pairs (for 1000+-node nets).
 
     Uses a deterministic linear-congruential shuffle so results are
-    reproducible without pulling in global random state.
+    reproducible without pulling in global random state.  Tables the
+    array walker reads (:func:`~repro.routing.walk.walkable`) walk the
+    sample at once; a pair it flags is re-walked through
+    :func:`~repro.routing.base.compute_route`, which raises the same
+    :class:`~repro.routing.base.RoutingError` as the per-pair walk.
     """
-    ends = net.end_node_ids()
-    total_pairs = len(ends) * (len(ends) - 1)
-    if total_pairs <= max_pairs:
-        pairs = [(s, d) for s in ends for d in ends if s != d]
+    ends = net.indices().end_ids
+    n = len(ends)
+    if n * (n - 1) <= max_pairs:
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     else:
         pairs = []
         state = seed
         for _ in range(max_pairs):
             state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            s = ends[state % len(ends)]
+            s = state % n
             state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            d = ends[state % len(ends)]
+            d = state % n
             if s != d:
                 pairs.append((s, d))
-    counts: dict[int, int] = {}
-    total = 0
-    for src, dst in pairs:
-        hops = compute_route(net, tables, src, dst).router_hops
-        counts[hops] = counts.get(hops, 0) + 1
-        total += hops
+    if walkable(tables):
+        src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        walk = walk_pairs(net, tables, src, dst)
+        hops = walk.router_hops.astype(np.int64)
+        for i in np.flatnonzero(~walk.ok).tolist():
+            hops[i] = compute_route(net, tables, ends[src[i]], ends[dst[i]]).router_hops
+    else:
+        hops = np.array(
+            [compute_route(net, tables, ends[s], ends[d]).router_hops for s, d in pairs],
+            dtype=np.int64,
+        )
+    values, counts = (a.tolist() for a in np.unique(hops, return_counts=True))
     return HopStats(
         count=len(pairs),
-        minimum=min(counts),
-        maximum=max(counts),
-        mean=total / len(pairs),
-        histogram=tuple(sorted(counts.items())),
+        minimum=min(values),
+        maximum=max(values),
+        mean=int(hops.sum()) / len(pairs),
+        histogram=tuple(zip(values, counts)),
     )

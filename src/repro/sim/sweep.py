@@ -312,33 +312,41 @@ def recovery_curve(
     )
 
 
-#: Bisection levels :func:`find_saturation` measures per batch when the
-#: batch runs vectorized: the next ``L`` levels of the bisection tree are
-#: ``2**L - 1`` rates.  Median saturation-search seconds on the three
-#: 64-node ``sweep64`` fabrics (1000 cycles, 2-vCPU VM, 17 runs each):
-#: L = 2 4.35 s (12 batches, 39 specs), L = 3 3.95 s (9, 54), L = 4
-#: 4.04 s (6, 93), one lone probe at a time 5.55 s (27, 27); the table
-#: is in docs/performance.md.
-_SPECULATION_LEVELS = 3
+#: The batches :func:`find_saturation` measures when they run vectorized.
+#: While the bracket's low end is still 0.0, a batch is its probe plus the
+#: saturated spine below it -- the midpoints the walk tests if every one
+#: saturates, then the low-bracket guard probe -- at most ``_SPINE_RATES``
+#: rates.  Once a rate has come back unsaturated, a batch is the whole
+#: rest of the bisection when it ends within ``_FINISH_LEVELS`` levels
+#: (``2**4 - 1`` midpoints), else the next ``_STEP_LEVELS`` levels.  The
+#: cost is the number of batches, not their width: on the three 64-node
+#: ``sweep64`` fabrics (1000 cycles, resolution 0.002) this plan takes 2
+#: batches each where three-level subtrees took 3, and the three searches
+#: 2.09 s instead of 3.28 s (medians of 5 runs, 2-vCPU VM); the table is
+#: in docs/performance.md.
+_SPINE_RATES = 15
+_FINISH_LEVELS = 4
+_STEP_LEVELS = 3
+#: The widest batch the plan forms: a probe plus a full spine.
+_WIDEST_BATCH = max(1 + _SPINE_RATES, 2**_FINISH_LEVELS - 1)
 
 
-def _speculation_levels(
+def _speculates(
     net: Network, packet_size: int, max_rate: float, switching: str, engine: str
-) -> int:
-    """``_SPECULATION_LEVELS`` when a batch of that many levels runs
-    vectorized, else 0: the search then measures exactly the serial
-    probes, one at a time."""
+) -> bool:
+    """Whether the plan's widest batch runs vectorized; otherwise the
+    search measures exactly the serial probes, one at a time."""
     from repro.sim import api
     from repro.sim.vec import UniformPlan
 
     cfg = _point_config(packet_size, switching, engine)
     plan = UniformPlan(max_rate, packet_size, 0)
     try:
-        chosen = api.preferred_engine(net, cfg, plan, replicas=2**_SPECULATION_LEVELS)
+        chosen = api.preferred_engine(net, cfg, plan, replicas=_WIDEST_BATCH)
     except ValueError:
         # a forced engine refuses the batch; the lone probes raise alike
-        return 0
-    return _SPECULATION_LEVELS if chosen == "vectorized" else 0
+        return False
+    return chosen == "vectorized"
 
 
 def _next_mid(low: float, high: float, resolution: float) -> float | None:
@@ -349,21 +357,50 @@ def _next_mid(low: float, high: float, resolution: float) -> float | None:
     return mid if high - low > resolution and low < mid < high else None
 
 
-def _speculation(low: float, high: float, resolution: float, levels: int) -> list[float]:
-    """Every rate the bisection can test in its next ``levels`` steps from
-    the bracket ``(low, high)``, down both outcomes of each step, ending
-    in the low-bracket guard probe where ``low`` is still 0.0."""
-    if levels == 0:
-        return []
-    mid = _next_mid(low, high, resolution)
-    if mid is None:
-        probe = high / 2
-        return [probe] if low == 0.0 and probe > 0.0 else []
-    return [
-        mid,
-        *_speculation(low, mid, resolution, levels - 1),
-        *_speculation(mid, high, resolution, levels - 1),
-    ]
+def _spine(high: float, resolution: float) -> list[float]:
+    """The rates the bisection tests from ``(0.0, high)`` if every one
+    saturates: the midpoints down to ``resolution``, then the low-bracket
+    guard probe; at most ``_SPINE_RATES`` of them."""
+    rates: list[float] = []
+    while len(rates) < _SPINE_RATES:
+        mid = _next_mid(0.0, high, resolution)
+        if mid is None:
+            if high / 2 > 0.0:
+                rates.append(high / 2)
+            break
+        rates.append(mid)
+        high = mid
+    return rates
+
+
+def _levels(low: float, high: float, resolution: float, depth: int) -> list[list[float]]:
+    """The midpoints the bisection can test in its next ``depth`` steps
+    from ``(low, high)``, down both outcomes of each step, level by level."""
+    levels: list[list[float]] = []
+    brackets = [(low, high)]
+    for _ in range(depth):
+        split = [
+            (lo, mid, hi)
+            for lo, hi in brackets
+            if (mid := _next_mid(lo, hi, resolution)) is not None
+        ]
+        if not split:
+            break
+        levels.append([mid for _, mid, _ in split])
+        brackets = [b for lo, mid, hi in split for b in ((lo, mid), (mid, hi))]
+    return levels
+
+
+def _speculation(low: float, high: float, resolution: float) -> list[float]:
+    """The rates one speculative batch adds to the probe it is measured
+    for: the spine while ``low`` is 0.0, else the rest of the bisection
+    when it ends within ``_FINISH_LEVELS`` levels, else ``_STEP_LEVELS``."""
+    if low == 0.0:
+        return _spine(high, resolution)
+    levels = _levels(low, high, resolution, _FINISH_LEVELS + 1)
+    if len(levels) > _FINISH_LEVELS:
+        levels = levels[:_STEP_LEVELS]
+    return [rate for level in levels for rate in level]
 
 
 def find_saturation(
@@ -388,12 +425,16 @@ def find_saturation(
     itself never tests ``low = 0.0``, so returning it unprobed would claim
     an unsaturated rate that was never measured.
 
-    When a batch runs vectorized, each measurement speculates: it runs
-    the next ``_SPECULATION_LEVELS`` levels of the bisection tree (and,
-    first, ``max_rate``) as one batch, and the walk reads later verdicts
-    from that memo.  Every rate is seeded from its own identity, so the
-    walk tests the serial search's rates bit-identically and returns the
-    same answer.
+    When the widest batch runs vectorized, each measurement speculates:
+    one batch holds the rate the walk needs plus, while no rate has come
+    back unsaturated, the saturated spine below it (``max_rate`` first,
+    then ``max_rate / 2``, ``/ 4``, ... down to ``resolution`` and the
+    guard probe), and afterwards the rest of the bisection tree when it
+    ends within four levels, else its next three.  The walk reads later
+    verdicts from a ``rate -> saturated`` memo.  Every rate is seeded
+    from its own identity, so the walk tests the serial search's rates
+    bit-identically and returns the same answer; on the 64-node
+    ``sweep64`` fabrics the search takes two batches.
 
     Raises ``ValueError`` unless ``resolution > 0`` and
     ``0 < max_rate <= 1``.
@@ -403,16 +444,13 @@ def find_saturation(
     if not 0 < max_rate <= 1:
         raise ValueError(f"max_rate must be in (0, 1], got {max_rate!r}")
     zero = _zero_load_latency(net, tables, packet_size)
-    levels = _speculation_levels(net, packet_size, max_rate, switching, engine)
+    speculate = _speculates(net, packet_size, max_rate, switching, engine)
     known: dict[float, bool] = {}
 
     def saturated(rate: float, low: float, high: float) -> bool:
         if rate not in known:
-            batch = [
-                r
-                for r in dict.fromkeys([rate, *_speculation(low, high, resolution, levels)])
-                if r not in known
-            ]
+            plan = _speculation(low, high, resolution) if speculate else []
+            batch = [r for r in dict.fromkeys([rate, *plan]) if r not in known]
             points = _measure_rates(
                 net, tables, batch, cycles, packet_size, seed, zero,
                 saturation_factor, switching, engine,

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from repro.deadlock.certifier import certify_channel_order
 from repro.experiments.fig1_deadlock import build, clockwise_tables
+from repro.metrics.hops import hop_stats_sampled
 from repro.network.graph import NetworkError
-from repro.routing.base import RoutingTable, all_pairs_routes
+from repro.routing.base import RoutingError, RoutingTable, all_pairs_routes
 from repro.routing.cache import RoutingTableCache, cached_tables
 from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.validate import validate_routing
@@ -87,6 +88,18 @@ def test_registered_topologies(name):
     assert_same(net, tables, sample=25, seed=11)
 
 
+@pytest.mark.parametrize("name", sorted(PARAMS))
+@pytest.mark.parametrize("max_pairs", [40, 2000])
+def test_sampled_hop_stats(name, max_pairs):
+    # 40 pairs take the seeded sample on every topology; 2000 cover every
+    # ordered pair of the smaller ones
+    net = build_topology(name, **PARAMS[name])
+    tables = cached_tables(net)
+    fast = hop_stats_sampled(net, tables, max_pairs=max_pairs, seed=7)
+    slow = hop_stats_sampled(net, oracle(net, tables), max_pairs=max_pairs, seed=7)
+    assert fast == slow
+
+
 def test_walk_fields_match_the_route_set():
     net = build_topology("fat_fractahedron", levels=1)
     tables = cached_tables(net)
@@ -144,6 +157,12 @@ def test_missing_entry():
     broken = RoutingTable(net, entries)
     report = assert_same(net, broken)
     assert not report.deliverable and "no entry" in report.failures[0]
+    errors = []
+    for table in (broken, oracle(net, broken)):
+        with pytest.raises(RoutingError) as exc:
+            hop_stats_sampled(net, table)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and "no entry" in errors[0]
 
 
 def test_loop():

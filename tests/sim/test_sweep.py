@@ -240,21 +240,37 @@ class TestSpeculativeSearch:
         assert len(batches) <= len(serial_path)
         assert batches[0][0] == max_rate
 
-    def test_speculation_batches_the_vectorized_probes(self, monkeypatch):
+    @pytest.mark.parametrize("threshold", [0.0215, 0.0195, 0.0332])
+    def test_spine_then_finishing_batch(self, monkeypatch, threshold):
+        # thresholds at the three sweep64 saturation rates: the spine batch
+        # finds the first unsaturated rate, one more batch ends the search
         net = mesh((3, 3), nodes_per_router=1)
         tables = dimension_order_tables(net)
         batches = []
-        seam = sweep_mod._measure_rates
+        monkeypatch.setattr(sweep_mod, "_measure_rates", _step_oracle(threshold, batches))
+        got = find_saturation(net, tables, cycles=300)
+        # max_rate, its spine 0.25 ... 0.001953125 and the guard probe
+        assert batches[0] == [0.5 / 2**k for k in range(10)]
+        assert len(batches) == 2
+        assert got == _serial_bisection(lambda rate: rate > threshold, 0.002, 0.5)
 
-        def spy(net, tables, rates, *args, **kwargs):
-            batches.append(len(rates))
-            return seam(net, tables, rates, *args, **kwargs)
+    def test_gate_asks_at_the_widest_batch(self, monkeypatch):
+        from repro.sim import api
 
-        monkeypatch.setattr(sweep_mod, "_measure_rates", spy)
-        find_saturation(net, tables, cycles=300, resolution=0.02)
-        levels = sweep_mod._SPECULATION_LEVELS
-        assert batches[0] == 2**levels  # max_rate plus 2**L - 1 midpoints
-        assert max(batches) == 2**levels
+        asked = []
+        decide = api.preferred_engine
+
+        def spy(*args, replicas=1, **kwargs):
+            asked.append(replicas)
+            return decide(*args, replicas=replicas, **kwargs)
+
+        batches = []
+        monkeypatch.setattr(api, "preferred_engine", spy)
+        monkeypatch.setattr(sweep_mod, "_measure_rates", _step_oracle(0.1, batches))
+        net = mesh((3, 3), nodes_per_router=1)
+        find_saturation(net, dimension_order_tables(net), cycles=300, resolution=1e-12)
+        assert asked == [sweep_mod._WIDEST_BATCH]
+        assert max(map(len, batches)) == sweep_mod._WIDEST_BATCH
 
 
 class TestNoWastedLoneRuns:
