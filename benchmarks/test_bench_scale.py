@@ -15,7 +15,7 @@ Every depth row shares one schema: the pipeline keys (``build_s``,
 ``vec_cycles_per_sec``, ``vec_speedup``, ``sim_parity``,
 ``auto_engine``) are always present, so downstream tooling can read
 ``row["cycles_per_sec"]`` at any depth.  Depth 4 (8192 ends, ~8K
-routers) exercises the memory refactors -- the int16 table matrix that
+routers) exercises the memory refactors -- the one-byte table matrix that
 both engines route from directly, windowed traffic pre-generation, and
 the arena-backed ``Network.indices()`` -- but marks the hierarchical-vs-oracle
 head-to-head with an explicit ``"oracle_skipped"`` reason instead of

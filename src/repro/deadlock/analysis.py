@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.deadlock.cdg import channel_dependency_graph, find_cycle
-from repro.deadlock.certifier import _kahn, _walk_successors
+from repro.deadlock.certifier import _kahn
 from repro.network.graph import Network
 from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes
 from repro.routing.validate import validate_routing
@@ -56,12 +56,12 @@ def certify_deadlock_free(
     report = validate_routing(net, tables)
     if routes is None and report.walk is not None:
         deps = report.walk.dependencies if report.ok else np.zeros((0, 2), np.int64)
-        channels = np.unique(deps).tolist()
-        order, _ = _kahn(channels, _walk_successors(deps))
+        channels = np.unique(deps)
+        order, _ = _kahn(channels.size, np.searchsorted(channels, deps))
         cycle = None
-        if len(order) != len(channels):
+        if order.size != channels.size:
             cycle = find_cycle(channel_dependency_graph(net, all_pairs_routes(net, tables)))
-        num_channels, num_dependencies = len(channels), len(deps)
+        num_channels, num_dependencies = channels.size, len(deps)
     else:
         if routes is None:
             routes = all_pairs_routes(net, tables) if report.ok else RouteSet()

@@ -28,8 +28,9 @@ per-topology disable-set searches with one principled recipe
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.network.graph import Network
 from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes, routes_for_pairs
@@ -113,48 +114,75 @@ class OrderCertification:
         return self.deliverable and self.deadlock_free
 
 
-def _dependency_edges(routes: RouteSet) -> tuple[list[str], dict[str, set[str]]]:
-    """Channels used by the routes and their held -> waited dependencies."""
-    channels: dict[str, None] = {}  # insertion-ordered set
-    succ: dict[str, set[str]] = {}
+def _dependency_edges(routes: RouteSet) -> tuple[list[str], np.ndarray]:
+    """Channels used by the routes, sorted, and their deduplicated
+    ``(k, 2)`` held -> waited dependencies as positions in that list."""
+    channels: set[str] = set()
+    pairs: set[tuple[str, str]] = set()
     for route in routes:
-        for link_id in route.links:
-            channels.setdefault(link_id)
-        for held, waited in zip(route.links, route.links[1:]):
-            succ.setdefault(held, set()).add(waited)
-    return list(channels), succ
+        channels.update(route.links)
+        pairs.update(zip(route.links, route.links[1:]))
+    labels = sorted(channels)
+    pos = {channel: i for i, channel in enumerate(labels)}
+    deps = np.array([(pos[h], pos[w]) for h, w in pairs], np.int64).reshape(-1, 2)
+    return labels, deps
 
 
-def _walk_successors(dependencies) -> dict[int, list[int]]:
-    """Held -> waited link indices from a walk's ``(k, 2)`` dependencies."""
-    succ: dict[int, list[int]] = {}
-    for held, waited in dependencies.tolist():
-        succ.setdefault(held, []).append(waited)
-    return succ
+def _kahn(n: int, deps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kahn's topological sort of channels ``0 .. n-1`` with a
+    deterministic tie-break, level-synchronous on arrays.
 
-
-def _kahn(channels: list, succ: dict) -> tuple[list, dict]:
-    """Kahn's topological sort with a deterministic (sorted) tie-break.
+    ``deps`` holds deduplicated ``(held, waited)`` rows.  The order is
+    exactly that of a FIFO Kahn pass that starts from the sorted
+    zero-in-degree channels and visits each channel's successors in
+    sorted order: such a pass releases channels one generation at a time,
+    and orders each generation by (queue position of the channel's last
+    predecessor, channel).  Each generation here gathers its frontier's
+    successors from a sorted CSR in exactly that visiting order, so a
+    channel's releasing edge is its last occurrence there.
 
     Returns the order and the final in-degrees.  The order covers every
     channel exactly when the dependencies are acyclic; otherwise the
     channels left with a positive in-degree are the ones a cycle stalls.
     Both certifiers decide acyclicity with this one pass.
     """
-    indegree: dict = {c: 0 for c in channels}
-    for waiting in succ.values():
-        for waited in waiting:
-            indegree[waited] += 1
-    ready = deque(sorted(c for c, d in indegree.items() if d == 0))
-    order: list = []
-    while ready:
-        channel = ready.popleft()
-        order.append(channel)
-        for waited in sorted(succ.get(channel, ())):
-            indegree[waited] -= 1
-            if indegree[waited] == 0:
-                ready.append(waited)
+    held, waited = deps[:, 0], deps[:, 1]
+    indegree = np.bincount(waited, minlength=n)
+    out_count = np.bincount(held, minlength=n)
+    out_start = np.cumsum(out_count) - out_count
+    succ = waited[np.lexsort((waited, held))]
+    frontier = np.flatnonzero(indegree == 0)
+    generations: list[np.ndarray] = []
+    while frontier.size:
+        generations.append(frontier)
+        count = out_count[frontier]
+        total = int(count.sum())
+        if not total:
+            break
+        # the frontier's successor slices, back to back, in visiting order
+        shift = np.repeat(out_start[frontier] - (np.cumsum(count) - count), count)
+        target = succ[shift + np.arange(total)]
+        by_target = np.argsort(target, kind="stable")
+        grouped = target[by_target]
+        last = np.flatnonzero(np.append(grouped[1:] != grouped[:-1], True))
+        touched = grouped[last]
+        indegree[touched] -= np.diff(last, prepend=-1)
+        # a channel whose in-degree reached 0 is released by its last edge
+        # here; the next generation follows those edges' positions
+        frontier = target[np.sort(by_target[last[indegree[touched] == 0]])]
+    order = np.concatenate(generations) if generations else np.zeros(0, np.intp)
     return order, indegree
+
+
+def _stalled_successors(indegree: np.ndarray, deps: np.ndarray) -> tuple[set, dict]:
+    """The channels a Kahn pass left stalled and held -> waited successor
+    sets among them: the input :func:`_extract_cycle` walks."""
+    stalled = indegree > 0
+    among = deps[stalled[deps[:, 0]] & stalled[deps[:, 1]]]
+    succ: dict[int, set[int]] = {}
+    for held, waited in among.tolist():
+        succ.setdefault(held, set()).add(waited)
+    return set(np.flatnonzero(stalled).tolist()), succ
 
 
 def _extract_cycle(remaining: set, succ: dict) -> tuple:
@@ -229,11 +257,14 @@ def certify_channel_order(
     else:
         deliverable = True
         failures = ()
-    labels: tuple[str, ...] | None = None
     if routes is None and walk is not None:
-        channels: list = walk.channels.tolist() if deliverable else []
-        succ: dict = _walk_successors(walk.dependencies) if deliverable else {}
-        labels = net.indices().link_ids
+        if deliverable:
+            used = walk.channels
+            deps = np.searchsorted(used, walk.dependencies)
+            link_ids = net.indices().link_ids
+            labels = [link_ids[c] for c in used.tolist()]
+        else:
+            labels, deps = [], np.zeros((0, 2), np.int64)
     else:
         if routes is None:
             if deliverable:
@@ -244,27 +275,22 @@ def certify_channel_order(
                     routes = routes_for_pairs(net, tables, walk_pairs)
             else:
                 routes = RouteSet()
-        channels, succ = _dependency_edges(routes)
-    num_dependencies = sum(len(s) for s in succ.values())
-    order, indegree = _kahn(channels, succ)
+        labels, deps = _dependency_edges(routes)
+    order, indegree = _kahn(len(labels), deps)
 
     certificate = counterexample = None
-    if len(order) == len(channels):
-        if labels is not None:
-            order = [labels[c] for c in order]
-        certificate = ChannelOrderCertificate(tuple(order))
+    if order.size == len(labels):
+        certificate = ChannelOrderCertificate(tuple(labels[c] for c in order.tolist()))
     else:
-        remaining = {c for c in channels if indegree[c] > 0}
-        counterexample = _extract_cycle(remaining, succ)
-        if labels is not None:
-            counterexample = tuple(labels[c] for c in counterexample)
+        cycle = _extract_cycle(*_stalled_successors(indegree, deps))
+        counterexample = tuple(labels[c] for c in cycle)
 
     return OrderCertification(
         network=net.name,
         deliverable=deliverable,
         deadlock_free=certificate is not None,
-        num_channels=len(channels),
-        num_dependencies=num_dependencies,
+        num_channels=len(labels),
+        num_dependencies=len(deps),
         certificate=certificate,
         counterexample=counterexample,
         failures=failures,

@@ -71,8 +71,19 @@ class Route:
         return len(self.links)
 
 
-#: Largest port a table entry can name (the int16 matrix cell's range).
+#: Largest port a table entry can name: an ``int16`` cell's range (a
+#: one-byte matrix widens to ``int16`` on the first port above 127).
 MAX_PORT = 32767
+
+#: Largest port a one-byte (``int8``) matrix cell holds.
+_BYTE_MAX = 127
+
+
+def _port_dtype(net: Network) -> type:
+    """``int8`` when the network's widest router has at most 127 ports
+    (every port number fits one byte), ``int16`` otherwise."""
+    widths = net.link_arrays().router_ports
+    return np.int8 if not widths.size or int(widths.max()) <= _BYTE_MAX else np.int16
 
 
 class RoutingTable:
@@ -82,19 +93,24 @@ class RoutingTable:
     entries exist for every destination a router may have to forward toward,
     including locally-attached ones (whose entry names the ejection port).
 
-    The entries live in one dense ``int16`` matrix,
+    The entries live in one dense matrix,
     ``ports[router_index, end_index]`` over the indices of the network the
     table was built on, with ``-1`` where the router has no entry for that
-    destination.  Two bytes per cell keeps a depth-4 fractahedron's ~65M
-    entries at ~130 MB; the engines and the array route walk read this
-    matrix directly (:func:`next_channel`), never a widened copy.
+    destination.  A ServerNet router has 6 ports (§2.3), so the matrix is
+    ``int8`` whenever the network's widest router has at most 127 ports:
+    one byte per cell keeps a depth-4 fractahedron's ~65M entries at
+    ~65 MB.  Wider routers start at ``int16``, and :meth:`set` widens a
+    one-byte matrix the first time it names a port above 127.  The
+    engines and the array route walk read this matrix directly
+    (:func:`next_channel`), never a widened copy.
     """
 
     def __init__(
         self, net: Network, entries: Mapping[str, Mapping[str, int]] | None = None
     ) -> None:
         self._idx = idx = net.indices()
-        self.ports = np.full((len(idx.router_ids), len(idx.end_ids)), -1, dtype=np.int16)
+        shape = (len(idx.router_ids), len(idx.end_ids))
+        self.ports = np.full(shape, -1, dtype=_port_dtype(net))
         for router, dests in (entries or {}).items():
             for dest, port in dests.items():
                 self.set(router, dest, port)
@@ -111,6 +127,8 @@ class RoutingTable:
         e = self._idx.end_index.get(dest)
         if r is None or e is None:
             raise RoutingError(f"{router!r}/{dest!r} not indexed by this RoutingTable")
+        if port > _BYTE_MAX and self.ports.itemsize == 1:
+            self.ports = self.ports.astype(np.int16)
         self.ports[r, e] = port
 
     def freeze(self) -> "RoutingTable":
@@ -175,12 +193,12 @@ class RoutingTable:
         ``ports`` itself when the network still has the router and end ids
         the table was built on; otherwise a copy re-indexed by id, where
         entries for ids the network no longer has drop out and ids the
-        table never saw have none.
+        table never saw have none.  Either way the dtype is the table's.
         """
         idx, own = net.indices(), self._idx
         if idx.router_ids == own.router_ids and idx.end_ids == own.end_ids:
             return self.ports
-        padded = np.full((self.ports.shape[0] + 1, self.ports.shape[1] + 1), -1, np.int16)
+        padded = np.full((self.ports.shape[0] + 1, self.ports.shape[1] + 1), -1, self.ports.dtype)
         padded[:-1, :-1] = self.ports
         # ids the table lacks map to -1: the padding row / column
         rows = np.array([own.router_index.get(r, -1) for r in idx.router_ids], np.intp)

@@ -60,7 +60,7 @@ LinkPredicate = Callable[[Link], bool]
 # ----------------------------------------------------------------------
 
 
-def _router_csr(net: Network, idx, allowed: LinkPredicate | None):
+def _router_csr(net: Network, idx, allowed: LinkPredicate | None, port_dtype):
     """In-adjacency of the allowed router graph in dense index space.
 
     Returns ``(starts, counts, inc_src, inc_port, lex_order, adj_hash)``:
@@ -68,6 +68,8 @@ def _router_csr(net: Network, idx, allowed: LinkPredicate | None):
     of ``inc_src``/``inc_port`` and are sorted by ``(lex rank of source id,
     source port)`` -- precomputing the exact comparison the oracle performs
     with ``sorted(key=lambda l: (l.src, l.src_port))`` on every dequeue.
+    ``inc_port`` has the routing table's ``port_dtype``, and so do the
+    columns :func:`_bfs_column` builds from it.
     ``lex_order`` lists router indices by id string order (for error
     messages); ``adj_hash`` is a content hash of the whole structure.
     """
@@ -93,7 +95,7 @@ def _router_csr(net: Network, idx, allowed: LinkPredicate | None):
     port_a = np.asarray(ports, dtype=np.int64)
     order = np.lexsort((port_a, rank[src_a], dst_a)) if src_a.size else src_a
     inc_src = src_a[order]
-    inc_port = port_a[order].astype(np.int16)
+    inc_port = port_a[order].astype(port_dtype)
     counts = np.bincount(dst_a, minlength=R).astype(np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1])) if R else counts
 
@@ -122,7 +124,7 @@ def _bfs_column(dest_r: int, R: int, starts, counts, inc_src, inc_port):
     precisely "lowest (frontier position, CSR rank) edge wins", which one
     ``np.unique`` per level resolves for every discovery at once.
     """
-    col = np.full(R, -1, dtype=np.int16)
+    col = np.full(R, -1, dtype=inc_port.dtype)
     visited = np.zeros(R, dtype=bool)
     visited[dest_r] = True
     frontier = np.array([dest_r], dtype=np.int64)
@@ -236,17 +238,17 @@ def hier_shortest_path_tables(
         the :class:`RoutingError` raised for the first destination (in
         ``dests`` order) some router cannot reach.
     """
+    table = RoutingTable(net)
+    ports = table.ports
     t0 = time.perf_counter()
     idx = net.indices()
     R = len(idx.router_ids)
     router_ids = idx.router_ids
     starts, counts, inc_src, inc_port, lex_order, adj_hash = _router_csr(
-        net, idx, allowed
+        net, idx, allowed, ports.dtype
     )
     _record_level(cache, "adjacency", time.perf_counter() - t0)
 
-    table = RoutingTable(net)
-    ports = table.ports
     end_order = net.end_node_ids() if dests is None else list(dests)
 
     columns: dict[str, tuple] = {}  # dest router id -> ("col", arr) | ("missing", ...)

@@ -1,5 +1,6 @@
 """Unit tests for routes, tables and route sets."""
 
+import numpy as np
 import pytest
 
 from repro.network.builder import NetworkBuilder
@@ -12,6 +13,9 @@ from repro.routing.base import (
     compute_route,
     routes_for_pairs,
 )
+from repro.routing.cache import cached_tables
+from repro.topology.registry import build_topology
+from tests.routing.test_walk import PARAMS
 
 
 @pytest.fixture
@@ -102,6 +106,60 @@ class TestRoutingTable:
         c = t.copy()
         c.set("A", "n1", 0)
         assert (t.lookup("A", "n1"), c.lookup("A", "n1")) == (1, 0)
+
+
+class TestPortDtype:
+    """One byte per cell while every port fits, two bytes otherwise."""
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_registry_topologies_build_one_byte_tables(self, name):
+        net = build_topology(name, **PARAMS[name])
+        tables = cached_tables(net)
+        assert tables.ports.dtype == np.int8
+        assert tables.num_entries() > 0
+
+    def test_large_port_widens_and_keeps_entries(self, line_net, line_tables):
+        idx = line_net.indices()
+        want = line_tables.ports.astype(np.int16)
+        assert line_tables.ports.dtype == np.int8
+        line_tables.set("B", "n1", 127)
+        assert line_tables.ports.dtype == np.int8  # 127 still fits a byte
+        line_tables.set("A", "n1", 32767)
+        assert line_tables.ports.dtype == np.int16
+        want[idx.router_index["B"], idx.end_index["n1"]] = 127
+        want[idx.router_index["A"], idx.end_index["n1"]] = 32767
+        assert np.array_equal(line_tables.ports, want)
+        assert line_tables.lookup("A", "n1") == 32767
+
+    def test_wide_router_starts_at_two_bytes(self):
+        b = NetworkBuilder("wide")
+        b.router("W", num_ports=128)
+        b.end_node("n0")
+        b.cable("n0", "W")
+        t = RoutingTable(b.net)
+        assert t.ports.dtype == np.int16
+        narrow = NetworkBuilder("narrow")
+        narrow.router("N", num_ports=127)
+        assert RoutingTable(narrow.net).ports.dtype == np.int8
+
+    @pytest.mark.parametrize("port", [1, 300])
+    def test_copy_and_ports_on_keep_the_dtype(self, line_net, line_tables, port):
+        line_tables.set("A", "n1", port)
+        dtype = line_tables.ports.dtype
+        assert line_tables.copy().ports.dtype == dtype
+        line_net.add_router("C", num_ports=6)  # re-indexes: ports_on copies
+        on = line_tables.ports_on(line_net)
+        assert not np.shares_memory(on, line_tables.ports)
+        assert on.dtype == dtype and on.shape == (3, 2)
+        idx = line_net.indices()
+        assert on[idx.router_index["A"], idx.end_index["n1"]] == port
+
+    def test_frozen_table_raises_before_widening(self, line_tables):
+        line_tables.freeze()
+        with pytest.raises(RoutingError, match=r"\.copy\(\)"):
+            line_tables.set("A", "n1", 32767)
+        assert line_tables.ports.dtype == np.int8
+        assert not line_tables.ports.flags.writeable
 
 
 class TestComputeRoute:

@@ -51,12 +51,21 @@ def engine_channels(ports: np.ndarray, lut: np.ndarray) -> tuple[np.ndarray, np.
     return vector, scalar
 
 
+def port_dtype(net, tables: RoutingTable):
+    """The dtype rule: one byte while the widest router has at most 127
+    ports and no entry names a port above 127, two bytes otherwise."""
+    widest = max((net.node(r).num_ports for r in net.router_ids()), default=0)
+    narrow = widest <= 127 and int(tables.ports.max(initial=-1)) <= 127
+    return np.int8 if narrow else np.int16
+
+
 def assert_routes_like_reference(net, tables, cache=None):
     cache = cache or RoutingTableCache()
     for vc_count in (1, 2):
         ports, lut = cache.get_or_lower(net, tables, vc_count)
         assert not ports.flags.writeable and not lut.flags.writeable
-        assert ports.dtype == np.int16 and lut.dtype == np.int32
+        assert ports.dtype == tables.ports.dtype == port_dtype(net, tables)
+        assert lut.dtype == np.int32
         want = reference_channels(net, tables, vc_count)
         vector, scalar = engine_channels(ports, lut)
         assert np.array_equal(vector, want)
@@ -116,6 +125,7 @@ def test_ports_past_the_widest_router():
     dest = net.end_node_ids()[-1]
     for router in net.router_ids():
         tables.set(router, dest, 32767)
+    assert tables.ports.dtype == np.int16  # widened by the first port above 127
     assert_routes_like_reference(net, tables)
     _, lut = RoutingTableCache().get_or_lower(net, tables)
     assert lut.shape[1] == 32769  # every port in the table, plus the -1 column

@@ -1,9 +1,9 @@
 """Both engines route from the table's own port matrix.
 
-Neither the compiled nor the vectorized engine may widen the int16
-``routers x ends`` port matrix into a channel matrix: each reads the next
+Neither the compiled nor the vectorized engine may copy the one-byte
+``routers x ends`` port matrix, widened or not: each reads the next
 channel as ``lut[r, ports[r, e]]`` over the table's ``ports`` (shared
-memory, no copy), and holds no int32 array of that shape.
+memory, no copy), and holds no other array of that shape, of any dtype.
 """
 
 import numpy as np
@@ -27,12 +27,15 @@ def test_engine_holds_no_lowered_copy(engine, frozen):
     sim = make_sim(net, tables, UniformPlan(0.02, 4, 3), SimConfig(engine=engine))
     sim.run(50)
     core = sim.core if engine == "vectorized" else sim
+    assert tables.ports.dtype == np.int8
     assert np.shares_memory(core._ports, tables.ports)
     shape = (net.num_routers, net.num_end_nodes)
     lowered = [
         name
         for name, v in vars(core).items()
-        if isinstance(v, np.ndarray) and v.dtype == np.int32 and v.shape == shape
+        if isinstance(v, np.ndarray)
+        and v.shape == shape
+        and not (v.dtype == tables.ports.dtype and np.shares_memory(v, tables.ports))
     ]
     assert not lowered, f"{engine} engine holds a lowered matrix: {lowered}"
 
