@@ -381,7 +381,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    from repro.deadlock.analysis import certify_deadlock_free
+    from repro.deadlock.certifier import certify_channel_order
     from repro.metrics.cost import cost_summary
     from repro.network.serialize import load_fabric
 
@@ -392,7 +392,7 @@ def cmd_inspect(args) -> int:
     if disables is not None:
         print(f"disabled turns: {len(disables)}")
     if tables is not None:
-        result = certify_deadlock_free(net, tables)
+        result = certify_channel_order(net, tables)
         print(f"routing: deliverable={result.deliverable} "
               f"deadlock_free={result.deadlock_free}")
         return 0 if result.certified else 1
@@ -409,35 +409,24 @@ def cmd_show(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from repro.deadlock.analysis import certify_deadlock_free
     from repro.deadlock.certifier import certify_channel_order
 
     net = _build(args.topology, args.param)
-    tables = _routing_for(net)
-    result = certify_deadlock_free(net, tables)
+    result = certify_channel_order(net, _routing_for(net))
     print(
         f"{net.name}: deliverable={result.deliverable} "
         f"deadlock_free={result.deadlock_free} "
         f"({result.num_channels} channels, {result.num_dependencies} dependencies)"
     )
-    if result.sample_cycle:
-        print("  sample cycle: " + " -> ".join(result.sample_cycle[:6]))
-    for failure in result.failures:
-        print(f"  {failure}")
-    order = certify_channel_order(net, tables)
-    if order.deadlock_free:
+    if result.certificate:
         print(
-            f"  channel-order certificate: {order.num_channels} channels "
+            f"  channel-order certificate: {result.num_channels} channels "
             "in ascending order (verified)"
         )
-    elif order.counterexample:
-        print(
-            "  channel-order counterexample: "
-            + " -> ".join(order.counterexample[:6])
-        )
-    if order.deadlock_free != result.deadlock_free:
-        print("  CERTIFIER DISAGREEMENT: CDG cycle check vs channel order")
-        return 1
+    elif result.counterexample:
+        print("  channel-order counterexample: " + " -> ".join(result.counterexample[:6]))
+    for failure in result.failures:
+        print(f"  {failure}")
     return 0 if result.certified else 1
 
 

@@ -16,7 +16,7 @@ from repro.deadlock.cdg import (
     find_cycle,
     is_deadlock_free,
 )
-from repro.deadlock.analysis import CertificationResult, certify_deadlock_free
+from repro.deadlock.analysis import certify_deadlock_free
 from repro.deadlock.certifier import (
     ChannelOrderCertificate,
     OrderCertification,
@@ -27,7 +27,6 @@ from repro.deadlock.certifier import (
 from repro.deadlock.waitfor import WaitForGraph
 
 __all__ = [
-    "CertificationResult",
     "ChannelOrderCertificate",
     "OrderCertification",
     "WaitForGraph",

@@ -12,7 +12,7 @@ Sufficiency is the classic Dally-Seitz argument (an ascending order is a
 witness that no cyclic wait can close); necessity follows because any
 acyclic channel dependency graph admits a topological order, and that
 order ascends along every route.  The value over the bare CDG cycle check
-in :mod:`repro.deadlock.analysis` is the *certificate*: a concrete channel
+in :mod:`repro.deadlock.cdg` is the *certificate*: a concrete channel
 order that anyone can re-verify in one linear pass over the routes,
 without rebuilding the dependency graph (and without networkx).  On
 refutation the certifier returns a dependency cycle instead -- the
@@ -91,12 +91,11 @@ class ChannelOrderCertificate:
 
 @dataclass(frozen=True)
 class OrderCertification:
-    """Outcome of :func:`certify_channel_order`.
+    """Outcome of :func:`certify_channel_order`: the deadlock verdict.
 
-    Mirrors :class:`repro.deadlock.analysis.CertificationResult` (so the
-    two certifiers can be cross-validated field by field) and adds the
-    witness: an ascending-order certificate when deadlock-free, a
-    dependency cycle when not.
+    Reports deliverability and the size of the dependency relation, and
+    carries the witness: an ascending-order certificate when
+    deadlock-free, a dependency cycle when not.
     """
 
     network: str
@@ -144,7 +143,6 @@ def _kahn(n: int, deps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the order and the final in-degrees.  The order covers every
     channel exactly when the dependencies are acyclic; otherwise the
     channels left with a positive in-degree are the ones a cycle stalls.
-    Both certifiers decide acyclicity with this one pass.
     """
     held, waited = deps[:, 0], deps[:, 1]
     indegree = np.bincount(waited, minlength=n)

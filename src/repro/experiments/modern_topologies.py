@@ -32,17 +32,17 @@ run (reference vs compiled vs vectorized, bit-identical by
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Callable
 
-from repro.deadlock.analysis import certify_deadlock_free
-from repro.deadlock.cdg import channel_dependency_graph_vc, find_cycle
+from repro.deadlock.cdg import channel_dependency_graph, channel_dependency_graph_vc, find_cycle
 from repro.deadlock.certifier import certify_channel_order
 from repro.experiments.future_simulation import CONTENDERS
 from repro.metrics.report import format_table
 from repro.network.graph import Network
 from repro.obs.parity import stats_signature
-from repro.routing.base import RoutingTable, all_pairs_routes
+from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes
 from repro.routing.cache import cached_tables
 from repro.routing.dragonfly import dragonfly_vc_assign
 from repro.routing.fullmesh import fullmesh_spread_routes
@@ -84,22 +84,16 @@ RECOVERY_REROUTE = ReroutePolicy(detection_delay=16, reconvergence_delay=32)
 
 
 def _dual_certify(net, tables=None, routes=None) -> dict:
-    """Run both certifiers over the same route set and compare verdicts."""
+    """Run the order certifier and the networkx CDG cycle check over the
+    same route set and compare verdicts."""
     if routes is None:
         routes = all_pairs_routes(net, tables)
-    cdg_result = certify_deadlock_free(net, tables, routes=routes) if tables is not None else None
     order_result = certify_channel_order(net, tables, routes=routes)
-    cdg_free = cdg_result.deadlock_free if cdg_result is not None else None
-    if cdg_result is None:
-        # route-set schemes have no tables for the CDG certifier's
-        # deliverability walk; compare the deadlock verdicts directly
-        from repro.deadlock.cdg import channel_dependency_graph
-
-        cdg_free = find_cycle(channel_dependency_graph(net, routes)) is None
-    row = {
-        "cdg_free": bool(cdg_free),
+    cdg_free = find_cycle(channel_dependency_graph(net, routes)) is None
+    return {
+        "cdg_free": cdg_free,
         "order_free": order_result.deadlock_free,
-        "agree": bool(cdg_free) == order_result.deadlock_free,
+        "agree": cdg_free == order_result.deadlock_free,
         "channels": order_result.num_channels,
         "dependencies": order_result.num_dependencies,
         "certificate_valid": (
@@ -112,7 +106,28 @@ def _dual_certify(net, tables=None, routes=None) -> dict:
             len(order_result.counterexample) if order_result.counterexample else 0
         ),
     }
-    return row
+
+
+def _vc_certify(net, routes, vc_assign) -> dict:
+    """Both checks on virtual channels: the VC-aware networkx CDG, and the
+    order certifier over the routes with each link renamed to its
+    ``link#vc`` channel."""
+    vc_cdg = channel_dependency_graph_vc(net, routes, vc_assign=vc_assign)
+    cdg_free = find_cycle(vc_cdg) is None
+    vc_routes = RouteSet(
+        replace(r, links=tuple(f"{l}#{v}" for l, v in zip(r.links, vc_assign(r))))
+        for r in routes
+    )
+    order_free = certify_channel_order(net, routes=vc_routes).deadlock_free
+    return {
+        "cdg_free": cdg_free,
+        "order_free": order_free,
+        "agree": cdg_free == order_free,
+        "channels": vc_cdg.number_of_nodes(),
+        "dependencies": vc_cdg.number_of_edges(),
+        "certificate_valid": None,
+        "counterexample_len": 0,
+    }
 
 
 def _certification_rows() -> list[dict]:
@@ -132,45 +147,20 @@ def _certification_rows() -> list[dict]:
         | _dual_certify(hx, hx_tables)
     )
     valiant, vc_assign = hyperx_valiant_routes(hx, seed=7)
-    vc_cdg = channel_dependency_graph_vc(hx, valiant, vc_assign=vc_assign)
     rows.append(
-        {
-            "name": "hyperx_3x3",
-            "routing": "valiant",
-            "virtual_channels": 2,
-            "cdg_free": find_cycle(vc_cdg) is None,
-            "order_free": find_cycle(vc_cdg) is None,
-            "agree": True,
-            "channels": vc_cdg.number_of_nodes(),
-            "dependencies": vc_cdg.number_of_edges(),
-            "certificate_valid": None,
-            "counterexample_len": 0,
-        }
+        {"name": "hyperx_3x3", "routing": "valiant", "virtual_channels": 2}
+        | _vc_certify(hx, valiant, vc_assign)
     )
 
     df, df_tables = MODERN_TOPOLOGIES["dragonfly_g5"]()
-    physical = _dual_certify(df, df_tables)
     df_routes = all_pairs_routes(df, df_tables)
-    ladder_cdg = channel_dependency_graph_vc(
-        df, df_routes, vc_assign=dragonfly_vc_assign(df)
-    )
     rows.append(
         {"name": "dragonfly_g5", "routing": "minimal_lgl", "virtual_channels": 0}
-        | physical
+        | _dual_certify(df, df_tables, df_routes)
     )
     rows.append(
-        {
-            "name": "dragonfly_g5",
-            "routing": "minimal_lgl",
-            "virtual_channels": 2,
-            "cdg_free": find_cycle(ladder_cdg) is None,
-            "order_free": find_cycle(ladder_cdg) is None,
-            "agree": True,
-            "channels": ladder_cdg.number_of_nodes(),
-            "dependencies": ladder_cdg.number_of_edges(),
-            "certificate_valid": None,
-            "counterexample_len": 0,
-        }
+        {"name": "dragonfly_g5", "routing": "minimal_lgl", "virtual_channels": 2}
+        | _vc_certify(df, df_routes, dragonfly_vc_assign(df))
     )
 
     fm, fm_tables = MODERN_TOPOLOGIES["fullmesh_6"]()

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.deadlock.analysis import certify_deadlock_free
-from repro.deadlock.cdg import channel_dependency_graph
+from repro.deadlock.cdg import channel_dependency_graph, find_cycle
 from repro.experiments.fig1_deadlock import build, clockwise_tables
-from repro.routing.base import RoutingTable, all_pairs_routes
+from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes
 from repro.routing.dimension_order import dimension_order_tables
+from repro.routing.validate import validate_routing
 from tests.integration.test_certification_matrix import MATRIX
 
 
@@ -15,7 +16,7 @@ def test_certified_pair():
     result = certify_deadlock_free(net, dimension_order_tables(net))
     assert result.certified
     assert result.deliverable and result.deadlock_free
-    assert result.sample_cycle is None
+    assert result.counterexample is None
     assert result.num_channels > 0
 
 
@@ -25,7 +26,7 @@ def test_cyclic_pair_fails_certification():
     assert result.deliverable
     assert not result.deadlock_free
     assert not result.certified
-    assert result.sample_cycle and len(result.sample_cycle) == 4
+    assert result.counterexample and len(result.counterexample) == 4
 
 
 def test_incomplete_tables_fail_deliverability():
@@ -48,8 +49,8 @@ def test_paper_networks_certified(
 
 
 class PerPairTable(RoutingTable):
-    """The same entries in a type the array walk does not read, so
-    certification takes the per-route networkx CDG path."""
+    """The same entries in a type the array walk does not read, so the
+    oracle's routes come from the pure-Python per-pair walk."""
 
 
 def _per_pair(net, tables):
@@ -59,12 +60,19 @@ def _per_pair(net, tables):
 
 
 def _assert_paths_agree(net, tables):
-    """The walk path and the networkx path agree field by field."""
+    """The certifier's array walk agrees with the networkx CDG of the
+    Python-walk routes: verdict, channel and dependency counts."""
     walk = certify_deadlock_free(net, tables)
-    cdg = certify_deadlock_free(net, _per_pair(net, tables))
-    for field in ("deliverable", "deadlock_free", "num_channels", "num_dependencies", "failures"):
-        assert getattr(walk, field) == getattr(cdg, field), field
-    return walk, cdg
+    oracle = _per_pair(net, tables)
+    report = validate_routing(net, oracle)
+    routes = all_pairs_routes(net, oracle) if report.ok else RouteSet()
+    graph = channel_dependency_graph(net, routes)
+    assert walk.deliverable == report.ok
+    assert walk.failures == tuple(report.failures[:10])
+    assert walk.deadlock_free == (find_cycle(graph) is None)
+    assert walk.num_channels == graph.number_of_nodes()
+    assert walk.num_dependencies == graph.number_of_edges()
+    return walk, graph
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
@@ -84,11 +92,10 @@ def test_paths_agree_on_undeliverable_tables():
 
 def test_paths_agree_on_rejected_tables():
     net = build()
-    tables = clockwise_tables(net)
-    walk, cdg = _assert_paths_agree(net, tables)
+    walk, graph = _assert_paths_agree(net, clockwise_tables(net))
     assert walk.deliverable and not walk.deadlock_free
-    assert walk.sample_cycle == cdg.sample_cycle
-    # the witness is a cycle of the CDG over the Python-walk routes
-    graph = channel_dependency_graph(net, all_pairs_routes(net, tables))
-    cycle = walk.sample_cycle
+    # the counterexample is a cycle of the CDG over the Python-walk routes,
+    # as long as the one networkx finds
+    cycle = walk.counterexample
+    assert len(cycle) == len(find_cycle(graph))
     assert all(graph.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.deadlock.analysis import certify_deadlock_free
+from repro.deadlock.cdg import channel_dependency_graph, find_cycle
 from repro.deadlock.certifier import (
     ChannelOrderCertificate,
     certify_channel_order,
@@ -84,19 +84,21 @@ def test_agrees_with_cdg_certifier_on_paper_matrix(
     fracta64, fracta64_tables, fattree64, fattree64_tables
 ):
     for net, tables in ((fracta64, fracta64_tables), (fattree64, fattree64_tables)):
-        cdg = certify_deadlock_free(net, tables)
+        cdg = channel_dependency_graph(net, all_pairs_routes(net, tables))
         order = certify_channel_order(net, tables)
-        assert order.deadlock_free == cdg.deadlock_free, net.name
-        assert order.num_channels == cdg.num_channels, net.name
-        assert order.num_dependencies == cdg.num_dependencies, net.name
+        assert order.deadlock_free == (find_cycle(cdg) is None), net.name
+        assert order.num_channels == cdg.number_of_nodes(), net.name
+        assert order.num_dependencies == cdg.number_of_edges(), net.name
 
 
 def test_agreement_on_rejection():
     net = build()
-    cdg = certify_deadlock_free(net, clockwise_tables(net))
+    cdg = channel_dependency_graph(net, all_pairs_routes(net, clockwise_tables(net)))
     order = certify_channel_order(net, clockwise_tables(net))
-    assert not cdg.deadlock_free and not order.deadlock_free
-    assert order.num_dependencies == cdg.num_dependencies
+    assert find_cycle(cdg) is not None and not order.deadlock_free
+    assert order.num_dependencies == cdg.number_of_edges()
+    cycle = order.counterexample
+    assert all(cdg.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def test_deterministic_output():
@@ -131,8 +133,7 @@ def test_synthesize_ordered_routing():
     tables, certification = synthesize_ordered_routing(net)
     assert certification.certified
     assert certification.certificate is not None
-    cdg = certify_deadlock_free(net, tables)
-    assert cdg.certified
+    assert find_cycle(channel_dependency_graph(net, all_pairs_routes(net, tables))) is None
 
 
 def test_channel_order_rejects_end_node_root():

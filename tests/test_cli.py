@@ -42,11 +42,21 @@ def test_certify(capsys):
     assert main(["certify", "fat_fractahedron", "--param", "levels=2"]) == 0
     out = capsys.readouterr().out
     assert "deadlock_free=True" in out
+    assert "channel-order certificate: 336 channels in ascending order" in out
+    assert "counterexample" not in out
 
 
 def test_certify_mesh(capsys):
     assert main(["certify", "mesh", "--param", "shape=(3,3)"]) == 0
     assert "deadlock_free=True" in capsys.readouterr().out
+
+
+def test_certify_rejects_torus_with_counterexample(capsys):
+    assert main(["certify", "torus", "--param", "shape=(4,4)"]) == 1
+    out = capsys.readouterr().out
+    assert "deadlock_free=False" in out
+    assert "channel-order counterexample: " in out
+    assert "certificate" not in out
 
 
 def test_simulate(capsys):
@@ -100,6 +110,14 @@ def test_build_save_and_inspect(tmp_path, capsys):
     assert main(["inspect", path]) == 0
     out = capsys.readouterr().out
     assert "deadlock_free=True" in out
+
+
+def test_inspect_cyclic_fabric_fails(tmp_path, capsys):
+    path = str(tmp_path / "torus.json")
+    assert main(["build", "torus", "--param", "shape=(4,4)", "--save", path]) == 0
+    capsys.readouterr()
+    assert main(["inspect", path]) == 1
+    assert "deadlock_free=False" in capsys.readouterr().out
 
 
 def test_sweep_saturation_prints_offered_packet_rate(capsys):
