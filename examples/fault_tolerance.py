@@ -18,7 +18,7 @@ from repro.routing.base import all_pairs_routes, compute_route
 from repro.servernet.fabric import DualFabric
 from repro.servernet.router_asic import RouterAsic, TableCorruption
 from repro.sim.engine import SimConfig
-from repro.sim.fault import LinkFault
+from repro.sim.fault import FaultSchedule
 from repro.sim.api import make_sim
 from repro.sim.traffic import pairs_traffic
 from repro.workloads.patterns import ring_shift_permutation
@@ -58,7 +58,7 @@ def main() -> None:
         for s, d in pattern
         if dead in compute_route(net, tables, s, d).router_links
     )
-    fault = LinkFault().fail_cable(net, dead, at_cycle=0)
+    fault = FaultSchedule().fail_cable(net, dead, at_cycle=0)
     sim = make_sim(
         net,
         tables,

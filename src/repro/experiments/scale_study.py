@@ -2,10 +2,9 @@
 
 The paper stops at a 1024-CPU fractahedron on paper; this driver builds it
 (and its smaller siblings) for real and measures the whole pipeline at each
-depth: topology construction, hierarchical routing-table build (with its
-per-level fragment cache statistics), the whole-graph BFS oracle it must
-match bit-for-bit, compilation of the simulator IR and engine set-up, and a
-per-engine simulation head-to-head -- the compiled core's cycles/second
+depth: topology construction, the fractahedral routing-table build,
+compilation of the simulator IR and engine set-up, and a per-engine
+simulation head-to-head -- the compiled core's cycles/second
 against the vectorized core run single-replica (B=1) on the same stream,
 with a ``stats_signature`` parity bit proving the two runs bit-identical.
 Each row also records which engine the width-aware ``auto`` dispatch
@@ -14,18 +13,11 @@ Each row also records which engine the width-aware ``auto`` dispatch
 At the top depth the measured fabric is validated against the Table 1
 closed forms (node count, worst-case delay, bisection), so the scale path
 re-proves the paper's arithmetic on the largest instance it touches.
-
-The destination sweep for the oracle cross-check is *full* on fabrics up
-to 128 end nodes (depths 1-2) and an evenly-spaced sample above that
-(depth 3's 1024 ends); ``oracle_full_est_s`` extrapolates the sampled
-oracle time to a full sweep, which is what ``speedup`` compares against.
 """
 
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from repro.core.analysis import (
     fat_bisection_links,
@@ -40,36 +32,19 @@ from repro.experiments.table1_fractahedron import worst_pair
 from repro.metrics.bisection import bisection_of_partition
 from repro.metrics.report import format_table
 from repro.routing.base import compute_route
-from repro.routing.cache import RoutingTableCache
-from repro.routing.hierarchical import hier_shortest_path_tables
-from repro.routing.shortest_path import shortest_path_tables
 from repro.obs.parity import stats_signature
 from repro.sim import SimConfig, UniformPlan
 from repro.sim.api import make_sim, preferred_engine
 from repro.sim.compile import compile_network
 
-__all__ = ["run", "report", "measure_depth", "FULL_SWEEP_MAX_ENDS"]
+__all__ = ["run", "report", "measure_depth"]
 
 FANOUT = 2
-
-#: Full-destination oracle sweeps up to this many end nodes (depths 1-2 of
-#: the fanout-2 fat fractahedron); larger fabrics get a sampled sweep.
-FULL_SWEEP_MAX_ENDS = 128
-
-
-def _sample_dests(net, sample: int) -> list[str]:
-    """Evenly spaced destination sample across the fractahedral address space."""
-    ends = net.end_node_ids()
-    if len(ends) <= sample:
-        return list(ends)
-    step = len(ends) / sample
-    return [ends[int(i * step)] for i in range(sample)]
 
 
 def measure_depth(
     levels: int,
     fat: bool = True,
-    sample_dests: int = 24,
     sim_cycles: int = 200,
     sim_rate: float = 0.02,
     seed: int = 7,
@@ -87,26 +62,6 @@ def measure_depth(
     start = time.perf_counter()
     net = fractahedron(params)
     build_s = time.perf_counter() - start
-
-    cache = RoutingTableCache()
-    start = time.perf_counter()
-    hier = hier_shortest_path_tables(net, cache=cache)
-    hier_s = time.perf_counter() - start
-
-    full_sweep = net.num_end_nodes <= FULL_SWEEP_MAX_ENDS
-    dests = None if full_sweep else _sample_dests(net, sample_dests)
-    start = time.perf_counter()
-    oracle = shortest_path_tables(net, dests=dests)
-    oracle_s = time.perf_counter() - start
-    swept = net.num_end_nodes if full_sweep else len(dests)
-    oracle_full_est_s = oracle_s * net.num_end_nodes / swept
-
-    # every oracle entry must be the hierarchical table's entry: one masked
-    # compare over the swept destinations' columns
-    end_index = net.indices().end_index
-    cols = slice(None) if full_sweep else [end_index[d] for d in dests]
-    want = oracle.ports_on(net)[:, cols]
-    mismatches = int(np.count_nonzero((want >= 0) & (hier.ports_on(net)[:, cols] != want)))
 
     start = time.perf_counter()
     frac = fractahedral_tables(net)
@@ -159,16 +114,6 @@ def measure_depth(
         "routers": net.num_routers,
         "channels": compiled.num_channels,
         "build_s": round(build_s, 4),
-        "hier_table_s": round(hier_s, 4),
-        "oracle_s": round(oracle_s, 4),
-        "oracle_full_est_s": round(oracle_full_est_s, 4),
-        "oracle_dests_swept": swept,
-        "oracle_full_sweep": full_sweep,
-        "speedup": round(oracle_full_est_s / hier_s, 2) if hier_s else float("inf"),
-        "mismatches": mismatches,
-        "fragment_hits": cache.stats.fragment_hits,
-        "fragment_misses": cache.stats.fragment_misses,
-        "level_seconds": {k: round(v, 4) for k, v in cache.stats.level_seconds.items()},
         "frac_table_s": round(frac_s, 4),
         "compile_s": round(compile_s, 4),
         "lower_s": round(lower_s, 4),
@@ -218,14 +163,9 @@ def _validate_top(row: dict) -> dict:
     }
 
 
-def run(
-    max_levels: int = 3,
-    fat: bool = True,
-    sample_dests: int = 24,
-    sim_cycles: int = 200,
-) -> dict:
+def run(max_levels: int = 3, fat: bool = True, sim_cycles: int = 200) -> dict:
     rows = [
-        measure_depth(levels, fat=fat, sample_dests=sample_dests, sim_cycles=sim_cycles)
+        measure_depth(levels, fat=fat, sim_cycles=sim_cycles)
         for levels in range(1, max_levels + 1)
     ]
     return {"rows": rows, "validation": _validate_top(rows[-1])}
@@ -235,20 +175,12 @@ def report(max_levels: int = 3) -> str:
     result = run(max_levels)
     table = []
     for r in result["rows"]:
-        oracle = f"{r['oracle_full_est_s']:.3f}"
-        if not r["oracle_full_sweep"]:
-            oracle += f" (est from {r['oracle_dests_swept']} dests)"
         table.append(
             [
                 r["levels"],
                 r["ends"],
                 r["routers"],
                 f"{r['build_s']:.3f}",
-                f"{r['hier_table_s']:.3f}",
-                oracle,
-                f"{r['speedup']:.1f}x",
-                r["mismatches"],
-                f"{r['fragment_misses']}/{r['fragment_hits']}",
                 f"{r['compile_s']:.3f}",
                 f"{r['cycles_per_sec']:.0f}",
                 f"{r['vec_cycles_per_sec']:.0f}"
@@ -269,11 +201,6 @@ def report(max_levels: int = 3) -> str:
                 "ends",
                 "routers",
                 "build s",
-                "hier s",
-                "oracle s",
-                "speedup",
-                "mismatch",
-                "frag m/h",
                 "compile s",
                 "cyc/s",
                 "vec cyc/s",

@@ -203,13 +203,6 @@ class Network:
         #: build into an O(N^2) pass on deep fractahedrons)
         self._router_ids: list[str] = []
         self._end_ids: list[str] = []
-        #: append journals since ``_indices`` was built -- additions extend
-        #: the cached index maps in place of a from-scratch rebuild;
-        #: destructive mutations (disconnect, remove_node) force one
-        self._new_routers: list[str] = []
-        self._new_ends: list[str] = []
-        self._new_links: list[str] = []
-        self._indices_dirty = False
 
     # ------------------------------------------------------------------
     # construction
@@ -232,18 +225,10 @@ class Network:
         self._in_ports[node.node_id] = {}
         if node.is_router:
             self._router_ids.append(node.node_id)
-            self._new_routers.append(node.node_id)
         else:
             self._end_ids.append(node.node_id)
-            self._new_ends.append(node.node_id)
-        self._touch()
-        return node
-
-    def _touch(self, destructive: bool = False) -> None:
         self._version += 1
-        if destructive:
-            self._indices = None
-            self._indices_dirty = True
+        return node
 
     def connect(
         self,
@@ -278,9 +263,7 @@ class Network:
         self._in_ports[a][a_port] = rev.link_id
         self._out_ports[b][b_port] = rev.link_id
         self._in_ports[b][b_port] = fwd.link_id
-        self._new_links.append(fwd.link_id)
-        self._new_links.append(rev.link_id)
-        self._touch()
+        self._version += 1
         return fwd, rev
 
     def connect_next_free(self, a: str, b: str, **attrs: Any) -> tuple[Link, Link]:
@@ -295,7 +278,7 @@ class Network:
             del self._links[l.link_id]
             del self._out_ports[l.src][l.src_port]
             del self._in_ports[l.dst][l.dst_port]
-        self._touch(destructive=True)
+        self._version += 1
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node and every cable attached to it."""
@@ -309,7 +292,7 @@ class Network:
             self._router_ids.remove(node_id)
         else:
             self._end_ids.remove(node_id)
-        self._touch(destructive=True)
+        self._version += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -368,11 +351,9 @@ class Network:
         so holders can compare ``indices().version`` to detect staleness.
         """
         got = self._indices
-        if got is not None and got.version == self._version:
-            return got
-        if got is None or self._indices_dirty:
+        if got is None or got.version != self._version:
             link_ids = tuple(sorted(self._links))
-            got = NetworkIndices(
+            got = self._indices = NetworkIndices(
                 version=self._version,
                 link_ids=link_ids,
                 link_index={lid: i for i, lid in enumerate(link_ids)},
@@ -381,33 +362,6 @@ class Network:
                 end_ids=tuple(self._end_ids),
                 end_index={e: i for i, e in enumerate(self._end_ids)},
             )
-        else:
-            # Append-only growth since the cached build: extend the router and
-            # end arenas in place and merge the new link ids into the sorted
-            # order (timsort is near-linear on the two pre-sorted runs).
-            router_ids = got.router_ids + tuple(self._new_routers)
-            end_ids = got.end_ids + tuple(self._new_ends)
-            link_ids = tuple(sorted(got.link_ids + tuple(self._new_links)))
-            router_index = dict(got.router_index)
-            for i in range(len(got.router_ids), len(router_ids)):
-                router_index[router_ids[i]] = i
-            end_index = dict(got.end_index)
-            for i in range(len(got.end_ids), len(end_ids)):
-                end_index[end_ids[i]] = i
-            got = NetworkIndices(
-                version=self._version,
-                link_ids=link_ids,
-                link_index={lid: i for i, lid in enumerate(link_ids)},
-                router_ids=router_ids,
-                router_index=router_index,
-                end_ids=end_ids,
-                end_index=end_index,
-            )
-        self._indices = got
-        self._indices_dirty = False
-        self._new_routers.clear()
-        self._new_ends.clear()
-        self._new_links.clear()
         return got
 
     def link_arrays(self) -> LinkArrays:

@@ -8,8 +8,7 @@ A metrics file is a flat sequence of rows (dicts).  Row ``kind``s:
   (:mod:`repro.obs.metrics`);
 * ``point`` -- one sweep load point;
 * ``cache`` -- routing-table cache counters at export time
-  (:class:`repro.routing.cache.CacheStats`), including the hierarchical
-  builder's fragment hit/miss counts and per-level build timings.
+  (:class:`repro.routing.cache.CacheStats`).
 
 Format is chosen by extension: ``.jsonl`` (default; one JSON object per
 line) or ``.csv`` (union-of-keys header, nested dicts/lists JSON-encoded
@@ -251,14 +250,6 @@ def render_report(rows: list[dict[str, Any]]) -> str:
             f"{c.get('build_seconds', 0.0):.3f}s building, "
             f"{c.get('seconds_saved', 0.0):.3f}s saved"
         )
-        lines.append(
-            f"  fragments: {c.get('fragment_hits', 0)} hit(s) / "
-            f"{c.get('fragment_misses', 0)} miss(es)"
-        )
-        levels = c.get("level_seconds") or {}
-        if levels:
-            breakdown = ", ".join(f"{k}={levels[k]:.3f}s" for k in sorted(levels))
-            lines.append(f"  per-level build time: {breakdown}")
 
     samples = by_kind.get("sample", [])
     if samples:

@@ -28,7 +28,7 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -130,7 +130,6 @@ def _load_algorithms() -> dict[str, Callable[..., RoutingTable]]:
     from repro.routing.dimension_order import dimension_order_tables
     from repro.routing.dragonfly import dragonfly_minimal_tables
     from repro.routing.ecube import ecube_tables
-    from repro.routing.hierarchical import hier_shortest_path_tables
     from repro.routing.hyperx import hyperx_dor_tables
     from repro.routing.shortest_path import shortest_path_tables
     from repro.routing.tree_routing import tree_tables, up_down_tables
@@ -144,7 +143,6 @@ def _load_algorithms() -> dict[str, Callable[..., RoutingTable]]:
         "ecube": ecube_tables,
         "fat_tree": fat_tree_tables,
         "fractahedral": fractahedral_tables,
-        "hier_shortest_path": hier_shortest_path_tables,
         "hyperx": hyperx_dor_tables,
         "shortest_path": shortest_path_tables,
         "tree": tree_tables,
@@ -152,19 +150,14 @@ def _load_algorithms() -> dict[str, Callable[..., RoutingTable]]:
     }
 
 
-def _accepts_param(builder: Callable[..., RoutingTable], name: str) -> bool:
-    """True when a table builder's signature takes the named keyword."""
+def _accepts_allowed(builder: Callable[..., RoutingTable]) -> bool:
+    """True when a table builder takes an ``allowed`` link predicate."""
     import inspect
 
     try:
-        return name in inspect.signature(builder).parameters
+        return "allowed" in inspect.signature(builder).parameters
     except (TypeError, ValueError):  # pragma: no cover - builtins
         return False
-
-
-def _accepts_allowed(builder: Callable[..., RoutingTable]) -> bool:
-    """True when a table builder takes an ``allowed`` link predicate."""
-    return _accepts_param(builder, "allowed")
 
 
 class _AlgorithmRegistry(dict):
@@ -210,23 +203,12 @@ def algorithm_for(net: Network) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters plus the compile time the hits skipped.
-
-    Hierarchical builds add fragment-granularity counters: ``fragment_hits``
-    / ``fragment_misses`` count per-group column blocks served from or
-    added to the fragment store, and ``level_seconds`` breaks
-    ``build_seconds`` down by hierarchy level (plus the shared
-    ``"adjacency"`` CSR pass) so ``seconds_saved`` stays honest when a
-    rebuild recomputes only part of a table.
-    """
+    """Hit/miss counters plus the compile time the hits skipped."""
 
     hits: int = 0
     misses: int = 0
     build_seconds: float = 0.0
     seconds_saved: float = 0.0
-    fragment_hits: int = 0
-    fragment_misses: int = 0
-    level_seconds: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -234,9 +216,6 @@ class CacheStats:
             "misses": self.misses,
             "build_seconds": round(self.build_seconds, 4),
             "seconds_saved": round(self.seconds_saved, 4),
-            "fragment_hits": self.fragment_hits,
-            "fragment_misses": self.fragment_misses,
-            "level_seconds": {k: round(v, 4) for k, v in sorted(self.level_seconds.items())},
         }
 
 
@@ -258,8 +237,6 @@ class RoutingTableCache:
         self._key_by_id: dict[int, tuple[RoutingTable, str]] = {}
         #: (content key, vc_count) -> (ports, lut) pair (see get_or_lower)
         self._route_pairs: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        #: fragment key -> per-group column block (hierarchical builder)
-        self._fragments: dict[str, Any] = {}
         #: content key -> a result derived from this cache's tables (the
         #: recovery layer's certification verdicts); cleared with them
         self._memo: dict[str, Any] = {}
@@ -321,10 +298,6 @@ class RoutingTableCache:
             and _accepts_allowed(build)
         ):
             call_params["allowed"] = disables.allowed
-        if "cache" not in call_params and _accepts_param(build, "cache"):
-            # Builders that compose cached fragments (hier_shortest_path)
-            # get this cache's fragment store handed to them.
-            call_params["cache"] = self
         start = time.perf_counter()
         tables = build(net, **call_params).freeze()
         elapsed = time.perf_counter() - start
@@ -394,22 +367,6 @@ class RoutingTableCache:
                 pair = self._route_pairs.setdefault(lk, pair)
         return pair
 
-    # -- fragment store (hierarchical builds) --------------------------
-    def fragment_get(self, key: str) -> Any | None:
-        """A cached per-group column block, counting the hit or miss."""
-        with self._lock:
-            got = self._fragments.get(key)
-            if got is not None:
-                self.stats.fragment_hits += 1
-            else:
-                self.stats.fragment_misses += 1
-            return got
-
-    def fragment_put(self, key: str, fragment: Any) -> None:
-        """Store a per-group column block (first writer wins, like tables)."""
-        with self._lock:
-            self._fragments.setdefault(key, fragment)
-
     # -- derived results (recovery certification) ------------------------
     def memo_get(self, key: str) -> Any | None:
         """A result memoized under ``key`` by :meth:`memo_put`, or None."""
@@ -421,19 +378,12 @@ class RoutingTableCache:
         with self._lock:
             return self._memo.setdefault(key, value)
 
-    def record_level_seconds(self, label: str, seconds: float) -> None:
-        """Attribute builder time to one hierarchy level (or stage)."""
-        with self._lock:
-            stats = self.stats
-            stats.level_seconds[label] = stats.level_seconds.get(label, 0.0) + seconds
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._build_cost.clear()
             self._key_by_id.clear()
             self._route_pairs.clear()
-            self._fragments.clear()
             self._memo.clear()
             self.stats = CacheStats()
 

@@ -18,6 +18,8 @@ import zlib
 from collections import deque
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.network.graph import Link, Network
 from repro.routing.base import RoutingError, RoutingTable
 
@@ -26,10 +28,6 @@ __all__ = ["shortest_path_tables", "bfs_router_distances", "rotating_tie_break"]
 LinkPredicate = Callable[[Link], bool]
 #: tie_break(dest, link) -> sortable key; smaller keys win equal-distance ties.
 TieBreak = Callable[[str, Link], tuple]
-
-
-def _lex_tie_break(_dest: str, link: Link) -> tuple:
-    return (link.src, link.src_port)
 
 
 def rotating_tie_break(dest: str, link: Link) -> tuple:
@@ -46,15 +44,46 @@ def rotating_tie_break(dest: str, link: Link) -> tuple:
     return ((zlib.crc32(link.src.encode()) + salt) & 0xFFFF, link.src, link.src_port)
 
 
-def _router_in_adjacency(
-    net: Network, allowed: LinkPredicate | None
-) -> dict[str, list[Link]]:
-    """For each router, the allowed router-to-router links arriving at it."""
-    incoming: dict[str, list[Link]] = {r: [] for r in net.router_ids()}
-    for link in net.router_links():
-        if allowed is None or allowed(link):
-            incoming[link.dst].append(link)
-    return incoming
+def _bfs_column(dest_r: int, starts, counts, inc_src, inc_port):
+    """Output-port column of the reverse BFS rooted at router ``dest_r``.
+
+    Edges arriving at router ``r`` occupy ``starts[r] : starts[r]+counts[r]``
+    of ``inc_src``/``inc_port``, already in tie-break order.  Returns
+    ``(col, visited)``: ``col[r]`` is the port router ``r`` forwards on
+    (-1 for the root and for unreachable routers).
+
+    A FIFO BFS discovers each distance-(d+1) router while it dequeues the
+    distance-d frontier, in the order the previous pass enqueued it, and
+    the first (dequeued router, sorted incoming link) to reach a router
+    wins.  So one level is resolved at once: gather the frontier's edges
+    in (frontier position, CSR rank) order and keep the first edge into
+    each undiscovered router.
+    """
+    R = counts.size
+    col = np.full(R, -1, dtype=inc_port.dtype)
+    visited = np.zeros(R, dtype=bool)
+    visited[dest_r] = True
+    frontier = np.array([dest_r], dtype=np.int64)
+    while frontier.size:
+        fcounts = counts[frontier]
+        total = int(fcounts.sum())
+        if total == 0:
+            break
+        # `eidx` walks each frontier router's CSR slice in turn
+        offs = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(fcounts) - fcounts, fcounts
+        )
+        eidx = np.repeat(starts[frontier], fcounts) + offs
+        fresh = ~visited[inc_src[eidx]]
+        if not fresh.any():
+            break
+        eidx = eidx[fresh]
+        uniq, first = np.unique(inc_src[eidx], return_index=True)
+        col[uniq] = inc_port[eidx[first]]
+        visited[uniq] = True
+        # the next frontier in discovery (enqueue) order
+        frontier = uniq[np.argsort(first)]
+    return col, visited
 
 
 def shortest_path_tables(
@@ -65,51 +94,75 @@ def shortest_path_tables(
 ) -> RoutingTable:
     """Compile shortest-path routing tables for all end-node destinations.
 
+    Each destination's in-tree is a reverse BFS from its router over an
+    integer CSR of the allowed router links (:func:`_bfs_column`).  With
+    the default tie-break the CSR is sorted once and the ends on one
+    router share its column; a custom ``tie_break`` orders the CSR per
+    destination.
+
     Args:
         net: the network.
         allowed: optional predicate over router-to-router links; links for
             which it returns False are never routed over (path disables).
         tie_break: orders equal-distance parents per destination; defaults
-            to lexicographic.  :func:`rotating_tie_break` gives the
-            adversarial-but-legal tables used by the Figure 2 experiment.
-        dests: optional subset of destination end-node ids to compile,
-            used when this builder serves as the cross-check oracle for a
-            sampled sweep on a fabric too large for all destinations.
+            to lexicographic ``(link.src, link.src_port)``.
+            :func:`rotating_tie_break` gives the adversarial-but-legal
+            tables used by the Figure 2 experiment.
+        dests: optional subset of destination end-node ids to compile
+            (sampled sweeps on fabrics too large for all destinations).
 
     Raises:
-        RoutingError: if some router cannot reach some destination under the
-            restriction (the disables disconnected the fabric).
+        RoutingError: for the first destination (in ``dests`` order) some
+            router cannot reach under the restriction (the disables
+            disconnected the fabric).
     """
-    tables = RoutingTable(net)
-    incoming = _router_in_adjacency(net, allowed)
-    routers = set(net.router_ids())
-    breaker = tie_break or _lex_tie_break
+    table = RoutingTable(net)
+    ports = table.ports
+    idx = net.indices()
+    router_ids = idx.router_ids
+    router_index = idx.router_index
+    R = len(router_ids)
+    links = [l for l in net.router_links() if allowed is None or allowed(l)]
+    src = np.array([router_index[l.src] for l in links], dtype=np.int64)
+    dst = np.array([router_index[l.dst] for l in links], dtype=np.int64)
+    port = np.array([l.src_port for l in links], dtype=ports.dtype)
+    counts = np.bincount(dst, minlength=R)
+    starts = np.cumsum(counts) - counts
+    # router indices in id order: comparing ranks compares id strings
+    lex = np.array(sorted(range(R), key=router_ids.__getitem__), dtype=np.int64)
+    if tie_break is None:
+        rank = np.empty(R, dtype=np.int64)
+        rank[lex] = np.arange(R)
+        order = np.lexsort((port, rank[src], dst))
+        inc_src, inc_port = src[order], port[order]
+    columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     for dest in net.end_node_ids() if dests is None else dests:
         dest_router = net.attached_router(dest)
-        # Ejection entry at the destination's router.
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest]
-        tables.set(dest_router, dest, ejection[0].src_port)
-
-        # Reverse BFS from the destination router; each router remembers the
-        # best (per tie-break) link that leads one hop closer.
-        dist: dict[str, int] = {dest_router: 0}
-        queue: deque[str] = deque([dest_router])
-        while queue:
-            current = queue.popleft()
-            for link in sorted(incoming[current], key=lambda l: breaker(dest, l)):
-                if link.src not in dist:
-                    dist[link.src] = dist[current] + 1
-                    tables.set(link.src, dest, link.src_port)
-                    queue.append(link.src)
-
-        missing = routers - dist.keys()
-        if missing:
+        dest_r = router_index[dest_router]
+        if tie_break is None:
+            if dest_r not in columns:
+                columns[dest_r] = _bfs_column(dest_r, starts, counts, inc_src, inc_port)
+            col, visited = columns[dest_r]
+        else:
+            keys = [tie_break(dest, l) for l in links]
+            link_rank = np.empty(len(links), dtype=np.int64)
+            link_rank[sorted(range(len(links)), key=keys.__getitem__)] = np.arange(len(links))
+            order = np.lexsort((link_rank, dst))
+            col, visited = _bfs_column(dest_r, starts, counts, src[order], port[order])
+        if not visited.all():
+            missing = lex[~visited[lex]]
             raise RoutingError(
-                f"{len(missing)} router(s) cannot reach {dest!r} "
-                f"under the given restriction (e.g. {sorted(missing)[0]!r})"
+                f"{missing.size} router(s) cannot reach {dest!r} "
+                f"under the given restriction (e.g. {router_ids[missing[0]]!r})"
             )
-    return tables
+        e = idx.end_index[dest]
+        ports[:, e] = col
+        # the ejection entry: the router's lowest-port link to ``dest``
+        ports[dest_r, e] = next(
+            l.src_port for l in net.out_links(dest_router) if l.dst == dest
+        )
+    return table
 
 
 def bfs_router_distances(

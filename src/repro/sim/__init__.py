@@ -44,7 +44,7 @@ from repro.sim.traffic import (
     permutation_traffic,
     uniform_traffic,
 )
-from repro.sim.fault import FaultSchedule, LinkFault, random_cable_schedule
+from repro.sim.fault import FaultSchedule, random_cable_schedule
 from repro.sim.recovery import (
     FailoverPlan,
     RecoveryManager,
@@ -84,7 +84,6 @@ __all__ = [
     "FaultSchedule",
     "Flit",
     "FlitKind",
-    "LinkFault",
     "RecoveryManager",
     "RetryPolicy",
     "ReroutePolicy",

@@ -20,7 +20,7 @@ from repro.network.graph import Network
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-__all__ = ["FaultSchedule", "LinkFault", "random_cable_schedule"]
+__all__ = ["FaultSchedule", "random_cable_schedule"]
 
 
 class FaultSchedule:
@@ -108,16 +108,6 @@ class FaultSchedule:
         """
         return sorted({c for events in self._events.values() for c, _ in events})
 
-    def failed_links(self) -> dict[str, int]:
-        """First failure cycle per link that ever goes down (legacy shape)."""
-        out: dict[str, int] = {}
-        for link_id, events in self._events.items():
-            for cycle, down in events:
-                if down:
-                    out[link_id] = cycle
-                    break
-        return out
-
     def events(self) -> dict[str, list[tuple[int, bool]]]:
         """Copy of the full per-link transition timeline."""
         return {l: list(ev) for l, ev in self._events.items()}
@@ -152,11 +142,6 @@ class FaultSchedule:
             f"<FaultSchedule {len(self._events)} links, "
             f"{sum(len(e) for e in self._events.values())} transitions>"
         )
-
-
-#: Backward-compatible name: the original fail-only schedule grew repair
-#: and flap events but kept its constructor and query API.
-LinkFault = FaultSchedule
 
 
 def random_cable_schedule(

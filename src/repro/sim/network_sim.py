@@ -40,7 +40,7 @@ from repro.deadlock.waitfor import WaitForGraph
 from repro.network.graph import Network
 from repro.routing.base import RoutingTable
 from repro.sim.engine import DeadlockDetected, SimConfig
-from repro.sim.fault import LinkFault
+from repro.sim.fault import FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.probe import SimProbe
@@ -87,7 +87,7 @@ class ReferenceSim:
         traffic: TrafficGenerator,
         config: SimConfig | None = None,
         vc_select: VcSelector | None = None,
-        fault: LinkFault | None = None,
+        fault: FaultSchedule | None = None,
         trace: SimTrace | None = None,
         route_override: RouteOverride | None = None,
         on_deliver: OnDeliver | None = None,

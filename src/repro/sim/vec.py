@@ -21,19 +21,20 @@ Active sets
 
 At sub-saturation loads most channels are idle, so each phase kernel
 gathers/scatters over the *active* state instead of the full ``(B*C,)``
-width.  Two disciplines, picked by the ``active_set`` constructor
-keyword (``"auto"`` crosses over at :data:`ACTIVE_SCAN_MAX`):
+width.  Two disciplines, picked by width at construction (scan while
+``B * C <= ACTIVE_SCAN_MAX``, index above):
 
-* ``"scan"`` (small widths): occupied channels and armed sources are
+* *scan* (small widths): occupied channels and armed sources are
   re-derived each cycle by full-width boolean scans -- linear ~1
   byte/element passes that cost less than maintaining anything;
-* ``"index"`` (large widths): compressed index arrays (``occupied
+* *index* (large widths): compressed index arrays (``occupied
   channels``, ``armed sources``) are maintained incrementally -- a
   sorted merge of freshly occupied channels, a mask-compress of drained
   ones -- so per-cycle cost scales with occupancy, not network size.
 
 Both are bit-identical to the reference interpreter, replica by replica
-(property test: ``tests/properties/test_vec_active_set_properties.py``).
+(the active-set property test pins each mode by patching
+:data:`ACTIVE_SCAN_MAX`).
 An empty active set (equivalently, zero backlog and no in-flight packets
 in scan mode) fast-forwards the run loop to the next admission cycle, the
 same idle-cycle shortcut ``SimCore`` has.
@@ -579,10 +580,6 @@ class VecCore:
     ``b``'s final :class:`~repro.sim.stats.SimStats` exactly equals the
     stats of an independent single run.
 
-    ``active_set`` selects the sparse stepping discipline (``"auto"`` /
-    ``"scan"`` / ``"index"``; see the module docstring) -- the knob exists
-    for the property suite and benchmarks; every mode is bit-identical.
-
     ``fault``, ``failover`` and ``recovery`` are the scalar engines'
     recovery hooks, for a lone core only (module docstring, "Fault
     recovery"); as there, retry/reroute policies or a failover plan
@@ -596,7 +593,6 @@ class VecCore:
         streams: Sequence["TrafficGenerator | UniformPlan"],
         config: SimConfig | None = None,
         *,
-        active_set: str = "auto",
         fault: FaultSchedule | None = None,
         failover: "FailoverPlan | None" = None,
         recovery: "RecoveryManager | None" = None,
@@ -687,12 +683,7 @@ class VecCore:
         # sorted-merge upkeep wins because scans grow with B*C while
         # upkeep grows with what the cycle actually touched (see
         # ACTIVE_SCAN_MAX for the calibration)
-        if active_set not in ("auto", "scan", "index"):
-            raise ValueError(f"unknown active_set mode: {active_set!r}")
-        if active_set == "auto":
-            self._scan = B * C <= ACTIVE_SCAN_MAX
-        else:
-            self._scan = active_set == "scan"
+        self._scan = B * C <= ACTIVE_SCAN_MAX
         self._occ_idx = _EMPTYP  # flat (replica, channel) with queued flits
         self._occ_mask = np.zeros(0 if self._scan else B * C, dtype=bool)
         # flat (replica, source) with work to inject.  Unlike the occupied

@@ -4,8 +4,9 @@ The paper's 1024-CPU fractahedrons (Table 1's N=3 row) pin down exact
 port budgets, unused-up-port counts and bisection widths; these tests
 measure them on the built networks.  Alongside them: the parameter
 bounds that keep absurd depths from silently grinding, and the
-``Network.indices()`` arena cache whose incremental path the hierarchical
-builder and the compiled simulator both lean on.
+``Network.indices()`` cache: rebuilt from the insertion-ordered id arenas
+after any mutation, so growth keeps every earlier index and link ids
+stay sorted.
 """
 
 import pytest

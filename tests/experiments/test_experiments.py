@@ -184,11 +184,8 @@ class TestScaleStudy:
         r = scale_study.run(max_levels=2, sim_cycles=120)
         assert [row["levels"] for row in r["rows"]] == [1, 2]
         for row in r["rows"]:
-            # full oracle sweep at these sizes, and never a divergence
-            assert row["oracle_full_sweep"]
-            assert row["mismatches"] == 0
-            assert row["fragment_misses"] > 0
             assert row["packets_delivered"] > 0
+            assert row["sim_parity"]
         v = r["validation"]
         assert v["nodes_ok"] and v["delay_ok"] and v["bisection_ok"]
         assert v["nodes"] == 128 and v["bisection"] == 16

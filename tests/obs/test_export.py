@@ -18,8 +18,7 @@ ROWS = [
     {"kind": "span", "name": "simulate", "seconds": 0.8, "count": 2},
     {"kind": "counter", "name": "sweep_points", "value": 2},
     {"kind": "cache", "hits": 3, "misses": 1, "build_seconds": 0.42,
-     "seconds_saved": 1.26, "fragment_hits": 8, "fragment_misses": 8,
-     "level_seconds": {"L1": 0.4, "adjacency": 0.02}},
+     "seconds_saved": 1.26},
 ]
 
 
@@ -91,8 +90,7 @@ class TestReport:
         assert "sampling: 1 snapshots" in text
         assert "hottest links" in text
         assert "routing-table cache:" in text
-        assert "fragments: 8 hit(s) / 8 miss(es)" in text
-        assert "per-level build time: L1=0.400s, adjacency=0.020s" in text
+        assert "tables: 3 hit(s) / 1 miss(es), 0.420s building, 1.260s saved" in text
 
     def test_empty_file(self):
         assert render_report([]) == "(empty metrics file)"

@@ -1,9 +1,10 @@
 """Property: both active-set step disciplines match the reference engine.
 
-The vectorized core keeps two step disciplines: ``active_set="scan"``
-(occupied/armed sets re-derived by full-width boolean scans each cycle)
-and ``active_set="index"`` (compressed index arrays maintained
-incrementally).  Both must produce, for every replica, the field-complete
+The vectorized core keeps two step disciplines, picked by width against
+``vec.ACTIVE_SCAN_MAX``: *scan* (occupied/armed sets re-derived by
+full-width boolean scans each cycle) and *index* (compressed index arrays
+maintained incrementally).  Patching the crossover pins either one on
+this small mesh.  Both must produce, for every replica, the field-complete
 ``stats_signature`` -- every counter, every latency sample, every
 per-packet stamp -- of the reference interpreter run alone on the same
 stream, whatever the occupancy pattern (bursty explicit schedules,
@@ -11,7 +12,9 @@ uniform plans, silence), batch size, idle window (which exercises the
 fast-forward path the active sets key), VC count or buffer depth.
 """
 
+import sys
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from repro.obs.parity import stats_signature
 from repro.routing.cache import cached_tables
 from repro.sim.api import make_sim
 from repro.sim.engine import SimConfig
+from repro.sim import vec
 from repro.sim.traffic import explicit_traffic
 from repro.sim.vec import UniformPlan, VecCore
 from repro.topology.mesh import mesh
@@ -28,6 +32,8 @@ NET = mesh((3, 3), nodes_per_router=1)
 TABLES = cached_tables(NET)
 ENDS = NET.end_node_ids()
 CFG = SimConfig(raise_on_deadlock=False, stall_threshold=400)
+#: ACTIVE_SCAN_MAX values that pin each step discipline at any width
+MODES = {"index": 0, "scan": sys.maxsize}
 
 
 class _Shaped:
@@ -65,8 +71,10 @@ def _reference_signatures(factories, cycles, drain, cfg):
     return out
 
 
-def _signatures(factories, cycles, drain, cfg, **core_kw):
-    core = VecCore(NET, TABLES, [f() for f in factories], cfg, **core_kw)
+def _signatures(factories, cycles, drain, cfg, mode):
+    with mock.patch.object(vec, "ACTIVE_SCAN_MAX", MODES[mode]):
+        core = VecCore(NET, TABLES, [f() for f in factories], cfg)
+    assert core._scan == (mode == "scan")
     core.run(cycles, drain=drain)
     core.finalize()
     return [
@@ -110,7 +118,7 @@ def test_active_set_bit_identical_to_reference(specs, cycles, drain, vc_count, b
     cfg = replace(CFG, vc_count=vc_count, buffer_depth=buffer_depth)
     factories = [_make_stream(s) for s in specs]
     reference = _reference_signatures(factories, cycles, drain, cfg)
-    index = _signatures(factories, cycles, drain, cfg, active_set="index")
-    scan = _signatures(factories, cycles, drain, cfg, active_set="scan")
+    index = _signatures(factories, cycles, drain, cfg, "index")
+    scan = _signatures(factories, cycles, drain, cfg, "scan")
     assert index == reference
     assert scan == reference

@@ -1,31 +1,86 @@
-"""The hierarchical table builder must be bit-identical to the BFS oracle.
+"""``shortest_path_tables`` must be bit-identical to the per-destination BFS.
 
-``hier_shortest_path_tables`` exists to make thousand-router table builds
-affordable; its contract is that nobody can tell it apart from
-``shortest_path_tables`` -- same ports, same error messages, same
-behaviour under link restrictions -- only faster and fragment-cached.
+``python_bfs_tables`` is the deque BFS the builder used to be: one reverse
+BFS per destination end node over string-keyed adjacency, sorting each
+dequeued router's incoming links by the tie-break.  It stays here as the
+oracle for the level-synchronous array BFS that replaced it: same port
+matrix, same :class:`RoutingError` text for the first unreachable
+destination in ``dests`` order, under both tie-breaks and any link
+restriction.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.core.fractahedron import fat_fractahedron, thin_fractahedron
 from repro.routing.base import RoutingError, RoutingTable
-from repro.routing.cache import RoutingTableCache
-from repro.routing.hierarchical import hier_shortest_path_tables
-from repro.routing.shortest_path import shortest_path_tables
+from repro.routing.shortest_path import rotating_tie_break, shortest_path_tables
 from repro.topology.mesh import mesh
+from repro.topology.registry import build_topology
+from tests.routing.test_walk import PARAMS
 
 
-def assert_identical(net, hier, oracle, subset=False):
-    """Entry-for-entry equality over the oracle's compiled columns."""
-    count = 0
-    for router, dest, port in oracle.items():
-        assert hier.lookup(router, dest) == port, (router, dest)
-        count += 1
-    assert count > 0
-    if not subset:
-        assert hier.num_entries() == oracle.num_entries() == count
+def python_bfs_tables(net, allowed=None, tie_break=None, dests=None) -> RoutingTable:
+    """Shortest-path tables from one Python deque BFS per destination."""
+    breaker = tie_break or (lambda _dest, link: (link.src, link.src_port))
+    incoming = {r: [] for r in net.router_ids()}
+    for link in net.router_links():
+        if allowed is None or allowed(link):
+            incoming[link.dst].append(link)
+    routers = set(net.router_ids())
+    tables = RoutingTable(net)
+    for dest in net.end_node_ids() if dests is None else dests:
+        dest_router = net.attached_router(dest)
+        ejection = [l for l in net.out_links(dest_router) if l.dst == dest]
+        tables.set(dest_router, dest, ejection[0].src_port)
+        dist = {dest_router: 0}
+        queue = deque([dest_router])
+        while queue:
+            current = queue.popleft()
+            for link in sorted(incoming[current], key=lambda l: breaker(dest, l)):
+                if link.src not in dist:
+                    dist[link.src] = dist[current] + 1
+                    tables.set(link.src, dest, link.src_port)
+                    queue.append(link.src)
+        missing = routers - dist.keys()
+        if missing:
+            raise RoutingError(
+                f"{len(missing)} router(s) cannot reach {dest!r} "
+                f"under the given restriction (e.g. {sorted(missing)[0]!r})"
+            )
+    return tables
+
+
+def outcome(build, net, **kwargs):
+    """The port matrix a build compiles, or the text of its RoutingError."""
+    try:
+        return build(net, **kwargs).ports
+    except RoutingError as err:
+        return str(err)
+
+
+def assert_identical(net, **kwargs):
+    """The array builder and the oracle agree cell for cell (or error text)."""
+    got = outcome(shortest_path_tables, net, **kwargs)
+    want = outcome(python_bfs_tables, net, **kwargs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert (want >= 0).any()
+
+
+def sampled(net, count=24):
+    """``count`` evenly spaced destinations across the end-node order."""
+    ends = net.end_node_ids()
+    return ends[:: len(ends) // count][:count]
+
+
+TIE_BREAKS = {"default": None, "rotating": rotating_tie_break}
 
 
 class TestOracleIdentity:
@@ -40,21 +95,37 @@ class TestOracleIdentity:
         ],
     )
     def test_full_sweep_matches(self, build, kwargs):
-        net = build(**kwargs)
-        assert_identical(net, hier_shortest_path_tables(net), shortest_path_tables(net))
+        assert_identical(build(**kwargs))
+
+    @pytest.mark.parametrize("build", [fat_fractahedron, thin_fractahedron])
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_rotating_full_sweep_matches(self, build, levels):
+        assert_identical(build(levels, fanout_width=2), tie_break=rotating_tie_break)
 
     def test_depth3_fat_sampled_sweep_matches(self):
         net = fat_fractahedron(3, fanout_width=2)
-        hier = hier_shortest_path_tables(net)
-        ends = net.end_node_ids()
-        dests = ends[:: len(ends) // 16]
-        oracle = shortest_path_tables(net, dests=dests)
-        assert_identical(net, hier, oracle, subset=True)
+        assert_identical(net, dests=sampled(net))
+
+    @pytest.mark.parametrize(
+        "build,tie",
+        [
+            (thin_fractahedron, "default"),
+            (fat_fractahedron, "rotating"),
+            (thin_fractahedron, "rotating"),
+        ],
+    )
+    def test_depth3_sampled_sweep_matches(self, build, tie):
+        net = build(3, fanout_width=2)
+        assert_identical(net, dests=sampled(net), tie_break=TIE_BREAKS[tie])
+
+    @pytest.mark.parametrize("tie", sorted(TIE_BREAKS))
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_every_registered_topology_matches(self, name, tie):
+        net = build_topology(name, **PARAMS[name])
+        assert_identical(net, tie_break=TIE_BREAKS[tie])
 
     def test_non_fractahedral_network_matches(self):
-        # No hierarchy attrs: degrades to one fragment per router, still exact.
-        net = mesh((3, 3))
-        assert_identical(net, hier_shortest_path_tables(net), shortest_path_tables(net))
+        assert_identical(mesh((3, 3)))
 
     def test_allowed_predicate_matches(self):
         net = fat_fractahedron(2)
@@ -65,24 +136,21 @@ class TestOracleIdentity:
         def allowed(link):
             return not (link.src == victim.src and link.src_port == victim.src_port)
 
-        hier = hier_shortest_path_tables(net, allowed=allowed)
-        oracle = shortest_path_tables(net, allowed=allowed)
-        assert_identical(net, hier, oracle)
+        assert_identical(net, allowed=allowed)
 
     def test_dests_subset(self):
         net = fat_fractahedron(2)
         dests = net.end_node_ids()[:5]
-        hier = hier_shortest_path_tables(net, dests=dests)
-        oracle = shortest_path_tables(net, dests=dests)
-        assert_identical(net, hier, oracle, subset=True)
-        assert hier.num_entries() == oracle.num_entries()
+        table = shortest_path_tables(net, dests=dests)
+        assert table.num_entries() == python_bfs_tables(net, dests=dests).num_entries()
+        assert_identical(net, dests=dests)
 
     def test_port_matrix_identical(self):
         # the engines route from the port matrix itself, so equal matrices
         # mean identical simulated routes
         net = fat_fractahedron(2, fanout_width=2)
-        po = shortest_path_tables(net).ports_on(net)
-        ph = hier_shortest_path_tables(net).ports_on(net)
+        po = python_bfs_tables(net).ports_on(net)
+        ph = shortest_path_tables(net).ports_on(net)
         assert np.array_equal(po, ph)
 
 
@@ -95,68 +163,42 @@ class TestDisconnectedRestriction:
             return link.dst != "L1.G0.Y0.C3"
 
         with pytest.raises(RoutingError) as oracle_err:
+            python_bfs_tables(net, allowed=allowed)
+        with pytest.raises(RoutingError) as array_err:
             shortest_path_tables(net, allowed=allowed)
-        with pytest.raises(RoutingError) as hier_err:
-            hier_shortest_path_tables(net, allowed=allowed)
-        assert str(hier_err.value) == str(oracle_err.value)
+        assert str(array_err.value) == str(oracle_err.value)
 
-
-class TestFragmentCache:
-    def test_cold_build_misses_per_group(self):
-        net = fat_fractahedron(2)
-        cache = RoutingTableCache()
-        hier_shortest_path_tables(net, cache=cache)
-        # one fragment per level-1 tetrahedron group
-        assert cache.stats.fragment_misses == 8
-        assert cache.stats.fragment_hits == 0
-        assert "L1" in cache.stats.level_seconds
-        assert "adjacency" in cache.stats.level_seconds
-
-    def test_warm_rebuild_hits_every_group(self):
-        net = fat_fractahedron(2)
-        cache = RoutingTableCache()
-        first = hier_shortest_path_tables(net, cache=cache)
-        second = hier_shortest_path_tables(net, cache=cache)
-        assert cache.stats.fragment_hits == 8
-        assert cache.stats.fragment_misses == 8
-        assert np.array_equal(first.ports, second.ports)
-
-    def test_end_node_churn_recomputes_touched_groups_only(self):
-        # Swapping two end nodes between tetras changes only those groups'
-        # attachment signatures; the other six fragments hit.
-        net = fat_fractahedron(2)
-        cache = RoutingTableCache()
-        hier_shortest_path_tables(net, cache=cache)
-        a, b = "n0", "n63"
-        la = next(iter(net.out_links(a)))
-        lb = next(iter(net.out_links(b)))
-        net.disconnect(la.link_id)
-        net.disconnect(lb.link_id)
-        net.connect(a, 0, lb.dst, lb.dst_port)
-        net.connect(b, 0, la.dst, la.dst_port)
-        after = hier_shortest_path_tables(net, cache=cache)
-        assert cache.stats.fragment_hits == 6
-        assert cache.stats.fragment_misses == 8 + 2
-        assert after.lookup(lb.dst, a) == lb.dst_port
-        assert after.lookup(la.dst, b) == la.dst_port
-        assert_identical(net, after, shortest_path_tables(net))
-
-    def test_router_link_change_invalidates_all_fragments(self):
-        net = fat_fractahedron(2)
-        cache = RoutingTableCache()
-        hier_shortest_path_tables(net, cache=cache)
-        victim = next(iter(net.router_links()))
-        net.disconnect(victim.link_id)
-        rebuilt = hier_shortest_path_tables(net, cache=cache)
-        assert cache.stats.fragment_hits == 0
-        assert cache.stats.fragment_misses == 16  # every group recomputed
-        assert_identical(net, rebuilt, shortest_path_tables(net))
+    @pytest.mark.parametrize("tie", sorted(TIE_BREAKS))
+    @pytest.mark.parametrize(
+        "name", ["mesh", "torus", "hypercube", "dragonfly", "fat_fractahedron"]
+    )
+    def test_random_disable_sets(self, name, tie):
+        """Random link cuts, some of which disconnect the fabric, with the
+        destinations in a shuffled order: the first unreachable one names
+        the error on both sides."""
+        net = build_topology(name, **PARAMS[name])
+        rng = np.random.default_rng(sum(map(ord, name + tie)))
+        link_ids = sorted(l.link_id for l in net.router_links())
+        errors = 0
+        for fraction in (0.05, 0.1, 0.2, 0.35, 0.5, 0.7):
+            picks = rng.choice(len(link_ids), int(len(link_ids) * fraction), replace=False)
+            cut = {link_ids[i] for i in picks}
+            ends = net.end_node_ids()
+            dests = [ends[i] for i in rng.permutation(len(ends))]
+            kwargs = {
+                "allowed": lambda link, cut=cut: link.link_id not in cut,
+                "tie_break": TIE_BREAKS[tie],
+                "dests": dests,
+            }
+            errors += isinstance(outcome(python_bfs_tables, net, **kwargs), str)
+            assert_identical(net, **kwargs)
+        assert errors > 0  # the heavier cuts disconnect every fabric here
 
 
 class TestArrayRoutingTable:
     def test_is_duck_compatible_routing_table(self):
         net = fat_fractahedron(1)
-        table = hier_shortest_path_tables(net)
+        table = shortest_path_tables(net)
         assert type(table) is RoutingTable
         dest = net.end_node_ids()[0]
         router = net.attached_router(dest)
@@ -168,13 +210,13 @@ class TestArrayRoutingTable:
 
     def test_missing_entry_raises_like_dict_table(self):
         net = fat_fractahedron(1)
-        table = hier_shortest_path_tables(net)
+        table = shortest_path_tables(net)
         with pytest.raises(RoutingError):
             table.lookup("L1.G0.Y0.C0", "n999")
 
     def test_set_and_copy_are_independent(self):
         net = fat_fractahedron(1)
-        table = hier_shortest_path_tables(net)
+        table = shortest_path_tables(net)
         clone = table.copy()
         dest = net.end_node_ids()[0]
         router = net.attached_router(dest)
@@ -185,6 +227,6 @@ class TestArrayRoutingTable:
 
     def test_ports_match_dict_rebuild(self):
         net = fat_fractahedron(1)
-        table = hier_shortest_path_tables(net)
+        table = shortest_path_tables(net)
         rebuilt = RoutingTable(net, {r: table.entries(r) for r in table.routers()})
         assert np.array_equal(table.ports_on(net), rebuilt.ports_on(net))

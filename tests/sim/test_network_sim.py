@@ -130,7 +130,7 @@ class TestVirtualChannels:
 
 class TestFaults:
     def test_failed_link_blocks_traffic(self):
-        from repro.sim.fault import LinkFault
+        from repro.sim.fault import FaultSchedule
 
         net = ring(4, nodes_per_router=1)
         tables = shortest_path_tables(net)
@@ -138,7 +138,7 @@ class TestFaults:
         from repro.routing.base import compute_route
 
         route = compute_route(net, tables, "n0", "n1")
-        fault = LinkFault().fail_link(route.router_links[0], at_cycle=0)
+        fault = FaultSchedule().fail_link(route.router_links[0], at_cycle=0)
         sim = make_sim(
             net,
             tables,
@@ -150,7 +150,7 @@ class TestFaults:
         assert stats.packets_delivered == 0
 
     def test_unaffected_traffic_still_flows(self):
-        from repro.sim.fault import LinkFault
+        from repro.sim.fault import FaultSchedule
         from repro.routing.base import compute_route
 
         net = ring(4, nodes_per_router=1)
@@ -158,7 +158,7 @@ class TestFaults:
         bad = compute_route(net, tables, "n0", "n1").router_links
         good = compute_route(net, tables, "n2", "n3").router_links
         assert set(bad).isdisjoint(good)
-        fault = LinkFault()
+        fault = FaultSchedule()
         for link in bad:
             fault.fail_link(link)
         sim = make_sim(

@@ -24,7 +24,7 @@ from repro.deadlock.analysis import certify_deadlock_free
 from repro.experiments.fault_study import RECOVERY_REROUTE, RECOVERY_RETRY
 from repro.routing.cache import cached_tables
 from repro.sim.engine import RetryPolicy, ReroutePolicy, SimConfig
-from repro.sim.fault import FaultSchedule, LinkFault, random_cable_schedule
+from repro.sim.fault import FaultSchedule, random_cable_schedule
 from repro.sim.api import make_sim
 from repro.obs.parity import stats_signature
 from repro.sim.compile import SimCore
@@ -90,12 +90,6 @@ class TestFaultSchedule:
         assert f.down_links(5) == {"a", "b"}
         assert f.down_links(6) == {"a"}
         assert f.transition_cycles() == [2, 4, 6]
-
-    def test_legacy_shape(self):
-        # the original LinkFault API: fail-only, queried via failed_links
-        f = LinkFault().fail_link("x", 3).fail_link("y", 8)
-        assert isinstance(f, FaultSchedule)
-        assert f.failed_links() == {"x": 3, "y": 8}
 
     def test_random_cable_schedule_deterministic(self):
         net, _ = mesh33()
