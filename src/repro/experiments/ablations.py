@@ -29,7 +29,7 @@ from repro.core.analysis import (
 from repro.experiments import fig1_deadlock
 from repro.metrics.contention import worst_case_contention
 from repro.metrics.hops import hop_stats
-from repro.routing.base import RoutingTable, all_pairs_routes
+from repro.routing.base import all_pairs_routes
 from repro.routing.shortest_path import shortest_path_tables
 from repro.sim.engine import SimConfig
 from repro.sim.api import make_sim
@@ -166,17 +166,8 @@ def dateline_vc_select(net, dateline_router: str):
 def vc_ring_demo(packet_size: int = 16) -> dict:
     """Ring + clockwise routing: deadlocks on 1 VC, drains with dateline VCs."""
     net = ring(4, nodes_per_router=1)
-    # Clockwise-only tables (every router forwards to (i+1) mod 4).
-    tables = RoutingTable(net)
-    for dest in net.end_node_ids():
-        dest_router = net.attached_router(dest)
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
-        tables.set(dest_router, dest, ejection.src_port)
-        for rid in net.router_ids():
-            if rid != dest_router:
-                i = int(rid[1:])
-                port = net.links_between(rid, f"R{(i + 1) % 4}")[0].src_port
-                tables.set(rid, dest, port)
+    # clockwise-only tables: R{i} forwards to R{(i + 1) % 4}
+    tables = fig1_deadlock.clockwise_tables(net, tuple(net.router_ids()))
     pattern = [(f"n{i}", f"n{(i + 2) % 4}") for i in range(4)]
 
     base = SimConfig(buffer_depth=2, raise_on_deadlock=False, stall_threshold=32)

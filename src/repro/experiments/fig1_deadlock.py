@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.deadlock.cdg import channel_dependency_graph, find_cycle
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable, all_pairs_routes
+from repro.routing.base import RoutingTable, all_pairs_routes, ejections
 from repro.routing.dimension_order import dimension_order_tables
 from repro.sim.engine import SimConfig
 from repro.sim.api import make_sim
@@ -34,19 +34,17 @@ def build() -> Network:
     return mesh((2, 2), nodes_per_router=1)
 
 
-def clockwise_tables(net: Network) -> RoutingTable:
-    """Tables that route everything one way around the loop.
+def clockwise_tables(net: Network, loop: tuple[str, ...] = LOOP) -> RoutingTable:
+    """Tables that route everything one way around ``loop``'s routers.
 
     This realizes the figure's four routes A-D simultaneously: every
     transfer follows the loop, so the four channel dependencies close a
     cycle.
     """
-    nxt = {LOOP[i]: LOOP[(i + 1) % 4] for i in range(4)}
+    nxt = dict(zip(loop, (*loop[1:], loop[0])))
     tables = RoutingTable(net)
-    for dest in net.end_node_ids():
-        dest_router = net.attached_router(dest)
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
-        tables.set(dest_router, dest, ejection.src_port)
+    for dest, dest_router, eject, _ in ejections(net).ends(net):
+        tables.set(dest_router, dest, eject)
         for router in net.router_ids():
             if router != dest_router:
                 port = net.links_between(router, nxt[router])[0].src_port

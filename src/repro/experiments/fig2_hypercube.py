@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.deadlock.cdg import channel_dependency_graph, find_cycle
 from repro.metrics.utilization import channel_loads, utilization_stats
 from repro.routing.base import RoutingTable, all_pairs_routes, compute_route
-from repro.routing.ecube import ecube_tables
+from repro.routing.dimension_order import ecube_tables
 from repro.routing.shortest_path import rotating_tie_break, shortest_path_tables
 from repro.network.graph import Network
 from repro.topology.hypercube import figure2_routing, hypercube, router_id_for_addr

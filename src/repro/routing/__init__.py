@@ -18,8 +18,7 @@ from repro.routing.base import (
     routes_for_pairs,
 )
 from repro.routing.shortest_path import shortest_path_tables
-from repro.routing.dimension_order import dimension_order_tables
-from repro.routing.ecube import ecube_tables
+from repro.routing.dimension_order import dimension_order_tables, ecube_tables
 from repro.routing.tree_routing import fat_tree_tables, tree_tables
 from repro.routing.cache import (
     RoutingTableCache,

@@ -127,9 +127,8 @@ def _disables_fingerprint(disables: Any) -> str:
 
 def _load_algorithms() -> dict[str, Callable[..., RoutingTable]]:
     from repro.core.routing import fractahedral_tables
-    from repro.routing.dimension_order import dimension_order_tables
+    from repro.routing.dimension_order import dimension_order_tables, ecube_tables
     from repro.routing.dragonfly import dragonfly_minimal_tables
-    from repro.routing.ecube import ecube_tables
     from repro.routing.hyperx import hyperx_dor_tables
     from repro.routing.shortest_path import shortest_path_tables
     from repro.routing.tree_routing import tree_tables, up_down_tables

@@ -17,19 +17,9 @@ virtual channels.
 from __future__ import annotations
 
 from repro.network.graph import Network
-from repro.routing.base import Route, RoutingError, RoutingTable
+from repro.routing.base import Route, RoutingError, RoutingTable, ejections, router_attrs
 
 __all__ = ["dragonfly_minimal_tables", "dragonfly_vc_assign"]
-
-
-def _group_of(net: Network) -> dict[str, int]:
-    groups: dict[str, int] = {}
-    for rid in net.router_ids():
-        group = net.node(rid).attrs.get("group")
-        if group is None:
-            raise RoutingError(f"router {rid!r} has no group attribute (not a dragonfly?)")
-        groups[rid] = int(group)
-    return groups
 
 
 def _global_owners(net: Network, groups: dict[str, int]) -> dict[int, dict[int, str]]:
@@ -51,14 +41,13 @@ def dragonfly_minimal_tables(net: Network) -> RoutingTable:
     finishes with at most one local hop -- certified deadlock-free with
     the two-VC ladder of :func:`dragonfly_vc_assign`.
     """
-    groups = _group_of(net)
+    missing = "router {!r} has no group attribute (not a dragonfly?)"
+    groups = dict(zip(net.router_ids(), map(int, router_attrs(net, "group", missing))))
     owners = _global_owners(net, groups)
     tables = RoutingTable(net)
-    for dest in net.end_node_ids():
-        dest_router = net.attached_router(dest)
+    for dest, dest_router, port, _ in ejections(net).ends(net):
         dest_group = groups[dest_router]
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
-        tables.set(dest_router, dest, ejection.src_port)
+        tables.set(dest_router, dest, port)
         for router, group in groups.items():
             if router == dest_router:
                 continue

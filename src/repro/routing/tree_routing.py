@@ -20,7 +20,7 @@ from collections import deque
 from typing import Callable
 
 from repro.network.graph import Link, Network
-from repro.routing.base import RoutingError, RoutingTable
+from repro.routing.base import RoutingError, RoutingTable, ejections
 
 __all__ = ["tree_tables", "up_down_tables", "fat_tree_tables"]
 
@@ -160,10 +160,8 @@ def up_down_tables(
 
     tables = RoutingTable(net)
     columns: dict[str, dict[str, int]] = {}
-    for dest in net.end_node_ids():
-        dest_router = net.attached_router(dest)
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
-        tables.set(dest_router, dest, ejection.src_port)
+    for dest, dest_router, port, _ in ejections(net).ends(net):
+        tables.set(dest_router, dest, port)
         ports = columns.get(dest_router)
         if ports is None:
             ports = columns[dest_router] = column(dest_router)

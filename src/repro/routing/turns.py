@@ -26,7 +26,7 @@ from collections import deque
 from typing import Iterable
 
 from repro.network.graph import Network
-from repro.routing.base import RoutingError, RoutingTable
+from repro.routing.base import RoutingError, RoutingTable, ejections
 
 __all__ = [
     "TurnSet",
@@ -115,13 +115,11 @@ def turn_restricted_tables(
         for r in routers
     }
 
-    for dest in net.end_node_ids():
-        dest_router = net.attached_router(dest)
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
-        tables.set(dest_router, dest, ejection.src_port)
+    for dest, dest_router, port, ejection in ejections(net).ends(net):
+        tables.set(dest_router, dest, port)
 
         #: out-link each reached router adopted for this destination
-        adopted: dict[str, str] = {dest_router: ejection.link_id}
+        adopted: dict[str, str] = {dest_router: ejection}
         dist: dict[str, int] = {dest_router: 0}
         queue: deque[str] = deque([dest_router])
         while queue:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.network.builder import NetworkBuilder
 from repro.network.graph import Network
-from repro.routing.base import RoutingError, RoutingTable
+from repro.routing.base import RoutingError, RoutingTable, ejections
 
 __all__ = ["butterfly", "butterfly_tables"]
 
@@ -102,11 +102,9 @@ def butterfly_tables(net: Network) -> RoutingTable:
         return (row // arity**position) % arity
 
     tables = RoutingTable(net)
-    for dest in net.end_node_ids():
-        dest_switch = net.attached_router(dest)
+    for dest, dest_switch, port, _ in ejections(net).ends(net):
         dest_row = net.node(dest_switch).attrs["row"]
-        ejection = [l for l in net.out_links(dest_switch) if l.dst == dest][0]
-        tables.set(dest_switch, dest, ejection.src_port)
+        tables.set(dest_switch, dest, port)
 
         for router in net.routers():
             rid = router.node_id

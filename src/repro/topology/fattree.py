@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.network.builder import NetworkBuilder
 from repro.network.graph import Network
-from repro.routing.base import RoutingError, RoutingTable
+from repro.routing.base import RoutingError, RoutingTable, ejections
 
 __all__ = ["fat_tree", "fat_tree_tables"]
 
@@ -149,12 +149,6 @@ def _prune_empty_subtrees(net: Network, height: int) -> None:
 # ----------------------------------------------------------------------
 
 
-def _branch_of(net: Network, end_node: str) -> tuple[int, ...]:
-    """Subgroup choices (top first) identifying an end node's leaf router."""
-    leaf = net.attached_router(end_node)
-    return tuple(net.node(leaf).attrs["path"])
-
-
 def fat_tree_tables(net: Network) -> RoutingTable:
     """Static partitioned routing for a fat tree (Figure 6).
 
@@ -169,13 +163,11 @@ def fat_tree_tables(net: Network) -> RoutingTable:
     height = net.attrs["height"]
     optimal_42 = down == 4 and up == 2 and height == 3
 
-    branches = {d: _branch_of(net, d) for d in net.end_node_ids()}
-
     tables = RoutingTable(net)
-    for dest, dbranch in branches.items():
-        dest_router = net.attached_router(dest)
-        ejection = [l for l in net.out_links(dest_router) if l.dst == dest][0]
-        tables.set(dest_router, dest, ejection.src_port)
+    for dest, dest_router, port, _ in ejections(net).ends(net):
+        # subgroup choices (top first) identifying the leaf router
+        dbranch = tuple(net.node(dest_router).attrs["path"])
+        tables.set(dest_router, dest, port)
 
         for router in net.routers():
             rid = router.node_id

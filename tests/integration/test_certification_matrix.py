@@ -19,7 +19,7 @@ from repro.core.tetrahedron import tetrahedron
 from repro.deadlock.analysis import certify_deadlock_free
 from repro.network.validate import validate_network
 from repro.routing.dimension_order import dimension_order_tables
-from repro.routing.ecube import ecube_tables
+from repro.routing.dimension_order import ecube_tables
 from repro.routing.shortest_path import shortest_path_tables
 from repro.routing.tree_routing import tree_tables, up_down_tables
 from repro.topology.butterfly import butterfly, butterfly_tables

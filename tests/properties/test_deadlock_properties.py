@@ -17,7 +17,7 @@ from repro.core.routing import fractahedral_tables
 from repro.deadlock.cdg import channel_dependency_graph, is_deadlock_free
 from repro.routing.base import all_pairs_routes
 from repro.routing.dimension_order import dimension_order_tables
-from repro.routing.ecube import ecube_tables
+from repro.routing.dimension_order import ecube_tables
 from repro.routing.tree_routing import up_down_tables
 from repro.sim.engine import SimConfig
 from repro.sim.api import make_sim

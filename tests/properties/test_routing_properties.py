@@ -14,7 +14,7 @@ from repro.core.fractahedron import FractaParams, fractahedron
 from repro.core.routing import fractahedral_tables
 from repro.routing.base import compute_route
 from repro.routing.dimension_order import dimension_order_tables
-from repro.routing.ecube import ecube_tables
+from repro.routing.dimension_order import ecube_tables
 from repro.routing.shortest_path import shortest_path_tables
 from repro.topology.fattree import fat_tree, fat_tree_tables
 from repro.topology.hypercube import hypercube

@@ -7,7 +7,7 @@ from repro.deadlock.cdg import channel_dependency_graph, is_deadlock_free
 from repro.routing.base import RoutingError, all_pairs_routes, compute_route
 from repro.routing.dimension_order import dimension_order_tables
 from repro.routing.disables import DisableSet, disables_respected
-from repro.routing.ecube import ecube_tables
+from repro.routing.dimension_order import ecube_tables
 from repro.routing.shortest_path import (
     bfs_router_distances,
     rotating_tie_break,
