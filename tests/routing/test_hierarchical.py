@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.fractahedron import fat_fractahedron, thin_fractahedron
+from repro.network.graph import NetworkError
 from repro.routing.base import RoutingError, RoutingTable
 from repro.routing.shortest_path import rotating_tie_break, shortest_path_tables
 from repro.topology.mesh import mesh
@@ -155,6 +156,13 @@ class TestOracleIdentity:
 
 
 class TestDisconnectedRestriction:
+    @pytest.mark.parametrize(
+        "bad, text", [("R1,1", "'R1,1' is not an end node"), ("nope", "unknown node 'nope'")]
+    )
+    def test_non_end_in_dests_raises_network_error(self, bad, text):
+        with pytest.raises(NetworkError, match=rf"^{text}$"):
+            shortest_path_tables(mesh((3, 3)), dests=["n0", bad])
+
     def test_same_error_as_oracle(self):
         net = fat_fractahedron(1)
         # cut every link into one corner: its ends become unreachable
