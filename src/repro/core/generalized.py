@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.network.builder import NetworkBuilder
 from repro.network.graph import Network
-from repro.routing.base import RoutingError, RoutingTable
+from repro.routing.base import RoutingError, RoutingTable, sorted_unique
 
 __all__ = [
     "MAX_END_NODES",
@@ -444,7 +444,7 @@ def general_tables(net: Network) -> RoutingTable:
             child_of = dest_tetra // cpg ** (k - 2) % cpg
         else:
             child_of = dest_corner * d + dest_port
-        present = np.isin(g[:, None] * cpg + child, np.unique(end_group * cpg + child_of))
+        present = np.isin(g[:, None] * cpg + child, sorted_unique(end_group * cpg + child_of))
         lateral = owner != c[:, None]
         rr, gg, yy, cc = rows[:, None], g[:, None], y[:, None], c[:, None]
         lat = (k, gg, yy, owner)

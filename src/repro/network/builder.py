@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.network.graph import Link, Network
+from repro.network.graph import LinkPair, Network
 
 __all__ = ["NetworkBuilder"]
 
@@ -39,13 +39,13 @@ class NetworkBuilder:
         self.net.add_end_node(node_id, 1, **attrs)
         return node_id
 
-    def cable(self, a: str, b: str, **attrs: Any) -> tuple[Link, Link]:
+    def cable(self, a: str, b: str, **attrs: Any) -> LinkPair:
         """Duplex-connect ``a`` and ``b`` on their lowest free ports."""
         return self.net.connect_next_free(a, b, **attrs)
 
     def cable_ports(
         self, a: str, a_port: int, b: str, b_port: int, **attrs: Any
-    ) -> tuple[Link, Link]:
+    ) -> LinkPair:
         """Duplex-connect explicit ports (used when port numbering matters)."""
         return self.net.connect(a, a_port, b, b_port, **attrs)
 
@@ -64,7 +64,7 @@ class NetworkBuilder:
             created.append(nid)
         return created
 
-    def fully_connect(self, router_ids: list[str], **attrs: Any) -> list[tuple[Link, Link]]:
+    def fully_connect(self, router_ids: list[str], **attrs: Any) -> list[LinkPair]:
         """Cable every pair of the given routers (a complete graph).
 
         This is the paper's basic building block: a fully-connected assembly

@@ -6,7 +6,7 @@ The model mirrors the physical structure of a ServerNet fabric:
   first-generation ServerNet router ASIC).
 * **End nodes** (CPUs, I/O adapters) have one or more ports.
 * A **port** is full duplex: connecting port ``pa`` of node ``a`` to port
-  ``pb`` of node ``b`` creates *two* unidirectional :class:`Link` objects,
+  ``pb`` of node ``b`` creates *two* unidirectional links (:class:`Link`),
   one per direction, exactly like the paired unidirectional cables of a
   ServerNet link.
 
@@ -17,9 +17,10 @@ is what lets the deadlock machinery work unmodified on every topology.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "LINK_SEP",
     "Link",
     "LinkArrays",
+    "LinkPair",
     "Network",
     "NetworkError",
     "NetworkIndices",
@@ -137,11 +139,11 @@ class LinkArrays:
     Link ``i`` is ``NetworkIndices.link_ids[i]``.  Nodes are numbered
     routers first, then end nodes, each in ``indices()`` order: node
     ``n < num_routers`` is router index ``n``, any other is end index
-    ``n - num_routers``.  Built in one pass over the links and cached per
-    :attr:`Network.version`, so the route LUT, the array route walk, the
+    ``n - num_routers``.  Built from the network's cable columns and cached
+    per :attr:`Network.version`, so the route LUT, the array route walk, the
     simulator IR, the fractahedral table fill and the network fingerprint
-    all read the same read-only arrays instead of each walking the
-    :class:`Link` objects.
+    all read the same read-only arrays, and none of them needs a
+    :class:`Link` object.
     """
 
     version: int
@@ -175,6 +177,45 @@ class LinkArrays:
         return np.where(self.dst_is_router, -1, self.dst - self.num_routers)
 
 
+class LinkPair(Sequence[Link]):
+    """The ``(a_to_b, b_to_a)`` links of one cable, made on first access.
+
+    :meth:`Network.connect` returns this rather than a tuple, so a build
+    that never looks at the links it cables creates no :class:`Link`.
+    Unpacking, indexing and comparing behave as for the tuple, and the
+    links are the network's own objects while the cable is connected.
+    """
+
+    __slots__ = ("_net", "_cable")
+
+    def __init__(self, net: "Network", cable: int) -> None:
+        self._net = net
+        self._cable = cable
+
+    def _pair(self) -> tuple[Link, Link]:
+        return self._net._cable_links(self._cable)
+
+    def __getitem__(self, i):
+        return self._pair()[i]
+
+    def __iter__(self) -> Iterator[Link]:
+        return iter(self._pair())
+
+    def __len__(self) -> int:
+        return 2
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LinkPair):
+            other = other._pair()
+        return self._pair() == other
+
+    def __hash__(self) -> int:
+        return hash(self._pair())
+
+    def __repr__(self) -> str:
+        return repr(self._pair())
+
+
 class Network:
     """A directed network of routers and end nodes.
 
@@ -182,27 +223,52 @@ class Network:
     occupancy, and offers the queries the rest of the library builds on
     (neighbours, attached routers, router/end-node iteration, conversion to
     :mod:`networkx` graphs for min-cut and path computations).
+
+    Cables are kept as columns: cable ``c`` (the ``c``-th :meth:`connect`)
+    holds its two node slots and ports, and its two directions are link
+    slots ``2c`` (``a -> b``) and ``2c + 1`` (``b -> a``).  :class:`Link`
+    objects are a view over the columns, built on the first query that
+    returns one and then kept in step by every mutation.
     """
 
     def __init__(self, name: str = "network") -> None:
         self.name = name
         self._nodes: dict[str, Node] = {}
-        self._links: dict[str, Link] = {}
-        #: node_id -> {port -> link_id of the *outgoing* link on that port}
-        self._out_ports: dict[str, dict[int, str]] = {}
-        #: node_id -> {port -> link_id of the *incoming* link on that port}
-        self._in_ports: dict[str, dict[int, str]] = {}
         self.attrs: dict[str, Any] = {}
         #: structural revision counter -- bumped on every node/link mutation
         #: so derived artifacts (index maps, compiled IRs) can detect staleness
         self._version = 0
         self._indices: "NetworkIndices | None" = None
+        #: per link index of ``_indices``: its link slot
+        self._index_slots: np.ndarray | None = None
         self._link_arrays: LinkArrays | None = None
         #: insertion-ordered id arenas, so router/end iteration is O(kind
         #: size) instead of a full-node scan (which turned every table
         #: build into an O(N^2) pass on deep fractahedrons)
         self._router_ids: list[str] = []
         self._end_ids: list[str] = []
+        #: node id -> node slot; slots are never reused, so a removed
+        #: node's cables keep naming it
+        self._node_slot: dict[str, int] = {}
+        #: per node slot: its id, and per port the link slot of the
+        #: outgoing link cabled there (-1 when free); the incoming link on
+        #: that port is the other direction of the same cable, ``slot ^ 1``
+        self._slot_ids: list[str] = []
+        self._ports: list[list[int]] = []
+        #: per cable: a's node slot, a's port, b's node slot, b's port
+        self._cables = array("i")
+        #: per cable: 1 while connected; a disconnected cable stays in the
+        #: columns, so the others keep their insertion order
+        self._live = bytearray()
+        #: per link slot: that direction's attrs
+        self._link_attrs: list[dict[str, Any]] = []
+        self._num_links = 0
+        #: (version, link slots, link ids) of the live links in insertion order
+        self._live_cache: tuple[int, np.ndarray, list[str]] | None = None
+        #: the Link view: link id -> Link in insertion order, and per link
+        #: slot its Link (None once disconnected); None until first queried
+        self._view: dict[str, Link] | None = None
+        self._slot_link: list[Link | None] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -221,8 +287,9 @@ class Network:
         if node.num_ports < 1:
             raise NetworkError(f"node {node.node_id!r} must have at least one port")
         self._nodes[node.node_id] = node
-        self._out_ports[node.node_id] = {}
-        self._in_ports[node.node_id] = {}
+        self._node_slot[node.node_id] = len(self._slot_ids)
+        self._slot_ids.append(node.node_id)
+        self._ports.append([-1] * node.num_ports)
         if node.is_router:
             self._router_ids.append(node.node_id)
         else:
@@ -237,62 +304,131 @@ class Network:
         b: str,
         b_port: int,
         **attrs: Any,
-    ) -> tuple[Link, Link]:
+    ) -> LinkPair:
         """Cable port ``a_port`` of ``a`` to port ``b_port`` of ``b``.
 
         Creates the duplex pair of unidirectional links and returns
-        ``(a_to_b, b_to_a)``.  Raises :class:`PortBudgetError` or
-        :class:`PortInUseError` when the physical connection is impossible.
+        ``(a_to_b, b_to_a)`` as a :class:`LinkPair`.  Raises
+        :class:`PortBudgetError` or :class:`PortInUseError` when the
+        physical connection is impossible.
         """
-        na, nb = self.node(a), self.node(b)
+        sa, sb = self._node_slot.get(a), self._node_slot.get(b)
+        if sa is None or sb is None:
+            self._slot(a)
+            self._slot(b)  # raises: one of the two is unknown
         if a == b:
             raise NetworkError(f"self-link on {a!r} is not allowed")
-        for node, port in ((na, a_port), (nb, b_port)):
-            if not 0 <= port < node.num_ports:
+        ports_a, ports_b = self._ports[sa], self._ports[sb]
+        for node_id, port, ports in ((a, a_port, ports_a), (b, b_port, ports_b)):
+            if not 0 <= port < len(ports):
                 raise PortBudgetError(
-                    f"port {port} out of range for {node.node_id!r} "
-                    f"({node.num_ports} ports)"
+                    f"port {port} out of range for {node_id!r} ({len(ports)} ports)"
                 )
-            if port in self._out_ports[node.node_id] or port in self._in_ports[node.node_id]:
-                raise PortInUseError(f"port {port} of {node.node_id!r} already cabled")
-        fwd = Link(make_link_id(a, a_port, b, b_port), a, a_port, b, b_port, dict(attrs))
-        rev = Link(make_link_id(b, b_port, a, a_port), b, b_port, a, a_port, dict(attrs))
-        self._links[fwd.link_id] = fwd
-        self._links[rev.link_id] = rev
-        self._out_ports[a][a_port] = fwd.link_id
-        self._in_ports[a][a_port] = rev.link_id
-        self._out_ports[b][b_port] = rev.link_id
-        self._in_ports[b][b_port] = fwd.link_id
+            if ports[port] >= 0:
+                raise PortInUseError(f"port {port} of {node_id!r} already cabled")
+        cable = len(self._live)
+        ports_a[a_port] = 2 * cable
+        ports_b[b_port] = 2 * cable + 1
+        self._cables.extend((sa, a_port, sb, b_port))
+        self._live.append(1)
+        self._link_attrs += (attrs, dict(attrs))
+        self._num_links += 2
         self._version += 1
-        return fwd, rev
+        if self._view is not None:
+            self._slot_link += self._view_add(cable)
+        return LinkPair(self, cable)
 
-    def connect_next_free(self, a: str, b: str, **attrs: Any) -> tuple[Link, Link]:
+    def connect_next_free(self, a: str, b: str, **attrs: Any) -> LinkPair:
         """Cable ``a`` to ``b`` using the lowest free port on each side."""
         return self.connect(a, self.next_free_port(a), b, self.next_free_port(b), **attrs)
 
     def disconnect(self, link_id: str) -> None:
         """Remove a duplex connection given either direction's link id."""
         link = self.link(link_id)
-        rev = self._links[link.reverse_id]
-        for l in (link, rev):
-            del self._links[l.link_id]
-            del self._out_ports[l.src][l.src_port]
-            del self._in_ports[l.dst][l.dst_port]
-        self._version += 1
+        self._cut(self._ports[self._node_slot[link.src]][link.src_port] >> 1)
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node and every cable attached to it."""
         node = self.node(node_id)
-        for link in list(self.out_links(node_id)):
-            self.disconnect(link.link_id)
+        slot = self._node_slot.pop(node_id)
+        for link in self._ports[slot]:
+            if link >= 0:
+                self._cut(link >> 1)
         del self._nodes[node_id]
-        del self._out_ports[node_id]
-        del self._in_ports[node_id]
         if node.is_router:
             self._router_ids.remove(node_id)
         else:
             self._end_ids.remove(node_id)
         self._version += 1
+
+    def _cut(self, cable: int) -> None:
+        sa, pa, sb, pb = self._cables[4 * cable : 4 * cable + 4]
+        self._ports[sa][pa] = self._ports[sb][pb] = -1
+        self._live[cable] = 0
+        self._num_links -= 2
+        if self._view is not None:
+            for slot in (2 * cable, 2 * cable + 1):
+                del self._view[self._slot_link[slot].link_id]
+                self._slot_link[slot] = None
+        self._version += 1
+
+    # ------------------------------------------------------------------
+    # the Link view
+    # ------------------------------------------------------------------
+    def _make_links(self, cable: int) -> tuple[Link, Link]:
+        sa, pa, sb, pb = self._cables[4 * cable : 4 * cable + 4]
+        a, b = self._slot_ids[sa], self._slot_ids[sb]
+        attrs = self._link_attrs
+        return (
+            Link(make_link_id(a, pa, b, pb), a, pa, b, pb, attrs[2 * cable]),
+            Link(make_link_id(b, pb, a, pa), b, pb, a, pa, attrs[2 * cable + 1]),
+        )
+
+    def _view_add(self, cable: int) -> tuple[Link, Link]:
+        fwd, rev = pair = self._make_links(cable)
+        self._view[fwd.link_id] = fwd
+        self._view[rev.link_id] = rev
+        return pair
+
+    def _links_view(self) -> dict[str, Link]:
+        """The Link view, built from the columns on first use."""
+        view = self._view
+        if view is None:
+            view = self._view = {}
+            slot_link: list[Link | None] = [None] * len(self._link_attrs)
+            for cable in np.flatnonzero(np.frombuffer(self._live, np.uint8)).tolist():
+                slot_link[2 * cable : 2 * cable + 2] = self._view_add(cable)
+            self._slot_link = slot_link
+        return view
+
+    def _slot_links(self) -> list[Link | None]:
+        self._links_view()
+        return self._slot_link
+
+    def _cable_links(self, cable: int) -> tuple[Link, Link]:
+        """A cable's two links: the view's while connected, else fresh copies."""
+        if not self._live[cable]:
+            return self._make_links(cable)
+        links = self._slot_links()
+        return links[2 * cable], links[2 * cable + 1]
+
+    def _live_links(self) -> tuple[np.ndarray, list[str]]:
+        """Link slots and ids of the connected links, in insertion order."""
+        got = self._live_cache
+        if got is None or got[0] != self._version:
+            cables = np.flatnonzero(np.frombuffer(self._live, np.uint8))
+            slots = np.repeat(2 * cables, 2)
+            slots[1::2] += 1
+            # fancy indexing copies, so no numpy view pins the growable buffer
+            a, pa, b, pb = np.frombuffer(self._cables, np.intc).reshape(-1, 4)[cables].T
+            names = self._slot_ids
+            a_end = [f"{names[n]}:{p}" for n, p in zip(a.tolist(), pa.tolist())]
+            b_end = [f"{names[n]}:{p}" for n, p in zip(b.tolist(), pb.tolist())]
+            ids = [""] * slots.size
+            ids[0::2] = [x + LINK_SEP + y for x, y in zip(a_end, b_end)]
+            ids[1::2] = [y + LINK_SEP + x for x, y in zip(a_end, b_end)]
+            got = self._live_cache = (self._version, slots, ids)
+        return got[1], got[2]
 
     # ------------------------------------------------------------------
     # queries
@@ -303,9 +439,15 @@ class Network:
         except KeyError:
             raise NetworkError(f"unknown node {node_id!r}") from None
 
+    def _slot(self, node_id: str) -> int:
+        try:
+            return self._node_slot[node_id]
+        except KeyError:
+            raise NetworkError(f"unknown node {node_id!r}") from None
+
     def link(self, link_id: str) -> Link:
         try:
-            return self._links[link_id]
+            return self._links_view()[link_id]
         except KeyError:
             raise NetworkError(f"unknown link {link_id!r}") from None
 
@@ -313,19 +455,23 @@ class Network:
         return node_id in self._nodes
 
     def has_link(self, link_id: str) -> bool:
-        return link_id in self._links
+        return link_id in self._links_view()
 
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes.values())
 
     def links(self) -> Iterator[Link]:
-        return iter(self._links.values())
+        return iter(self._links_view().values())
 
     def node_ids(self) -> list[str]:
         return list(self._nodes)
 
     def link_ids(self) -> list[str]:
-        return list(self._links)
+        return list(self._live_links()[1])
+
+    def link_attrs(self) -> list[dict[str, Any]]:
+        """Every link's attrs, in :meth:`link_ids` order, without the Link view."""
+        return list(map(self._link_attrs.__getitem__, self._live_links()[0].tolist()))
 
     def routers(self) -> list[Node]:
         return [self._nodes[nid] for nid in self._router_ids]
@@ -352,11 +498,14 @@ class Network:
         """
         got = self._indices
         if got is None or got.version != self._version:
-            link_ids = tuple(sorted(self._links))
+            slots, ids = self._live_links()
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            link_ids = tuple(map(ids.__getitem__, order))
+            self._index_slots = slots[np.array(order, dtype=np.intp)]
             got = self._indices = NetworkIndices(
                 version=self._version,
                 link_ids=link_ids,
-                link_index={lid: i for i, lid in enumerate(link_ids)},
+                link_index=dict(zip(link_ids, range(len(link_ids)))),
                 router_ids=tuple(self._router_ids),
                 router_index={r: i for i, r in enumerate(self._router_ids)},
                 end_ids=tuple(self._end_ids),
@@ -368,49 +517,50 @@ class Network:
         """The :class:`LinkArrays` view of the current structure.
 
         Cached per :attr:`version` like :meth:`indices`; any mutation
-        rebuilds it on the next call.
+        rebuilds it on the next call.  Read straight from the cable
+        columns.
         """
         got = self._link_arrays
         if got is not None and got.version == self._version:
             return got
         idx = self.indices()
-        R, E = len(idx.router_ids), len(idx.end_ids)
-        node_index = dict(idx.router_index)
-        node_index.update(zip(idx.end_ids, range(R, R + E)))
-        links = list(map(self._links.__getitem__, idx.link_ids))
-        L = len(links)
-
-        def column(values: Iterator[Any]) -> np.ndarray:
-            return np.fromiter(values, np.int32, L)
-
-        src = column(map(node_index.__getitem__, map(attrgetter("src"), links)))
-        dst = column(map(node_index.__getitem__, map(attrgetter("dst"), links)))
-        src_port = column(map(attrgetter("src_port"), links))
+        slots = self._index_slots
+        R, E, L = len(idx.router_ids), len(idx.end_ids), len(idx.link_ids)
+        router_slots = list(map(self._node_slot.__getitem__, idx.router_ids))
+        node_index = np.full(len(self._slot_ids), -1, dtype=np.int32)
+        node_index[router_slots] = np.arange(R)
+        node_index[list(map(self._node_slot.__getitem__, idx.end_ids))] = np.arange(R, R + E)
+        # per link: its cable's (slot, port) ends, a's first; a reverse
+        # link (odd slot) runs from b to a
+        ends = np.frombuffer(self._cables, np.intc).reshape(-1, 2, 2)[slots >> 1]
+        rev = slots & 1
+        rows = np.arange(L)
+        src_end, dst_end = ends[rows, rev], ends[rows, 1 - rev]
+        src, dst = node_index[src_end[:, 0]], node_index[dst_end[:, 0]]
+        src_port = np.ascontiguousarray(src_end[:, 1], dtype=np.int32)
         # end-sourced links sorted by (end, port): each end's first is its
         # lowest-port link
         from_end = np.flatnonzero(src >= R)
         by_end = from_end[np.lexsort((src_port[from_end], src[from_end]))]
-        ends = src[by_end] - R
-        first = np.ones(ends.size, dtype=bool)
-        first[1:] = ends[1:] != ends[:-1]
+        end_of = src[by_end] - R
+        first = np.ones(end_of.size, dtype=bool)
+        first[1:] = end_of[1:] != end_of[:-1]
         injection = np.full(E, -1, dtype=np.int32)
-        injection[ends[first]] = by_end[first]
+        injection[end_of[first]] = by_end[first]
         got = LinkArrays(
             version=self._version,
             num_routers=R,
             src=src,
             dst=dst,
             src_port=src_port,
-            dst_port=column(map(attrgetter("dst_port"), links)),
+            dst_port=np.ascontiguousarray(dst_end[:, 1], dtype=np.int32),
             src_is_router=src < R,
             dst_is_router=dst < R,
             router_ports=np.fromiter(
-                map(attrgetter("num_ports"), map(self._nodes.__getitem__, idx.router_ids)),
-                np.int32,
-                R,
+                map(len, map(self._ports.__getitem__, router_slots)), np.int32, R
             ),
             injection=injection,
-            end_out_degree=np.bincount(ends, minlength=E).astype(np.int32),
+            end_out_degree=np.bincount(end_of, minlength=E).astype(np.int32),
         )
         self._link_arrays = got
         return got
@@ -421,7 +571,7 @@ class Network:
 
     @property
     def num_links(self) -> int:
-        return len(self._links)
+        return self._num_links
 
     @property
     def num_routers(self) -> int:
@@ -433,20 +583,25 @@ class Network:
 
     def out_links(self, node_id: str) -> list[Link]:
         """Outgoing links of a node, in port order."""
-        ports = self._out_ports[self.node(node_id).node_id]
-        return [self._links[ports[p]] for p in sorted(ports)]
+        ports = self._ports[self._slot(node_id)]
+        links = self._slot_links()
+        return [links[s] for s in ports if s >= 0]
 
     def in_links(self, node_id: str) -> list[Link]:
         """Incoming links of a node, in port order."""
-        ports = self._in_ports[self.node(node_id).node_id]
-        return [self._links[ports[p]] for p in sorted(ports)]
+        ports = self._ports[self._slot(node_id)]
+        links = self._slot_links()
+        return [links[s ^ 1] for s in ports if s >= 0]
 
     def out_link_on_port(self, node_id: str, port: int) -> Link:
         """The outgoing link occupying a given port."""
         try:
-            return self._links[self._out_ports[node_id][port]]
-        except KeyError:
-            raise NetworkError(f"no connection on port {port} of {node_id!r}") from None
+            slot = self._ports[self._node_slot[node_id]][port] if port >= 0 else -1
+        except (KeyError, IndexError, TypeError):
+            slot = -1
+        if slot < 0:
+            raise NetworkError(f"no connection on port {port} of {node_id!r}")
+        return self._slot_links()[slot]
 
     def port_of_link(self, link_id: str) -> int:
         """Output port used by a link at its source node."""
@@ -466,21 +621,18 @@ class Network:
 
     def used_ports(self, node_id: str) -> int:
         """Number of ports of a node that are cabled."""
-        self.node(node_id)
-        return len(self._out_ports[node_id])
+        ports = self._ports[self._slot(node_id)]
+        return len(ports) - ports.count(-1)
 
     def free_ports(self, node_id: str) -> int:
-        node = self.node(node_id)
-        return node.num_ports - self.used_ports(node_id)
+        return self._ports[self._slot(node_id)].count(-1)
 
     def next_free_port(self, node_id: str) -> int:
         """Lowest-numbered uncabled port, or raise :class:`PortBudgetError`."""
-        node = self.node(node_id)
-        out, into = self._out_ports[node_id], self._in_ports[node_id]
-        for port in range(node.num_ports):
-            if port not in out and port not in into:
-                return port
-        raise PortBudgetError(f"no free ports on {node_id!r}")
+        try:
+            return self._ports[self._slot(node_id)].index(-1)
+        except ValueError:
+            raise PortBudgetError(f"no free ports on {node_id!r}") from None
 
     def attached_router(self, end_node_id: str) -> str:
         """The router an end node hangs off (end nodes attach to exactly one)."""
@@ -502,7 +654,7 @@ class Network:
         """All router-to-router unidirectional links (the contention carriers)."""
         return [
             l
-            for l in self._links.values()
+            for l in self._links_view().values()
             if self._nodes[l.src].is_router and self._nodes[l.dst].is_router
         ]
 
@@ -522,7 +674,7 @@ class Network:
             if routers_only and not node.is_router:
                 continue
             g.add_node(node.node_id, kind=node.kind.value, **node.attrs)
-        for link in self._links.values():
+        for link in self._links_view().values():
             if routers_only and not (
                 self._nodes[link.src].is_router and self._nodes[link.dst].is_router
             ):
@@ -540,7 +692,7 @@ class Network:
                 continue
             g.add_node(node.node_id, kind=node.kind.value, **node.attrs)
         seen: set[str] = set()
-        for link in self._links.values():
+        for link in self._links_view().values():
             if link.link_id in seen:
                 continue  # the reverse direction of a cable already counted
             seen.add(link.link_id)

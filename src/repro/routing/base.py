@@ -29,6 +29,7 @@ __all__ = [
     "port_link_lut",
     "router_attrs",
     "routes_for_pairs",
+    "sorted_unique",
 ]
 
 
@@ -182,7 +183,7 @@ class RoutingTable:
         if r is None:
             return set()
         row = self.ports[r]
-        return set(np.unique(row[row >= 0]).tolist())
+        return set(row[row >= 0].tolist())
 
     def copy(self) -> "RoutingTable":
         """An editable copy (also of a frozen table)."""
@@ -264,6 +265,18 @@ def ejections(net: Network) -> Ejections:
     link[ends] = back[first]
     has = link >= 0
     return Ejections(np.where(has, router, -1), np.where(has, arr.src_port[link], -1), link)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of an integer array, by sort and neighbour compare.
+
+    A plain ``np.unique`` imports :mod:`numpy.ma` on its first call in a
+    process, 10-20 ms that would land in a cold run's set-up.
+    """
+    out = np.sort(values, axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def router_attrs(net: Network, name: str, missing: str) -> list:

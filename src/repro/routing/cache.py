@@ -97,7 +97,7 @@ def network_fingerprint(net: Network) -> str:
         _CANONICAL.encode(list(map(attrgetter("num_ports"), nodes))),
         _attrs_json(list(map(attrs, nodes))),
         _CANONICAL.encode(net.link_ids()),
-        _attrs_json(list(map(attrs, net.links()))),
+        _attrs_json(net.link_attrs()),
     ):
         h.update(part.encode())
         h.update(b"\0")

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable, next_channel, port_link_lut
+from repro.routing.base import RoutingTable, next_channel, port_link_lut, sorted_unique
 
 __all__ = ["PairWalk", "walk_all_pairs", "walk_pairs", "walkable"]
 
@@ -133,8 +133,8 @@ def _walk(
             h = np.concatenate(held)[keep].astype(np.int64)
             w = np.concatenate(waited)[keep].astype(np.int64)
             used[w] = True
-            dep_chunks.append(np.unique(h * L + w))
-    codes = np.unique(np.concatenate(dep_chunks)) if dep_chunks else np.zeros(0, np.int64)
+            dep_chunks.append(sorted_unique(h * L + w))
+    codes = sorted_unique(np.concatenate(dep_chunks)) if dep_chunks else np.zeros(0, np.int64)
     return PairWalk(
         ok=ok,
         router_hops=hops,

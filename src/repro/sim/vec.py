@@ -112,7 +112,7 @@ import numpy as np
 
 from repro.deadlock.waitfor import WaitForGraph
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable
+from repro.routing.base import RoutingTable, sorted_unique
 from repro.sim.compile import CompiledNet, compile_network
 from repro.sim.engine import DeadlockDetected, SimConfig
 from repro.sim.fault import FaultSchedule
@@ -409,7 +409,7 @@ def _wait_for_cycles(C, det1, det2, rb, rc, ro, gb, gc, fifo_len) -> dict[int, d
             break
         sub = np.where(valid, sub.take(np.maximum(sub, 0)), -1)
     cyclic = {}
-    for b in np.unique(wb[sub >= 0]).tolist():
+    for b in sorted_unique(wb[sub >= 0]).tolist():
         mine = wb == b
         cyclic[b] = dict(zip(wc[mine].tolist(), wo[mine].tolist()))
     return cyclic
@@ -1357,7 +1357,7 @@ class VecCore:
             fresh = fidx[~self._armed_mask[fidx]]
             if fresh.size:
                 if repeats:
-                    fresh = np.unique(fresh)
+                    fresh = sorted_unique(fresh)
                 self._armed_mask[fresh] = True
                 self._armed_idx = np.concatenate((self._armed_idx, fresh))
 

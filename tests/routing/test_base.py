@@ -12,6 +12,7 @@ from repro.routing.base import (
     all_pairs_routes,
     compute_route,
     routes_for_pairs,
+    sorted_unique,
 )
 from repro.routing.cache import cached_tables
 from repro.topology.registry import build_topology
@@ -222,3 +223,16 @@ class TestRouteSet:
         assert r.router_hops == 2
         assert r.router_links == ("l2",)
         assert len(r) == 3
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [3], [5, 1, 5, 2, 1, 1], [[4, -1], [4, 0]], np.arange(10)[::-1]],
+)
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_sorted_unique_matches_np_unique(values, dtype):
+    values = np.asarray(values, dtype=dtype)
+    got = sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
