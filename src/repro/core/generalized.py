@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.network.builder import NetworkBuilder
-from repro.network.graph import Network
+from repro.network.graph import Network, Node, NodeKind
 from repro.routing.base import RoutingError, RoutingTable, sorted_unique
 
 __all__ = [
@@ -151,6 +151,14 @@ def general_fractahedron(params: GeneralFractaParams) -> Network:
 
     Router attrs: ``level``, ``group``, ``layer``, ``corner``; the network
     carries the full parameter set for the routing compiler.
+
+    The nodes and cables are laid out first and inserted with one
+    :meth:`~repro.network.graph.Network.add_nodes` and one
+    :meth:`~repro.network.graph.Network.connect_many` call: nodes in the
+    order routers, then per leaf down port its fan-out router and end
+    nodes; cables in the order fan-out stage, intra-assembly, inter-level,
+    each on the lowest free ports, so every port number and link id is
+    the one a cable-at-a-time build gives.
     """
     m = params.assembly_size
     d = params.down_ports
@@ -160,80 +168,94 @@ def general_fractahedron(params: GeneralFractaParams) -> Network:
     if m != 4 or params.router_radix != 6:
         kind = "general_" + kind
         name = f"{kind}-N{params.levels}-M{m}-R{params.router_radix}"
-    b = NetworkBuilder(name, params.router_radix)
-    net = b.net
+    net = NetworkBuilder(name, params.router_radix).net
     net.attrs["topology"] = kind
     net.attrs["levels"] = params.levels
     net.attrs["fat"] = params.fat
     net.attrs["fanout_width"] = params.fanout_width
     net.attrs["assembly_size"] = m
     net.attrs["down_ports"] = d
+    radix, fanout = params.router_radix, params.fanout_width
+    router, end = NodeKind.ROUTER, NodeKind.END_NODE
 
-    # --- routers ------------------------------------------------------
-    for level in range(1, params.levels + 1):
-        for group in range(params.groups_at(level)):
-            for layer in range(params.layers_at(level)):
-                for corner in range(m):
-                    b.router(
-                        general_router_id(level, group, layer, corner),
-                        level=level,
-                        group=group,
-                        layer=layer,
-                        corner=corner,
-                    )
+    # --- nodes ------------------------------------------------------------
+    # the routers level by level; router (level, group, layer, corner) is
+    # node first[level] + (group * layers + layer) * m + corner, so the
+    # routers of assembly k are nodes k*m .. k*m + m - 1
+    nodes = [
+        Node(
+            general_router_id(level, group, layer, corner),
+            router,
+            radix,
+            {"level": level, "group": group, "layer": layer, "corner": corner},
+        )
+        for level in range(1, params.levels + 1)
+        for group in range(params.groups_at(level))
+        for layer in range(params.layers_at(level))
+        for corner in range(m)
+    ]
+    first = np.cumsum(
+        [0, 0] + [params.groups_at(k) * params.layers_at(k) * m for k in range(1, params.levels)]
+    )
+    # then per leaf down port s = (tetra * m + corner) * d + port: its
+    # fan-out router and that router's end nodes, or its one end node
+    num_routers = len(nodes)
+    slots = params.num_leaf_groups * m * d
+    per_slot = 1 + fanout if fanout else 1
+    for s in range(slots):
+        tetra, corner, port = s // (m * d), s // d % m, s % d
+        if fanout:
+            attrs = {"fanout": True, "tetra": tetra, "corner": corner, "port": port}
+            nodes.append(Node(general_fanout_id(tetra, corner, port), router, radix, attrs))
+        for w in range(s * (fanout or 1), (s + 1) * (fanout or 1)):
+            nodes.append(Node(f"n{w}", end, 1, {"address": w}))
+    net.add_nodes(nodes)
 
-    # --- end nodes / fan-out stage --------------------------------------
-    node_index = 0
-    for tetra in range(params.num_leaf_groups):
-        for corner in range(m):
-            rid = general_router_id(1, tetra, 0, corner)
-            for port in range(d):
-                if params.fanout_width:
-                    fo = b.router(
-                        general_fanout_id(tetra, corner, port),
-                        fanout=True,
-                        tetra=tetra,
-                        corner=corner,
-                        port=port,
-                    )
-                    b.cable(fo, rid, kind="fanout_up")
-                    for _ in range(params.fanout_width):
-                        nid = b.end_node(f"n{node_index}", address=node_index)
-                        b.cable(nid, fo)
-                        node_index += 1
-                else:
-                    nid = b.end_node(f"n{node_index}", address=node_index)
-                    b.cable(nid, rid)
-                    node_index += 1
-
-    # --- intra-assembly links --------------------------------------------
-    for level in range(1, params.levels + 1):
-        for group in range(params.groups_at(level)):
-            for layer in range(params.layers_at(level)):
-                b.fully_connect(
-                    [general_router_id(level, group, layer, c) for c in range(m)],
-                    kind="intra",
-                )
-
-    # --- inter-level links ------------------------------------------------
+    # --- cables, in the order fan-out, intra-assembly, inter-level ----------
+    templates: list[dict] = [{"kind": "fanout_up"}, {}, {"kind": "intra"}]
+    # fan-out stage: per slot, its fan-out router up to the leaf router,
+    # then each end node to the fan-out router (or the end to the leaf)
+    a = num_routers + np.arange(slots * per_slot)
+    s, k = np.divmod(a - num_routers, per_slot)
+    leaf = s // d
+    if fanout:
+        b = np.where(k == 0, leaf, a - k)
+        which = (k > 0).astype(np.intp)
+    else:
+        b, which = leaf, np.ones(a.size, np.intp)
+    a_parts, b_parts, which_parts = [a], [b], [which]
+    # intra-assembly: every corner pair of every assembly
+    i, j = np.triu_indices(m, 1)
+    assembly = np.arange(num_routers // m)[:, None] * m
+    a_parts.append((assembly + i).ravel())
+    b_parts.append((assembly + j).ravel())
+    which_parts.append(np.full(a_parts[-1].size, 2, np.intp))
+    # inter-level: corner c of layer y of group g up to the parent group's
+    # corner position // d, in parent layer y * m + c (thin: corner 0 only,
+    # to parent layer 0)
     for level in range(1, params.levels):
-        for group in range(params.groups_at(level)):
-            parent_group, position = divmod(group, cpg)
-            parent_corner, parent_port = divmod(position, d)
-            for layer in range(params.layers_at(level)):
-                for corner in range(m):
-                    if not params.fat and corner != 0:
-                        continue
-                    parent_layer = layer * m + corner if params.fat else 0
-                    b.cable(
-                        general_router_id(level, group, layer, corner),
-                        general_router_id(
-                            level + 1, parent_group, parent_layer, parent_corner
-                        ),
-                        kind="interlevel",
-                        child_group=group,
-                        child_position=position,
-                    )
+        layers = params.layers_at(level)
+        g, y, c = np.indices((params.groups_at(level), layers, m)).reshape(3, -1)
+        if not params.fat:
+            g, y, c = g[c == 0], y[c == 0], c[c == 0]
+        up_layers = params.layers_at(level + 1)
+        parent_layer = y * m + c if params.fat else 0
+        a_parts.append(first[level] + (g * layers + y) * m + c)
+        b_parts.append(
+            first[level + 1] + (g // cpg * up_layers + parent_layer) * m + g % cpg // d
+        )
+        which_parts.append(len(templates) + g)
+        templates += (
+            {"kind": "interlevel", "child_group": group, "child_position": group % cpg}
+            for group in range(params.groups_at(level))
+        )
+    ids = np.array([node.node_id for node in nodes], dtype=object)
+    net.connect_many(
+        ids[np.concatenate(a_parts)].tolist(),
+        ids[np.concatenate(b_parts)].tolist(),
+        attrs=templates,
+        attrs_of=np.concatenate(which_parts),
+    )
     return net
 
 

@@ -21,6 +21,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, repeat
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -224,11 +225,14 @@ class Network:
     (neighbours, attached routers, router/end-node iteration, conversion to
     :mod:`networkx` graphs for min-cut and path computations).
 
-    Cables are kept as columns: cable ``c`` (the ``c``-th :meth:`connect`)
+    Cables are kept as columns: cable ``c`` (the ``c``-th one cabled)
     holds its two node slots and ports, and its two directions are link
     slots ``2c`` (``a -> b``) and ``2c + 1`` (``b -> a``).  :class:`Link`
     objects are a view over the columns, built on the first query that
     returns one and then kept in step by every mutation.
+    :meth:`add_nodes` and :meth:`connect_many` fill the columns many rows
+    at a time, with the same results and errors as the one-at-a-time
+    calls.
     """
 
     def __init__(self, name: str = "network") -> None:
@@ -252,16 +256,22 @@ class Network:
         self._node_slot: dict[str, int] = {}
         #: per node slot: its id, and per port the link slot of the
         #: outgoing link cabled there (-1 when free); the incoming link on
-        #: that port is the other direction of the same cable, ``slot ^ 1``
+        #: that port is the other direction of the same cable, ``slot ^ 1``.
+        #: The ports of every slot share one column: slot ``s`` owns
+        #: entries ``_port_base[s]`` up to ``_port_base[s + 1]``
         self._slot_ids: list[str] = []
-        self._ports: list[list[int]] = []
+        self._port_link = array("i")
+        self._port_base = array("i", [0])
         #: per cable: a's node slot, a's port, b's node slot, b's port
         self._cables = array("i")
         #: per cable: 1 while connected; a disconnected cable stays in the
         #: columns, so the others keep their insertion order
         self._live = bytearray()
-        #: per link slot: that direction's attrs
+        #: per link slot: that direction's attrs, or while its
+        #: ``_attrs_shared`` byte is set, the template of a
+        #: :meth:`connect_many` call, copied on first use
         self._link_attrs: list[dict[str, Any]] = []
+        self._attrs_shared = bytearray()
         self._num_links = 0
         #: (version, link slots, link ids) of the live links in insertion order
         self._live_cache: tuple[int, np.ndarray, list[str]] | None = None
@@ -289,7 +299,8 @@ class Network:
         self._nodes[node.node_id] = node
         self._node_slot[node.node_id] = len(self._slot_ids)
         self._slot_ids.append(node.node_id)
-        self._ports.append([-1] * node.num_ports)
+        self._port_link.extend(repeat(-1, node.num_ports))
+        self._port_base.append(len(self._port_link))
         if node.is_router:
             self._router_ids.append(node.node_id)
         else:
@@ -318,20 +329,23 @@ class Network:
             self._slot(b)  # raises: one of the two is unknown
         if a == b:
             raise NetworkError(f"self-link on {a!r} is not allowed")
-        ports_a, ports_b = self._ports[sa], self._ports[sb]
-        for node_id, port, ports in ((a, a_port, ports_a), (b, b_port, ports_b)):
-            if not 0 <= port < len(ports):
+        base, links = self._port_base, self._port_link
+        for node_id, slot, port in ((a, sa, a_port), (b, sb, b_port)):
+            lo = base[slot]
+            if not 0 <= port < base[slot + 1] - lo:
                 raise PortBudgetError(
-                    f"port {port} out of range for {node_id!r} ({len(ports)} ports)"
+                    f"port {port} out of range for {node_id!r} "
+                    f"({base[slot + 1] - lo} ports)"
                 )
-            if ports[port] >= 0:
+            if links[lo + port] >= 0:
                 raise PortInUseError(f"port {port} of {node_id!r} already cabled")
         cable = len(self._live)
-        ports_a[a_port] = 2 * cable
-        ports_b[b_port] = 2 * cable + 1
+        links[base[sa] + a_port] = 2 * cable
+        links[base[sb] + b_port] = 2 * cable + 1
         self._cables.extend((sa, a_port, sb, b_port))
         self._live.append(1)
         self._link_attrs += (attrs, dict(attrs))
+        self._attrs_shared += b"\0\0"
         self._num_links += 2
         self._version += 1
         if self._view is not None:
@@ -342,16 +356,128 @@ class Network:
         """Cable ``a`` to ``b`` using the lowest free port on each side."""
         return self.connect(a, self.next_free_port(a), b, self.next_free_port(b), **attrs)
 
+    def add_nodes(self, nodes: Sequence[Node]) -> None:
+        """Add many nodes, as :meth:`add_router` / :meth:`add_end_node`
+        would one by one, in order.
+
+        The nodes are kept as given, their attrs dicts included.  When a
+        node is invalid (duplicate id, no ports), the nodes are added one
+        at a time instead, so the first invalid one raises the same error
+        after the ones before it are in.
+        """
+        ids = [node.node_id for node in nodes]
+        ports = np.asarray([node.num_ports for node in nodes])
+        if (
+            len(set(ids)) < len(ids)
+            or not self._nodes.keys().isdisjoint(ids)
+            or (ports.size and (ports.dtype.kind != "i" or ports.min() < 1))
+        ):
+            for node in nodes:
+                self._add_node(node)
+            return
+        first = len(self._slot_ids)
+        self._nodes.update(zip(ids, nodes))
+        self._node_slot.update(zip(ids, range(first, first + len(ids))))
+        self._slot_ids += ids
+        top = len(self._port_link)
+        self._port_link += array("i", [-1]) * int(ports.sum())
+        self._port_base.extend((np.cumsum(ports) + top).tolist())
+        routers = [node.kind is NodeKind.ROUTER for node in nodes]
+        self._router_ids += compress(ids, routers)
+        self._end_ids += compress(ids, [not r for r in routers])
+        self._version += len(ids)
+
+    def connect_many(
+        self,
+        a: Sequence[str],
+        b: Sequence[str],
+        ports: tuple[Sequence[int], Sequence[int]] | None = None,
+        attrs: Sequence[dict[str, Any]] | None = None,
+        attrs_of: Sequence[int] | None = None,
+    ) -> None:
+        """Cable ``a[i]`` to ``b[i]`` for every row ``i``, in order.
+
+        With ``ports=(a_ports, b_ports)`` this is one :meth:`connect` per
+        row; without, one :meth:`connect_next_free` per row: each node's
+        k-th cable of the call takes its k-th port free at the start.
+        Row ``i``'s attrs are ``attrs[attrs_of[i]]`` (``attrs[0]`` when
+        ``attrs_of`` is None; none when ``attrs`` is None).  The cables
+        share that dict as a template: each direction gets its own copy
+        the first time its :class:`Link` is made, so editing one never
+        changes another.
+
+        The rows are checked with array passes before anything changes.
+        When one is invalid, the rows are replayed through
+        :meth:`connect` / :meth:`connect_next_free`, so the first invalid
+        row raises the same error after the rows before it are cabled.
+        """
+        n = len(a)
+        if len(b) != n:
+            raise ValueError(f"{n} a ends but {len(b)} b ends")
+        templates = list(attrs) if attrs is not None else [{}]
+        which = (
+            np.zeros(n, np.intp) if attrs_of is None else np.asarray(attrs_of, np.intp)
+        )
+        get = self._node_slot.get
+        ends = np.empty((n, 2), np.int64)
+        ends[:, 0] = np.fromiter(map(get, a, repeat(-1)), np.int64, n)
+        ends[:, 1] = np.fromiter(map(get, b, repeat(-1)), np.int64, n)
+        ends = ends.reshape(-1)  # call order: row i's a end, then its b end
+        ok = bool((ends >= 0).all() and (ends[0::2] != ends[1::2]).all())
+        if ok:
+            base = np.frombuffer(self._port_base, np.intc)
+            lo, hi = base[ends], base[ends + 1]
+            taken = np.frombuffer(self._port_link, np.intc) >= 0
+            if ports is None:
+                port, ok = _next_free(ends, lo, hi, taken)
+            else:
+                given = [np.asarray(p) for p in ports]
+                ok = all(p.dtype.kind in "iu" for p in given)  # else connect raises
+                if ok:
+                    port = np.empty(2 * n, np.int64)
+                    port[0::2], port[1::2] = given
+                    ok = bool(((port >= 0) & (port < hi - lo)).all())
+                if ok:
+                    pos = np.sort(lo + port)
+                    ok = not taken[pos].any() and bool((pos[1:] != pos[:-1]).all())
+            del base, taken  # no numpy view may pin the growable columns
+        if not ok:
+            for i in range(n):
+                kw = templates[which[i]]
+                if ports is None:
+                    self.connect_next_free(a[i], b[i], **kw)
+                else:
+                    self.connect(a[i], ports[0][i], b[i], ports[1][i], **kw)
+            return
+        shared = np.empty(len(templates), object)
+        shared[:] = templates
+        per_link = shared[np.repeat(which, 2)].tolist()
+        cable = len(self._live)
+        np.frombuffer(self._port_link, np.intc)[lo + port] = np.arange(
+            2 * cable, 2 * (cable + n), dtype=np.intc
+        )
+        self._cables += array("i", np.stack([ends, port], 1).astype(np.intc).tobytes())
+        self._live += b"\1" * n
+        self._link_attrs += per_link
+        self._attrs_shared += b"\1" * (2 * n)
+        self._num_links += 2 * n
+        self._version += n
+        if self._view is not None:
+            for c in range(cable, cable + n):
+                self._slot_link += self._view_add(c)
+
     def disconnect(self, link_id: str) -> None:
         """Remove a duplex connection given either direction's link id."""
-        link = self.link(link_id)
-        self._cut(self._ports[self._node_slot[link.src]][link.src_port] >> 1)
+        slot = self._find_link(link_id)
+        if slot < 0:
+            raise NetworkError(f"unknown link {link_id!r}")
+        self._cut(slot >> 1)
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node and every cable attached to it."""
         node = self.node(node_id)
         slot = self._node_slot.pop(node_id)
-        for link in self._ports[slot]:
+        for link in self._node_ports(slot):
             if link >= 0:
                 self._cut(link >> 1)
         del self._nodes[node_id]
@@ -363,7 +489,8 @@ class Network:
 
     def _cut(self, cable: int) -> None:
         sa, pa, sb, pb = self._cables[4 * cable : 4 * cable + 4]
-        self._ports[sa][pa] = self._ports[sb][pb] = -1
+        base = self._port_base
+        self._port_link[base[sa] + pa] = self._port_link[base[sb] + pb] = -1
         self._live[cable] = 0
         self._num_links -= 2
         if self._view is not None:
@@ -372,16 +499,50 @@ class Network:
                 self._slot_link[slot] = None
         self._version += 1
 
+    def _node_ports(self, slot: int) -> array:
+        """Per port of a node slot: the outgoing link slot, -1 when free."""
+        return self._port_link[self._port_base[slot] : self._port_base[slot + 1]]
+
+    def _link_ends(self, slot: int) -> tuple[int, int, int, int]:
+        """A link slot's (source slot, port, destination slot, port)."""
+        sa, pa, sb, pb = self._cables[2 * (slot & ~1) : 2 * (slot & ~1) + 4]
+        return (sb, pb, sa, pa) if slot & 1 else (sa, pa, sb, pb)
+
+    def _find_link(self, link_id: str) -> int:
+        """The link slot of a connected link's id, or -1, without the
+        Link view: each ``->`` in the id is tried as the separator."""
+        at = link_id.find(LINK_SEP)
+        while at >= 0:
+            node, _, port = link_id[:at].rpartition(":")
+            slot = self._node_slot.get(node)
+            ports = self._node_ports(slot) if slot is not None else ()
+            if port.isdecimal() and int(port) < len(ports):
+                link = ports[int(port)]
+                if link >= 0:
+                    sa, pa, sb, pb = self._link_ends(link)
+                    names = self._slot_ids
+                    if make_link_id(names[sa], pa, names[sb], pb) == link_id:
+                        return link
+            at = link_id.find(LINK_SEP, at + 1)
+        return -1
+
     # ------------------------------------------------------------------
     # the Link view
     # ------------------------------------------------------------------
+    def _own_attrs(self, slot: int) -> dict[str, Any]:
+        """A link slot's own attrs dict, copied from its template on first use."""
+        if self._attrs_shared[slot]:
+            self._link_attrs[slot] = dict(self._link_attrs[slot])
+            self._attrs_shared[slot] = 0
+        return self._link_attrs[slot]
+
     def _make_links(self, cable: int) -> tuple[Link, Link]:
         sa, pa, sb, pb = self._cables[4 * cable : 4 * cable + 4]
         a, b = self._slot_ids[sa], self._slot_ids[sb]
-        attrs = self._link_attrs
+        fwd, rev = self._own_attrs(2 * cable), self._own_attrs(2 * cable + 1)
         return (
-            Link(make_link_id(a, pa, b, pb), a, pa, b, pb, attrs[2 * cable]),
-            Link(make_link_id(b, pb, a, pa), b, pb, a, pa, attrs[2 * cable + 1]),
+            Link(make_link_id(a, pa, b, pb), a, pa, b, pb, fwd),
+            Link(make_link_id(b, pb, a, pa), b, pb, a, pa, rev),
         )
 
     def _view_add(self, cable: int) -> tuple[Link, Link]:
@@ -470,7 +631,12 @@ class Network:
         return list(self._live_links()[1])
 
     def link_attrs(self) -> list[dict[str, Any]]:
-        """Every link's attrs, in :meth:`link_ids` order, without the Link view."""
+        """Every link's attrs, in :meth:`link_ids` order, without the Link view.
+
+        For reading: a direction cabled by :meth:`connect_many` whose
+        :class:`Link` was never made is listed with its call's shared
+        template.  Edit attrs through :meth:`link`.
+        """
         return list(map(self._link_attrs.__getitem__, self._live_links()[0].tolist()))
 
     def routers(self) -> list[Node]:
@@ -556,8 +722,8 @@ class Network:
             dst_port=np.ascontiguousarray(dst_end[:, 1], dtype=np.int32),
             src_is_router=src < R,
             dst_is_router=dst < R,
-            router_ports=np.fromiter(
-                map(len, map(self._ports.__getitem__, router_slots)), np.int32, R
+            router_ports=np.diff(np.frombuffer(self._port_base, np.intc))[router_slots].astype(
+                np.int32
             ),
             injection=injection,
             end_out_degree=np.bincount(end_of, minlength=E).astype(np.int32),
@@ -583,20 +749,20 @@ class Network:
 
     def out_links(self, node_id: str) -> list[Link]:
         """Outgoing links of a node, in port order."""
-        ports = self._ports[self._slot(node_id)]
+        ports = self._node_ports(self._slot(node_id))
         links = self._slot_links()
         return [links[s] for s in ports if s >= 0]
 
     def in_links(self, node_id: str) -> list[Link]:
         """Incoming links of a node, in port order."""
-        ports = self._ports[self._slot(node_id)]
+        ports = self._node_ports(self._slot(node_id))
         links = self._slot_links()
         return [links[s ^ 1] for s in ports if s >= 0]
 
     def out_link_on_port(self, node_id: str, port: int) -> Link:
         """The outgoing link occupying a given port."""
         try:
-            slot = self._ports[self._node_slot[node_id]][port] if port >= 0 else -1
+            slot = self._node_ports(self._node_slot[node_id])[port] if port >= 0 else -1
         except (KeyError, IndexError, TypeError):
             slot = -1
         if slot < 0:
@@ -621,16 +787,16 @@ class Network:
 
     def used_ports(self, node_id: str) -> int:
         """Number of ports of a node that are cabled."""
-        ports = self._ports[self._slot(node_id)]
+        ports = self._node_ports(self._slot(node_id))
         return len(ports) - ports.count(-1)
 
     def free_ports(self, node_id: str) -> int:
-        return self._ports[self._slot(node_id)].count(-1)
+        return self._node_ports(self._slot(node_id)).count(-1)
 
     def next_free_port(self, node_id: str) -> int:
         """Lowest-numbered uncabled port, or raise :class:`PortBudgetError`."""
         try:
-            return self._ports[self._slot(node_id)].index(-1)
+            return self._node_ports(self._slot(node_id)).index(-1)
         except ValueError:
             raise PortBudgetError(f"no free ports on {node_id!r}") from None
 
@@ -727,6 +893,28 @@ class Network:
             f"<Network {self.name!r}: {self.num_routers} routers, "
             f"{self.num_end_nodes} end nodes, {self.num_links} links>"
         )
+
+
+def _next_free(
+    ends: np.ndarray, lo: np.ndarray, hi: np.ndarray, taken: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Per entry of ``ends`` (node slots in call order, spanning ports
+    ``lo`` up to ``hi`` of the ``taken`` column): the port a run of
+    :meth:`Network.connect_next_free` calls would give it, that is the
+    node's k-th free port for its k-th entry; and whether every node had
+    enough free ports."""
+    order = np.argsort(ends, kind="stable")
+    run = np.ones(ends.size, dtype=bool)
+    run[1:] = ends[order[1:]] != ends[order[:-1]]
+    start = np.flatnonzero(run)
+    rank = np.empty(ends.size, np.int64)
+    rank[order] = np.arange(ends.size) - np.repeat(start, np.diff(np.append(start, ends.size)))
+    free = np.flatnonzero(~taken)
+    below = np.zeros(taken.size + 1, np.int64)
+    np.cumsum(~taken, out=below[1:])  # below[p]: free ports before port p
+    if not (rank < below[hi] - below[lo]).all():
+        return rank, False
+    return free[below[lo] + rank] - lo, True
 
 
 def subnetwork(net: Network, node_ids: Iterable[str], name: str | None = None) -> Network:

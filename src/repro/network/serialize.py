@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.network.graph import Network
+from repro.network.graph import Network, Node, NodeKind
 from repro.routing.base import RoutingTable
 from repro.routing.turns import TurnSet
 
@@ -72,20 +72,25 @@ def network_from_dict(data: dict[str, Any]) -> Network:
         raise ValueError(f"unsupported fabric format version {version!r}")
     net = Network(data["name"])
     net.attrs.update(_restore(data.get("attrs", {})))
-    for node in data["nodes"]:
-        attrs = _restore(node.get("attrs", {}))
-        if node["kind"] == "router":
-            net.add_router(node["id"], node["ports"], **attrs)
-        else:
-            net.add_end_node(node["id"], node["ports"], **attrs)
-    for cable in data["cables"]:
-        net.connect(
-            cable["a"],
-            cable["a_port"],
-            cable["b"],
-            cable["b_port"],
-            **_restore(cable.get("attrs", {})),
-        )
+    net.add_nodes(
+        [
+            Node(
+                node["id"],
+                NodeKind.ROUTER if node["kind"] == "router" else NodeKind.END_NODE,
+                node["ports"],
+                _restore(node.get("attrs", {})),
+            )
+            for node in data["nodes"]
+        ]
+    )
+    cables = data["cables"]
+    net.connect_many(
+        [cable["a"] for cable in cables],
+        [cable["b"] for cable in cables],
+        ([cable["a_port"] for cable in cables], [cable["b_port"] for cable in cables]),
+        attrs=[_restore(cable.get("attrs", {})) for cable in cables],
+        attrs_of=range(len(cables)),
+    )
     return net
 
 

@@ -52,6 +52,17 @@ def _pair_at(ends: list[str], index: int) -> tuple[str, str]:
     return ends[src], ends[k if k < src else k + 1]
 
 
+def _sample_indices(num_ends: int, count: int, seed: int) -> np.ndarray | None:
+    """The pair indices :func:`sample_pairs` draws, in its order; None
+    when the sample covers every pair."""
+    if count <= 0:
+        raise ValueError(f"sample count must be positive, got {count}")
+    total = num_ends * (num_ends - 1)
+    if count >= total:
+        return None
+    return np.array(random.Random(seed).sample(range(total), count), dtype=np.int64)
+
+
 def sample_pairs(net: Network, count: int, seed: int = 0) -> list[tuple[str, str]]:
     """A deterministic seeded sample of ordered end-node pairs.
 
@@ -61,15 +72,11 @@ def sample_pairs(net: Network, count: int, seed: int = 0) -> list[tuple[str, str
     ``count`` index draws.  The same ``(net, count, seed)`` always yields
     the same pairs, in the same order -- reproducible by construction.
     """
-    if count <= 0:
-        raise ValueError(f"sample count must be positive, got {count}")
     ends = net.end_node_ids()
-    total = len(ends) * (len(ends) - 1)
-    if count >= total:
+    indices = _sample_indices(len(ends), count, seed)
+    if indices is None:
         return [(s, d) for s in ends for d in ends if s != d]
-    rng = random.Random(seed)
-    indices = rng.sample(range(total), count)
-    return [_pair_at(ends, i) for i in indices]
+    return [_pair_at(ends, i) for i in indices.tolist()]
 
 
 def validate_routing(
@@ -104,8 +111,11 @@ def validate_routing(
     messages, their order and any raised error match the per-pair walk
     exactly.  Other table types take the per-pair walk.
     """
+    drawn = None
     if pairs is None and sample is not None:
-        pairs = sample_pairs(net, sample, seed)
+        drawn = _sample_indices(net.num_end_nodes, sample, seed)
+        if drawn is not None and not walkable(tables):
+            pairs = sample_pairs(net, sample, seed)
     if not walkable(tables):
         if pairs is None:
             # lazy: never materialize the quadratic cross product
@@ -117,12 +127,20 @@ def validate_routing(
             _check_pair(net, tables, src, dst, max_router_hops, require_simple, report)
         return report
 
-    if pairs is None:
+    if pairs is None and drawn is None:
         walk = walk_all_pairs(net, tables)
         ends = net.end_node_ids()
 
         def pair(i: int) -> tuple[str, str]:
             return _pair_at(ends, i)
+    elif pairs is None:
+        # the sampled pairs as end indices; ids only for flagged pairs
+        src, k = np.divmod(drawn, net.num_end_nodes - 1)
+        walk = walk_pairs(net, tables, src, k + (k >= src))
+        ends = net.end_node_ids()
+
+        def pair(i: int) -> tuple[str, str]:
+            return _pair_at(ends, int(drawn[i]))
     else:
         pairs = list(pairs)
         ei = net.indices().end_index

@@ -26,6 +26,8 @@ contention ratio").
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.network.builder import NetworkBuilder
 from repro.network.graph import Network
 from repro.routing.base import RoutingError, RoutingTable, ejections
@@ -122,7 +124,8 @@ def fat_tree(
         if remaining == 0:
             break
 
-    _prune_empty_subtrees(net, height)
+    if num_nodes < capacity:  # a full tree has no empty subtree
+        _prune_empty_subtrees(net, height)
     return net
 
 
@@ -157,68 +160,77 @@ def fat_tree_tables(net: Network) -> RoutingTable:
     paper's 64-node 4-2 tree the threshold rule below realizes the optimal
     12:1 worst-case contention derived in §3.3; for other shapes a
     deterministic round-robin mix is used.
+
+    A router's port toward a destination depends only on the destination's
+    leaf router, so one column is worked out per leaf router and shared by
+    its end nodes.  Down and up ports are read once from the network's
+    link-array view: the lowest-port link to a router one level below with
+    the wanted ``subgroup`` attr, or one level above with the wanted
+    ``slot``.  Cable attributes are shared by both directions, so the
+    direction is told by the endpoint levels.
     """
     down = net.attrs["down"]
     up = net.attrs["up"]
     height = net.attrs["height"]
     optimal_42 = down == 4 and up == 2 and height == 3
 
-    tables = RoutingTable(net)
-    for dest, dest_router, port, _ in ejections(net).ends(net):
-        # subgroup choices (top first) identifying the leaf router
-        dbranch = tuple(net.node(dest_router).attrs["path"])
-        tables.set(dest_router, dest, port)
+    idx = net.indices()
+    arr = net.link_arrays()
+    routers = net.routers()
+    levels = [r.attrs.get("level") for r in routers]
+    # (router index, subgroup) -> down port and (router index, slot) -> up port
+    downs: dict[tuple[int, object], int] = {}
+    ups: dict[tuple[int, object], int] = {}
+    attrs = [None] * len(idx.link_ids)
+    for i, link_attrs in zip(map(idx.link_index.__getitem__, net.link_ids()), net.link_attrs()):
+        attrs[i] = link_attrs
+    src, dst, src_port = arr.src.tolist(), arr.dst.tolist(), arr.src_port.tolist()
+    for i in np.flatnonzero(arr.src_is_router & arr.dst_is_router).tolist():
+        r, own, peer = src[i], levels[src[i]], levels[dst[i]]
+        if own is not None and peer == own - 1:
+            ports, key = downs, (r, attrs[i].get("subgroup"))
+        elif own is not None and peer == own + 1:
+            ports, key = ups, (r, attrs[i].get("slot"))
+        else:
+            continue
+        if src_port[i] < ports.get(key, src_port[i] + 1):
+            ports[key] = src_port[i]
 
-        for router in net.routers():
-            rid = router.node_id
-            if rid == dest_router:
+    def column(dest_router: int) -> list[int]:
+        """Every router's port toward the ends of ``dest_router``."""
+        # subgroup choices (top first) identifying the leaf router
+        dbranch = tuple(routers[dest_router].attrs["path"])
+        col = [-1] * len(routers)
+        for r, router in enumerate(routers):
+            if r == dest_router:
                 continue
-            level = router.attrs["level"]
+            rid = router.node_id
             path = tuple(router.attrs["path"])
-            depth = height - level  # length of the router's path
+            depth = height - router.attrs["level"]  # length of the router's path
             if dbranch[:depth] == path:
                 # Destination below this router: unique down step.
                 subgroup = dbranch[depth]
-                port = _down_port(net, rid, subgroup)
+                port = downs.get((r, subgroup))
+                if port is None:
+                    raise RoutingError(f"{rid!r} has no down link to subgroup {subgroup}")
             else:
-                slot = _up_slot(
-                    net, router, dbranch, down, up, height, optimal_42
-                )
-                port = _up_port(net, rid, slot)
-            tables.set(rid, dest, port)
+                slot = _up_slot(net, router, dbranch, down, up, height, optimal_42)
+                port = ups.get((r, slot))
+                if port is None:
+                    raise RoutingError(f"{rid!r} has no up link with slot {slot}")
+            col[r] = port
+        return col
+
+    tables = RoutingTable(net)
+    ej = ejections(net)
+    columns: dict[int, list[int]] = {}
+    for e, dest in enumerate(idx.end_ids):
+        _, dest_router, port, _ = ej.require(net, dest)
+        if dest_router not in columns:
+            columns[dest_router] = column(dest_router)
+        tables.ports[:, e] = columns[dest_router]
+        tables.ports[dest_router, e] = port
     return tables
-
-
-def _down_port(net: Network, rid: str, subgroup: int) -> int:
-    """Port of the (unique) link descending toward ``subgroup``.
-
-    Cable attributes are shared by both directions, so direction is
-    determined by comparing endpoint levels.
-    """
-    own_level = net.node(rid).attrs["level"]
-    for link in net.out_links(rid):
-        peer = net.node(link.dst)
-        if (
-            peer.is_router
-            and peer.attrs.get("level") == own_level - 1
-            and link.attrs.get("subgroup") == subgroup
-        ):
-            return link.src_port
-    raise RoutingError(f"{rid!r} has no down link to subgroup {subgroup}")
-
-
-def _up_port(net: Network, rid: str, slot: int) -> int:
-    """Port of the up link on the given slot."""
-    own_level = net.node(rid).attrs["level"]
-    for link in net.out_links(rid):
-        peer = net.node(link.dst)
-        if (
-            peer.is_router
-            and peer.attrs.get("level") == own_level + 1
-            and link.attrs.get("slot") == slot
-        ):
-            return link.src_port
-    raise RoutingError(f"{rid!r} has no up link with slot {slot}")
 
 
 def _up_slot(

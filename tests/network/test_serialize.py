@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.fractahedron import fat_fractahedron
 from repro.core.routing import fractahedral_tables
+from repro.network.graph import NetworkError
 from repro.network.serialize import (
     load_fabric,
     network_from_dict,
@@ -51,6 +52,22 @@ class TestNetworkRoundTrip:
         doc = network_to_dict(mesh((2, 2)))
         doc["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d["nodes"].append(dict(d["nodes"][0])), "duplicate node id 'R0,0'"),
+            (lambda d: d["cables"].append(dict(d["cables"][3])), "already cabled"),
+            (lambda d: d["cables"][5].update(b="nope"), "unknown node 'nope'"),
+            (lambda d: d["cables"][5].update(a_port=9), "port 9 out of range"),
+        ],
+        ids=["node-twice", "cable-twice", "unknown-node", "bad-port"],
+    )
+    def test_bad_documents_raise_the_per_call_errors(self, edit, error):
+        doc = network_to_dict(mesh((2, 2), nodes_per_router=1))
+        edit(doc)
+        with pytest.raises(NetworkError, match=error):
             network_from_dict(doc)
 
     def test_unserializable_attr_rejected(self):

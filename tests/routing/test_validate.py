@@ -110,3 +110,21 @@ def test_sampled_validation_catches_missing_entries():
     report = validate_routing(net, RoutingTable(net), sample=5, seed=1)
     assert not report.ok
     assert len(report.failures) == 5
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("count", [1, 9, 55, 56, 500])
+def test_sampled_indices_walk_the_sampled_string_pairs(count, broken):
+    # the sample drawn as end indices must be the pairs sample_pairs lists,
+    # with the same report: counts, hops, failure texts and their order
+    net = ring(8, nodes_per_router=1)
+    tables = shortest_path_tables(net)
+    if broken:
+        tables.ports[2] = -1  # pairs routed through router 2 fail
+    by_index = validate_routing(net, tables, sample=count, seed=3)
+    by_id = validate_routing(net, tables, pairs=sample_pairs(net, count, seed=3))
+    assert by_index == by_id and by_index.ok is not broken
+    assert by_index.walk.ok.tolist() == by_id.walk.ok.tolist()
+    assert by_index.walk.router_hops.tolist() == by_id.walk.router_hops.tolist()
+    assert by_index.walk.channels.tolist() == by_id.walk.channels.tolist()
+    assert by_index.walk.dependencies.tolist() == by_id.walk.dependencies.tolist()
