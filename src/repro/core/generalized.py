@@ -28,12 +28,14 @@ per level on the way down with at most one lateral per assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from repro.network.builder import NetworkBuilder
 from repro.network.graph import Network, Node, NodeKind
-from repro.routing.base import RoutingError, RoutingTable, sorted_unique
+from repro.routing.base import RoutingError, RoutingTable
 
 __all__ = [
     "MAX_END_NODES",
@@ -181,19 +183,21 @@ def general_fractahedron(params: GeneralFractaParams) -> Network:
     # --- nodes ------------------------------------------------------------
     # the routers level by level; router (level, group, layer, corner) is
     # node first[level] + (group * layers + layer) * m + corner, so the
-    # routers of assembly k are nodes k*m .. k*m + m - 1
-    nodes = [
-        Node(
-            general_router_id(level, group, layer, corner),
-            router,
-            radix,
-            {"level": level, "group": group, "layer": layer, "corner": corner},
-        )
-        for level in range(1, params.levels + 1)
-        for group in range(params.groups_at(level))
-        for layer in range(params.layers_at(level))
-        for corner in range(m)
-    ]
+    # routers of assembly k are nodes k*m .. k*m + m - 1.  Ids are built
+    # per assembly: general_router_id's prefix, then the corner
+    corners = [str(c) for c in range(m)]
+    router_ids: list[str] = []
+    attrs: list[dict] = []
+    for level in range(1, params.levels + 1):
+        for group in range(params.groups_at(level)):
+            for layer in range(params.layers_at(level)):
+                prefix = f"L{level}.G{group}.Y{layer}.C"
+                router_ids += [prefix + c for c in corners]
+                attrs += [
+                    {"level": level, "group": group, "layer": layer, "corner": c}
+                    for c in range(m)
+                ]
+    nodes = Node.many(router_ids, router, radix, attrs)
     first = np.cumsum(
         [0, 0] + [params.groups_at(k) * params.layers_at(k) * m for k in range(1, params.levels)]
     )
@@ -202,13 +206,25 @@ def general_fractahedron(params: GeneralFractaParams) -> Network:
     num_routers = len(nodes)
     slots = params.num_leaf_groups * m * d
     per_slot = 1 + fanout if fanout else 1
-    for s in range(slots):
-        tetra, corner, port = s // (m * d), s // d % m, s % d
-        if fanout:
-            attrs = {"fanout": True, "tetra": tetra, "corner": corner, "port": port}
-            nodes.append(Node(general_fanout_id(tetra, corner, port), router, radix, attrs))
-        for w in range(s * (fanout or 1), (s + 1) * (fanout or 1)):
-            nodes.append(Node(f"n{w}", end, 1, {"address": w}))
+    width = fanout or 1
+    end_ids = list(map("n".__add__, map(str, range(slots * width))))
+    ends = Node.many(end_ids, end, 1, [{"address": w} for w in range(slots * width)])
+    if fanout:
+        fanout_ids, fanout_attrs = [], []
+        for tetra in range(params.num_leaf_groups):
+            for corner in range(m):
+                prefix = f"FO.T{tetra}.C{corner}.P"  # general_fanout_id's
+                fanout_ids += [prefix + str(port) for port in range(d)]
+                fanout_attrs += [
+                    {"fanout": True, "tetra": tetra, "corner": corner, "port": port}
+                    for port in range(d)
+                ]
+        tail: list = [None] * (slots * per_slot)
+        tail[0::per_slot] = Node.many(fanout_ids, router, radix, fanout_attrs)
+        for j in range(fanout):
+            tail[1 + j :: per_slot] = ends[j::fanout]
+        ends = tail
+    nodes += ends
     net.add_nodes(nodes)
 
     # --- cables, in the order fan-out, intra-assembly, inter-level ----------
@@ -263,19 +279,6 @@ def general_fractahedron(params: GeneralFractaParams) -> Network:
 # routing
 # ----------------------------------------------------------------------
 
-#: (router, end) entries the in-group fill writes per numpy pass; bounds
-#: its temporaries (a depth-4 top level holds 2M entries).
-_PAIR_CHUNK = 1 << 20
-
-
-def _members(row_group: np.ndarray, end_group: np.ndarray):
-    """For each row, the ends whose group equals the row's: returned as
-    ``(order, lo, cnt)``, the row's ends being ``order[lo : lo + cnt]``."""
-    order = np.argsort(end_group, kind="stable")
-    ordered = end_group[order]
-    lo = np.searchsorted(ordered, row_group, "left")
-    return order, lo, np.searchsorted(ordered, row_group, "right") - lo
-
 
 def _labels(fmt, *columns):
     """Node ids of the missing targets: ``fmt`` over the masked columns."""
@@ -287,66 +290,37 @@ def _labels(fmt, *columns):
     return label
 
 
-class _ClassFill:
-    """The port matrix and neighbor lookups one router class at a time.
+class _Neighbors:
+    """Lowest-port lookups toward given nodes, and the links they miss.
 
     ``nbr[r, p]`` is the node router ``r`` reaches on port ``p`` (-1 where
-    uncabled; nodes numbered as in the network's link-array view).  A
-    missing link is recorded, not raised, as ``(router, stage, order,
-    target id)``: the smallest record is the error a router-by-router fill
-    meets first.
+    uncabled; nodes numbered as in the network's link-array view); its
+    last row, read for router ``-1``, is all -1.  A missing link is
+    recorded, not raised, as ``(router, stage, order, target id)``: the
+    smallest record is the error a router-by-router fill meets first.
     """
 
-    def __init__(self, net: Network, ports: np.ndarray) -> None:
+    def __init__(self, net: Network) -> None:
         arr = net.link_arrays()
-        width = int(arr.router_ports.max()) if arr.router_ports.size else 0
-        self.nbr = np.full((arr.num_routers, width), -1, dtype=np.int32)
+        width = int(arr.router_ports.max()) if arr.router_ports.size else 1
+        self.nbr = np.full((arr.num_routers + 1, width), -1, dtype=np.int32)
         out = np.flatnonzero(arr.src_is_router)
         self.nbr[arr.src[out], arr.src_port[out]] = arr.dst[out]
-        self.ports = ports
         self.missing: list[tuple[int, int, int, str]] = []
 
-    def need(self, rows, targets, stage, order, label, wanted=None) -> np.ndarray:
+    def need(self, rows, targets, stage, order, label, wanted) -> np.ndarray:
         """Lowest port from each router in ``rows`` to the node in
-        ``targets`` (which broadcast together; a -1 target does not
-        exist), -1 where there is none.  Misses among ``wanted`` are
+        ``targets`` (which broadcast together; a -1 router or target does
+        not exist), -1 where there is none.  Misses among ``wanted`` are
         recorded with their ``stage``, ``order`` and ``label`` ids."""
         hit = self.nbr[rows] == targets[..., None]
         port = np.where(hit.any(axis=-1) & (targets >= 0), hit.argmax(axis=-1), -1)
-        miss = port < 0
-        if wanted is not None:
-            miss &= wanted
+        miss = (port < 0) & wanted
         if miss.any():
             r = np.broadcast_to(rows, miss.shape)[miss].tolist()
             o = np.broadcast_to(order, miss.shape)[miss].tolist()
             self.missing += zip(r, [stage] * len(r), o, label(miss))
         return port
-
-    def fill_groups(self, rows: np.ndarray, members, value) -> None:
-        """``ports[rows[i], e] = value(i, e)`` for each row ``i`` and each
-        end ``e`` among its ``members``; ``value`` must broadcast.  A row
-        whose members are all the ends is written whole; the others go as
-        (row, end) pairs; both in chunks of about ``_PAIR_CHUNK`` entries."""
-        order, lo, cnt = members
-        width = self.ports.shape[1]
-        whole = np.flatnonzero(cnt == width)
-        step = max(1, _PAIR_CHUNK // max(width, 1))
-        for k in range(0, whole.size, step):
-            w = whole[k : k + step]
-            self.ports[rows[w]] = value(w[:, None], np.arange(width))
-        part = np.flatnonzero(cnt < width)
-        flat = self.ports.reshape(-1)
-        upto = np.cumsum(cnt[part])
-        start = 0
-        while start < part.size:
-            done = upto[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(upto, done + _PAIR_CHUNK, "right")))
-            rows_i, c = part[start:stop], cnt[part[start:stop]]
-            i = np.repeat(rows_i, c)
-            within = np.arange(i.size) - np.repeat(np.cumsum(c) - c, c)
-            e = order[np.repeat(lo[rows_i], c) + within]
-            flat[rows[i] * width + e] = value(i, e)
-            start = stop
 
 
 def _router_id(level: int, group: int, layer: int, corner: int) -> str:
@@ -357,21 +331,40 @@ def _router_id(level: int, group: int, layer: int, corner: int) -> str:
     return general_router_id(level, group, layer, corner)
 
 
+def _column(dicts: list[dict], key: str, default: int = -1) -> np.ndarray:
+    """``d.get(key, default)`` of every dict, as an integer array."""
+    return np.fromiter(map(dict.get, dicts, repeat(key), repeat(default)), np.int64, len(dicts))
+
+
 def general_tables(net: Network) -> RoutingTable:
     """Compile depth-first routing tables for a generalized fractahedron.
 
     The §2.3 routing rule -- ascend while the destination's high-order
     address bits differ, descend matching one child index per level with
-    at most one lateral hop per assembly -- fills the
-    :class:`~repro.routing.base.RoutingTable` port matrix one router
-    class at a time: the fan-out routers, then each level.  A class's
-    routers first get their "up" port broadcast over their whole row;
-    then each router's in-group destinations get the port of a small
-    per-router table indexed by the child (or corner) the destination
-    lies under.  Neighbor ports come from the network's link-array view,
-    and routers are found by their (level, group, layer, corner) attrs,
-    so nothing walks the links or formats ids per router.  Destinations
-    are matched by their ``address`` attr, whatever the end order.
+    at most one lateral hop per assembly -- is written into the
+    :class:`~repro.routing.base.RoutingTable` port matrix in block writes,
+    one router class at a time: each level, then the fan-out routers.
+
+    The matrix is laid out canonically: rows in build order (within a
+    level, router ``(group, layer, corner)`` at ``(group * layers + layer)
+    * M + corner``; the fan-out routers by leaf down port), columns in
+    address order.  A group's destinations then share an address prefix,
+    so they are one contiguous column block, cut into one sub-block per
+    child (or per end node of a fan-out router).  Each router's "up" port
+    is broadcast over its row, and its group's block is written with the
+    port of a small per-router table indexed by child.  That writes every
+    cell, so the matrix needs no ``-1`` pre-fill.  A freshly built network
+    is in the canonical layout and its matrix is filled in place; any
+    other order of routers or ends (or a network with some removed) is
+    filled canonically and then gathered by one row and column selection.
+
+    Neighbor ports come from the network's link-array view, routers are
+    found by their (level, group, layer, corner) attrs (fan-out routers by
+    tetra, corner and port), and destinations by their ``address`` attr,
+    so nothing walks the links or formats ids per router.  A missing link
+    or router that some route needs raises the ``RoutingError`` a
+    router-by-router fill meets first; so do a negative address and an
+    address two end nodes share, which no canonical column can hold.
     """
     levels = net.attrs.get("levels")
     fat = net.attrs.get("fat")
@@ -381,129 +374,147 @@ def general_tables(net: Network) -> RoutingTable:
     if levels is None or m is None:
         raise RoutingError("network lacks generalized-fractahedron attributes")
     cpg = m * d
+    width = fanout or 1
 
     idx = net.indices()
     R, E = len(idx.router_ids), len(idx.end_ids)
-    addr = np.fromiter(
-        (net.node(e).attrs["address"] for e in idx.end_ids), dtype=np.int64, count=E
-    )
-    # every destination's leaf down port, decoded as (tetra, corner, port)
-    slot = addr // fanout if fanout else addr
-    leaf, dest_port = np.divmod(slot, d)
-    dest_tetra, dest_corner = np.divmod(leaf, m)
+    attrs = attrgetter("attrs")
+    addr = np.fromiter(map(itemgetter("address"), map(attrs, net.end_nodes())), np.int64, E)
 
-    table = RoutingTable(net)
-    fill = _ClassFill(net, table.ports)
+    # the canonical layout: class k (the fan-out stage is k = 0) has
+    # groups[k] groups of layers[k] * m routers (fan-out: one), starting
+    # at row first[k]; a group spans span[k] address columns, cpg children
+    # of span[k - 1] columns (fan-out: one column per end node).  Columns
+    # reach past the last address when some address is out of the shape
+    groups = [cpg ** (levels - k) for k in range(levels + 1)]
+    layers = [0] + [m ** (k - 1) if fat else 1 for k in range(1, levels + 1)]
+    span = [cpg**k * width for k in range(levels + 1)]
+    first = [0] * (levels + 2)  # first[levels + 1]: past the last level
+    for k in range(1, levels + 1):
+        first[k + 1] = first[k] + groups[k] * layers[k] * m
+    first[0] = first[levels + 1]
+    Rc = first[0] + (groups[0] if fanout else 0)
+    Ec = span[levels] * (int(addr.max()) // span[levels] + 1 if E else 1)
+    if E and addr.min() < 0:
+        bad = int(np.argmin(addr))
+        raise RoutingError(f"end node {idx.end_ids[bad]!r} has negative address {addr[bad]}")
+    counts = np.bincount(addr, minlength=Ec)
+    if E and counts.max() > 1:
+        a, b = np.flatnonzero(addr == np.argmax(counts))[:2].tolist()
+        raise RoutingError(
+            f"end nodes {idx.end_ids[a]!r} and {idx.end_ids[b]!r} share address {addr[a]}"
+        )
+    end_at = np.full(Ec, -1, dtype=np.int64)
+    end_at[addr] = np.arange(E)
 
-    # every router's coordinates, the fan-out stage as level 0, and a dense
-    # code per coordinate so a target router is one gather away
-    coords = np.array(
-        [
-            (0, a["tetra"], a["port"], a["corner"])
-            if a.get("fanout")
-            else (a["level"], a["group"], a["layer"], a["corner"])
-            for a in (r.attrs for r in net.routers())
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 4)
-    groups = np.array(
-        [cpg ** (levels - 1) if fanout else 0]
-        + [cpg ** (levels - k) for k in range(1, levels + 1)]
-        + [0]
-    )
-    layers = np.array([d] + [m ** (k - 1) if fat else 1 for k in range(1, levels + 1)] + [0])
-    offset = np.concatenate(([0], np.cumsum(groups * layers * m)))
-    at = np.full(int(offset[-1]) + 1, -1, dtype=np.int64)  # at[-1]: no router
+    # every router's canonical row, -1 when its coordinates are outside
+    # the shape; at[row] is the router there (at[-1]: no router)
+    level_groups = np.array([0] + groups[1:] + [0])
+    level_layers = np.array(layers + [0])
+    level_first = np.array(first)
 
-    def code(k, g, y, c):
+    def level_row(k, g, y, c):
         k = np.clip(k, 0, levels + 1)
-        ok = (g >= 0) & (g < groups[k]) & (y >= 0) & (y < layers[k]) & (c >= 0) & (c < m)
-        return np.where(ok, offset[k] + (g * layers[k] + y) * m + c, -1)
+        ok = (g >= 0) & (g < level_groups[k]) & (y >= 0) & (y < level_layers[k])
+        ok = ok & (c >= 0) & (c < m)
+        return np.where(ok, level_first[k] + (g * level_layers[k] + y) * m + c, -1)
+
+    dicts = list(map(attrs, net.routers()))
+    is_fanout = _column(dicts, "fanout", 0) != 0
+    corner, tetra, port = (_column(dicts, key) for key in ("corner", "tetra", "port"))
+    fanout_ok = (tetra >= 0) & (tetra < groups[1]) & (corner >= 0) & (corner < m)
+    fanout_ok &= (port >= 0) & (port < d) & bool(fanout)
+    row = np.where(
+        is_fanout,
+        np.where(fanout_ok, first[0] + (tetra * m + corner) * d + port, -1),
+        level_row(*(_column(dicts, key) for key in ("level", "group", "layer")), corner),
+    ).astype(np.int64)
+    at = np.full(Rc + 1, -1, dtype=np.int64)
+    at[row[row >= 0]] = np.flatnonzero(row >= 0)
 
     def router_at(k, g, y, c):
-        return at[code(k, g, y, c)]
+        return at[level_row(k, g, y, c)]
 
-    codes = code(*coords.T)
-    at[codes[codes >= 0]] = np.flatnonzero(codes >= 0)
+    in_place = (
+        (R, E) == (Rc, Ec) and (row == np.arange(R)).all() and (addr == np.arange(E)).all()
+    )
+    table = RoutingTable.empty(net)
+    canon = table.ports if in_place else np.empty((Rc + 1, Ec), table.ports.dtype)
 
-    def fill_fanout(rows, t, p, c) -> None:
-        """Up to the leaf router; down to the router's own end nodes."""
-        members = _members((t * m + c) * d + p, slot)
-        up = members[2] < E  # some destination is not the router's own
-        target = router_at(1, t[up], 0, c[up])
-        label = _labels(_router_id, 1, t[up], 0, c[up])
-        table.ports[rows[up]] = fill.need(rows[up], target, 0, 0, label)[:, None]
-        fill.fill_groups(
-            rows,
-            members,
-            lambda i, e: fill.need(rows[i], R + e, 1, e, _labels(idx.end_ids.__getitem__, e)),
-        )
+    def write(top: int, n_groups: int, per_group: int, up, down, sub: int) -> None:
+        """Rows ``top`` on, ``per_group`` routers per group: ``up[i]``
+        across row ``i``, then across its group's columns ``down[i, j]``
+        on child ``j``'s ``sub`` columns."""
+        block = canon[top : top + n_groups * per_group]
+        children = down.shape[-1]
+        if block.shape[1] > children * sub:
+            block[:] = up.astype(block.dtype)[:, None]  # a cast per cell costs 4x
+        view = block.reshape(n_groups, per_group, -1, children, sub)
+        g = np.arange(n_groups)
+        view[g, :, g] = down.astype(block.dtype).reshape(n_groups, per_group, children, 1)
 
+    nb = _Neighbors(net)
     child = np.arange(cpg)
     owner = child // d
+    for k in range(1, levels + 1):
+        g, y, c = np.indices((groups[k], layers[k], m)).reshape(3, -1)
+        rows = at[first[k] + np.arange(g.size)]
+        per_child = counts.reshape(-1, cpg, span[k - 1]).sum(axis=-1)
 
-    def fill_level(k, rows, g, y, c) -> None:
-        """Up the local inter-level link; a lateral or down port per child."""
-        end_group = dest_tetra // cpg ** (k - 1)
-        members = _members(g, end_group)
-        up = members[2] < E  # some destination is outside the router's group
-        if up.any():
-            # thin: non-zero corners reach the inter-level link via corner 0
-            ug, uy, uc = g[up], y[up], c[up]
-            via0 = np.full(ug.shape, not fat) & (uc != 0)
-            target = (
-                np.where(via0, k, k + 1),
-                np.where(via0, ug, ug // cpg),
-                np.where(via0, uy, uy * m + uc if fat else 0),
-                np.where(via0, 0, ug % cpg // d),
-            )
-            label = _labels(_router_id, *target)
-            table.ports[rows[up]] = fill.need(rows[up], router_at(*target), 0, 0, label)[:, None]
+        # up the local inter-level link (thin: non-zero corners via corner 0)
+        via0 = np.full(c.shape, not fat) & (c != 0)
+        target = (
+            np.where(via0, k, k + 1),
+            np.where(via0, g, g // cpg),
+            np.where(via0, y, y * m + c if fat else 0),
+            np.where(via0, 0, g % cpg // d),
+        )
+        wanted = (rows >= 0) & (per_child[g].sum(axis=-1) < E)
+        up = nb.need(rows, router_at(*target), 0, 0, _labels(_router_id, *target), wanted)
 
-        # the child (level 1: corner and down port) each destination lies
-        # under, and each router's port per child it has destinations in
-        if k > 1:
-            child_of = dest_tetra // cpg ** (k - 2) % cpg
-        else:
-            child_of = dest_corner * d + dest_port
-        present = np.isin(g[:, None] * cpg + child, sorted_unique(end_group * cpg + child_of))
+        # per child the destinations lie under (level 1: corner and down
+        # port), a lateral port or a down port
+        present = (per_child[g] > 0) & (rows >= 0)[:, None]
         lateral = owner != c[:, None]
         rr, gg, yy, cc = rows[:, None], g[:, None], y[:, None], c[:, None]
         lat = (k, gg, yy, owner)
-        ports = fill.need(
-            rr, router_at(*lat), 1, owner, _labels(_router_id, *lat), present & lateral
+        label = _labels(_router_id, *lat)
+        ports = nb.need(rr, router_at(*lat), 1, owner, label, present & lateral)
+        if k > 1:
+            down = (k - 1, gg * cpg + child, yy // m, yy % m)
+            target, order, label = router_at(*down), child, _labels(_router_id, *down)
+        elif fanout:  # the fan-out router of (group, corner, child % d)
+            target, order = at[first[0] + gg * cpg + child], child % d
+            label = _labels(_router_id, 0, gg, order, cc)
+        else:  # eject to the end node itself
+            order = end_at[gg * cpg + child]
+            target = np.where(order >= 0, R + order, -1)
+            label = _labels(idx.end_ids.__getitem__, order)
+        downs = nb.need(rr, target, 2, order, label, present & ~lateral)
+        write(first[k], groups[k], layers[k] * m, up, np.where(lateral, ports, downs), span[k - 1])
+
+    if fanout:
+        # up to the leaf router; down to the router's own end nodes
+        s = np.arange(groups[0])
+        rows = at[first[0] + s]
+        target = (1, s // cpg, 0, s // d % m)
+        wanted = (rows >= 0) & (counts.reshape(-1, width).sum(axis=-1)[s] < E)
+        up = nb.need(rows, router_at(*target), 0, 0, _labels(_router_id, *target), wanted)
+        e = end_at[s[:, None] * width + np.arange(width)]
+        own = nb.need(
+            rows[:, None],
+            np.where(e >= 0, R + e, -1),
+            1,
+            e,
+            _labels(idx.end_ids.__getitem__, e),
+            (rows >= 0)[:, None] & (e >= 0),
         )
-        own_ends = k == 1 and not fanout
-        if not own_ends:
-            if k > 1:
-                down, order = (k - 1, gg * cpg + child, yy // m, yy % m), child
-            else:
-                down, order = (0, gg, child % d, cc), child % d
-            label = _labels(_router_id, *down)
-            downs = fill.need(rr, router_at(*down), 2, order, label, present & ~lateral)
-            ports = np.where(lateral, ports, downs)
+        write(first[0], groups[0], 1, up, own, 1)
 
-        def value(i: np.ndarray, e: np.ndarray) -> np.ndarray:
-            v = ports[i, child_of[e]]
-            if own_ends:  # level 1 without fan-out: eject to the end itself
-                own = dest_corner[e] == c[i]
-                label = _labels(idx.end_ids.__getitem__, e)
-                v = np.where(own, fill.need(rows[i], R + e, 2, e, label, own), v)
-            return v
-
-        fill.fill_groups(rows, members, value)
-
-    level, group, layer, corner = coords.T
-    for k in range(levels + 1):
-        rows = np.flatnonzero(level == k)
-        if not rows.size:
-            continue
-        if k == 0:
-            fill_fanout(rows, group[rows], layer[rows], corner[rows])
-        else:
-            fill_level(k, rows, group[rows], layer[rows], corner[rows])
-
-    if fill.missing:
-        r, _, _, target_id = min(fill.missing)
+    if nb.missing:
+        r, _, _, target_id = min(nb.missing)
         raise RoutingError(f"no link {idx.router_ids[r]!r} -> {target_id!r}")
+    if not in_place:
+        canon[-1] = -1
+        table.ports = canon[np.where(row >= 0, row, Rc)[:, None], addr]
     return table

@@ -119,6 +119,18 @@ class RoutingTable:
             for dest, port in dests.items():
                 self.set(router, dest, port)
 
+    @classmethod
+    def empty(cls, net: Network) -> "RoutingTable":
+        """A table whose port matrix is allocated but not filled.
+
+        For builders that write every cell themselves: the ``-1`` pre-fill
+        of a depth-4 fractahedron's 65 MB matrix is a full pass of its own.
+        """
+        out = object.__new__(cls)
+        out._idx = idx = net.indices()
+        out.ports = np.empty((len(idx.router_ids), len(idx.end_ids)), _port_dtype(net))
+        return out
+
     def set(self, router: str, dest: str, port: int) -> None:
         if not self.ports.flags.writeable:
             raise RoutingError(

@@ -124,6 +124,13 @@ def measure_point(
     A thin wrapper over :func:`repro.sim.api.execute` plus the shared
     :func:`_window_summary` measure-window logic (see :func:`curve_points`
     for the batched many-rates form).
+
+    No product code calls it since the saturation search probes in
+    batches.  It stays public: it is the lone-point oracle the sweep tests
+    check the batched forms against, and the end-to-end benchmark's
+    tracer wraps it by this name (as ``sweep.probe``); moving it would
+    fail ``tests/test_benchmark_contract.py``, which resolves every
+    tracer target.
     """
     from repro.sim import api
     from repro.sim.vec import UniformPlan

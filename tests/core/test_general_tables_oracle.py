@@ -1,17 +1,18 @@
 """Class-wise ``general_tables`` against the per-router oracle.
 
-``general_tables`` fills the port matrix one router class at a time: the
-fan-out routers, then each level, each with one broadcast "up" fill and
-then its in-group entries.  The oracle below is the construction it
-replaced, which fills one row per router.  The two must agree byte for
+``general_tables`` writes the port matrix in blocks, one router class at
+a time: each level, then the fan-out routers, each with one broadcast
+"up" fill and then its groups' contiguous address blocks.  The oracle
+below is the construction it replaced, which fills one row per router.  The two must agree byte for
 byte on the port matrix, and raise the same ``RoutingError`` when a cable
 or router the routes need is missing.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import generalized
 from repro.core.generalized import (
     GeneralFractaParams,
     general_fanout_id,
@@ -182,11 +183,33 @@ def test_matches_per_router_oracle(shape):
 
 
 @pytest.mark.parametrize("shape", [SHAPES[0], SHAPES[5], SHAPES[10]], ids=str)
-def test_chunked_fill_matches_oracle(shape, monkeypatch):
-    """Chunks of a few entries: whole rows and (row, end) pairs both split."""
+def test_fresh_build_is_filled_in_place(shape):
+    """A built network is in the canonical layout: the table's matrix is
+    the one written, with no second matrix for a row or column gather."""
     net = _build(shape)
-    monkeypatch.setattr(generalized, "_PAIR_CHUNK", 5)
-    assert _outcome(general_tables, net) == _outcome(oracle_general_tables, net)
+    net.link_arrays()
+    tracemalloc.start()
+    try:
+        table = general_tables(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.ports.flags.owndata
+    assert peak < 1.5 * table.ports.nbytes + 200_000
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_router_order_is_not_build_order(shape):
+    """A rebuild with routers and end nodes both shuffled: the canonical
+    fill goes through the row and column gather."""
+    doc = network_to_dict(_build(shape))
+    nodes = list(doc["nodes"])
+    np.random.default_rng(len(nodes)).shuffle(nodes)
+    doc["nodes"] = nodes
+    net = network_from_dict(doc)
+    expected = _outcome(oracle_general_tables, net)
+    assert isinstance(expected, bytes), expected
+    assert _outcome(general_tables, net) == expected
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -267,3 +290,27 @@ def test_unused_missing_links_are_not_errors(shape):
     expected = _outcome(oracle_general_tables, net)
     assert isinstance(expected, bytes), expected
     assert _outcome(general_tables, net) == expected
+
+
+@pytest.mark.parametrize("shape", [SHAPES[2], SHAPES[5]], ids=str)
+def test_address_past_the_shape_raises_oracle_error(shape):
+    """An end whose address lies past the fabric needs an up link from the
+    top level, which does not exist: the same error as the oracle's."""
+    net = _build(shape)
+    net.node(net.end_node_ids()[3]).attrs["address"] = 10_000
+    expected = _outcome(oracle_general_tables, net)
+    assert expected.startswith("RoutingError: no link")
+    assert _outcome(general_tables, net) == expected
+
+
+def test_shared_or_negative_address_raises():
+    """No canonical column holds two end nodes, or a negative address."""
+    net = _build(SHAPES[2])
+    n0, n1, n5 = (net.node(f"n{i}") for i in (0, 1, 5))
+    n5.attrs["address"] = 1
+    with pytest.raises(RoutingError, match="end nodes 'n1' and 'n5' share address 1"):
+        general_tables(net)
+    n5.attrs["address"] = 5
+    n0.attrs["address"] = -2
+    with pytest.raises(RoutingError, match="end node 'n0' has negative address -2"):
+        general_tables(net)

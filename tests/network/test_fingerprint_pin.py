@@ -10,9 +10,11 @@ must reproduce each value too.
 
 import pytest
 
+from repro.network.graph import Network
+
 from repro.core.fractahedron import fat_fractahedron
 from repro.network.serialize import network_from_dict, network_to_dict
-from repro.routing.cache import network_fingerprint
+from repro.routing.cache import _attrs_json, _shared_attrs_json, network_fingerprint
 from repro.topology.registry import available_topologies, build_topology
 from tests.routing.test_walk import PARAMS
 
@@ -34,7 +36,12 @@ PINNED = {
     "thin_fractahedron": "025bd5d43af8de30b9662bcf8146598a5b8b75d678938de03368071373329951",
     "fat_fractahedron": "8816c3427d6bdd921030c4fb05d85e3c86b48d21f5ae67e2d7e175e4d8a29502",
     "fat_fractahedron_d3": "8075f90bff1dccc26e6e2160b782fa4789fc744dfcdadde8057b022122911427",
+    # the end-to-end benchmark's 8192-end fabric
+    "fat_fractahedron_d4": "e551671af10a8f698419e6cb8b66c8be85133baee6e94d09176130007eb15f81",
 }
+
+#: pins beyond the registry's default shapes
+DEEP = {"fat_fractahedron_d3": (3, None), "fat_fractahedron_d4": (4, 2)}
 
 
 def recabled_mesh():
@@ -48,13 +55,14 @@ def recabled_mesh():
 
 
 def build(name):
-    if name == "fat_fractahedron_d3":
-        return fat_fractahedron(3)
+    if name in DEEP:
+        levels, width = DEEP[name]
+        return fat_fractahedron(levels, fanout_width=width)
     return build_topology(name, **PARAMS[name])
 
 
 def test_every_registry_topology_is_pinned():
-    assert set(PINNED) - {"fat_fractahedron_d3"} == set(available_topologies())
+    assert set(PINNED) - set(DEEP) == set(available_topologies())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -68,3 +76,43 @@ def test_mutated_network_fingerprint_is_pinned():
     assert network_fingerprint(recabled_mesh()) == (
         "9d19645d26f5dc041e140cad8b0ce4604267426ad6117ba4ed8562043359ce28"
     )
+
+
+def shared_template_ring(template):
+    """Eight routers in a ring, cabled by one bulk call whose cables all
+    share ``template`` as their attrs."""
+    net = Network("ring8")
+    for r in range(8):
+        net.add_router(f"r{r}", 4)
+    a = [f"r{r}" for r in range(8)]
+    net.connect_many(a, a[1:] + a[:1], attrs=[template])
+    return net
+
+
+@pytest.mark.parametrize(
+    "template",
+    [{"kind": "ring"}, {"dims": [1, 2]}, {"dims": (1, 2)}, {"note": "a [b]"}, {}],
+    ids=str,
+)
+def test_fingerprint_reads_attrs_content_not_identity(template):
+    """Links sharing one template dict hash as links with one equal dict
+    each; editing one link's attrs in place changes the hash."""
+    shared = shared_template_ring(template)
+    own = shared_template_ring(template)
+    links = list(own.links())  # the Link view gives each direction its own copy
+    assert len({id(link.attrs) for link in links}) == len(links)
+    assert len({id(d) for d in shared.link_attrs()}) == 1
+    assert network_fingerprint(shared) == network_fingerprint(own)
+    before = network_fingerprint(own)
+    links[3].attrs["edited"] = True
+    assert network_fingerprint(own) != before
+    shared.link(links[3].link_id).attrs["edited"] = True
+    assert network_fingerprint(shared) == network_fingerprint(own)
+
+
+def test_spliced_attrs_text_equals_whole_list_text():
+    """The splice matches one encode of the whole list, tagged or not."""
+    a, b, c = {"k": 1}, {"k": (1, 2)}, {"k": [1, 2], "s": "x[y"}
+    for dicts in ([a] * 5, [a, b] * 4, [a, c, a, a], [b] * 3 + [c] * 3, [c], []):
+        assert _shared_attrs_json(dicts) == _attrs_json(dicts)
+        assert _shared_attrs_json(dicts) == _attrs_json([dict(d) for d in dicts])

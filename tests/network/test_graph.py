@@ -1,10 +1,13 @@
 """Unit tests for the core network data model."""
 
+import tracemalloc
+
 import pytest
 
 from repro.network.graph import (
     Network,
     NetworkError,
+    Node,
     NodeKind,
     PortBudgetError,
     PortInUseError,
@@ -186,3 +189,31 @@ class TestSubnetwork:
         assert sub.num_nodes == 2
         assert sub.num_links == 2  # only the n0<->R0 cable survives
         assert sub.node("R0").num_ports == 6
+
+
+def test_node_many_equals_init_and_shares_attribute_keys():
+    """Bulk-made nodes equal ``__init__``'s and take no more memory: a
+    class no node was made of yet shows whether they share its keys."""
+    ids = [f"n{i}" for i in range(2000)]
+    attrs = [{"address": i} for i in range(2000)]
+
+    def made(build):
+        class Fresh(Node):
+            pass
+
+        tracemalloc.start()
+        try:
+            nodes = build(Fresh)
+            return nodes, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    bulk, bulk_bytes = made(lambda cls: cls.many(ids, NodeKind.END_NODE, 1, attrs))
+    each, each_bytes = made(
+        lambda cls: [cls(i, NodeKind.END_NODE, 1, a) for i, a in zip(ids, attrs)]
+    )
+    assert [vars(n) for n in bulk] == [vars(n) for n in each]
+    assert all(n.attrs is a for n, a in zip(bulk, attrs))
+    assert bulk_bytes <= 1.1 * each_bytes
+    with pytest.raises(AttributeError):
+        bulk[0].num_ports = 2
