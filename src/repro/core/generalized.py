@@ -363,8 +363,7 @@ def general_tables(net: Network) -> RoutingTable:
     tetra, corner and port), and destinations by their ``address`` attr,
     so nothing walks the links or formats ids per router.  A missing link
     or router that some route needs raises the ``RoutingError`` a
-    router-by-router fill meets first; so do a negative address and an
-    address two end nodes share, which no canonical column can hold.
+    router-by-router fill meets first.
     """
     levels = net.attrs.get("levels")
     fat = net.attrs.get("fat")
@@ -384,8 +383,7 @@ def general_tables(net: Network) -> RoutingTable:
     # the canonical layout: class k (the fan-out stage is k = 0) has
     # groups[k] groups of layers[k] * m routers (fan-out: one), starting
     # at row first[k]; a group spans span[k] address columns, cpg children
-    # of span[k - 1] columns (fan-out: one column per end node).  Columns
-    # reach past the last address when some address is out of the shape
+    # of span[k - 1] columns (fan-out: one column per end node)
     groups = [cpg ** (levels - k) for k in range(levels + 1)]
     layers = [0] + [m ** (k - 1) if fat else 1 for k in range(1, levels + 1)]
     span = [cpg**k * width for k in range(levels + 1)]
@@ -394,18 +392,17 @@ def general_tables(net: Network) -> RoutingTable:
         first[k + 1] = first[k] + groups[k] * layers[k] * m
     first[0] = first[levels + 1]
     Rc = first[0] + (groups[0] if fanout else 0)
-    Ec = span[levels] * (int(addr.max()) // span[levels] + 1 if E else 1)
-    if E and addr.min() < 0:
-        bad = int(np.argmin(addr))
-        raise RoutingError(f"end node {idx.end_ids[bad]!r} has negative address {addr[bad]}")
-    counts = np.bincount(addr, minlength=Ec)
-    if E and counts.max() > 1:
-        a, b = np.flatnonzero(addr == np.argmax(counts))[:2].tolist()
-        raise RoutingError(
-            f"end nodes {idx.end_ids[a]!r} and {idx.end_ids[b]!r} share address {addr[a]}"
-        )
+    # an address outside the shape (negative too) is in no group, so any
+    # value routes alike: up to the missing top-level parent.  All such
+    # ends share one column, in a second block of span[levels] columns
+    top = span[levels]
+    inside = (addr >= 0) & (addr < top)
+    col = np.where(inside, addr, top)
+    Ec = top if inside.all() else 2 * top
+    counts = np.bincount(col, minlength=Ec)
+    # the end node at each address (one of them where ends share one)
     end_at = np.full(Ec, -1, dtype=np.int64)
-    end_at[addr] = np.arange(E)
+    end_at[col[inside]] = np.flatnonzero(inside)
 
     # every router's canonical row, -1 when its coordinates are outside
     # the shape; at[row] is the router there (at[-1]: no router)
@@ -436,7 +433,7 @@ def general_tables(net: Network) -> RoutingTable:
         return at[level_row(k, g, y, c)]
 
     in_place = (
-        (R, E) == (Rc, Ec) and (row == np.arange(R)).all() and (addr == np.arange(E)).all()
+        (R, E) == (Rc, Ec) and (row == np.arange(R)).all() and (col == np.arange(E)).all()
     )
     table = RoutingTable.empty(net)
     canon = table.ports if in_place else np.empty((Rc + 1, Ec), table.ports.dtype)
@@ -511,10 +508,23 @@ def general_tables(net: Network) -> RoutingTable:
         )
         write(first[0], groups[0], 1, up, own, 1)
 
+    # an end sharing its address with the one end_at holds gets that
+    # end's column, except at the router that ejects to it
+    dup = np.flatnonzero(inside & (end_at[col] != np.arange(E)))
+    a = addr[dup]
+    if fanout:
+        eject, stage = at[first[0] + a // width], 1
+    else:
+        eject, stage = router_at(1, a // cpg, 0, a % cpg // d), 2
+    label = _labels(idx.end_ids.__getitem__, dup)
+    dup_port = nb.need(eject, R + dup, stage, dup, label, eject >= 0)
+
     if nb.missing:
         r, _, _, target_id = min(nb.missing)
         raise RoutingError(f"no link {idx.router_ids[r]!r} -> {target_id!r}")
     if not in_place:
         canon[-1] = -1
-        table.ports = canon[np.where(row >= 0, row, Rc)[:, None], addr]
+        table.ports = canon[np.where(row >= 0, row, Rc)[:, None], col]
+        ok = eject >= 0
+        table.ports[eject[ok], dup[ok]] = dup_port[ok]
     return table

@@ -87,10 +87,15 @@ def _shared_attrs_json(dicts: list[dict[str, Any]]) -> str:
     tagged text differs from its plain one only when the plain one holds
     a ``[``.  The dicts are read afresh on every call, so an attrs dict
     edited in place changes the text.
+
+    One encode call per dict costs about six times a dict's share of the
+    whole-list encode, so a list with more than one distinct object in
+    ten (a reloaded network has one per cable: two links each) is
+    encoded whole.
     """
     ids = list(map(id, dicts))
     distinct = dict(zip(ids, dicts))
-    if 2 * len(distinct) > len(dicts):
+    if 10 * len(distinct) > len(dicts):
         return _attrs_json(dicts)
     texts = {}
     for key, d in distinct.items():

@@ -16,12 +16,13 @@ provides:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
 import numpy as np
 
 from repro.network.graph import Link, Network
-from repro.routing.base import RoutingError, RoutingTable, ejections, sorted_unique
+from repro.routing.base import RoutingError, RoutingTable, ejections
 
 __all__ = ["tree_tables", "up_down_tables", "fat_tree_tables"]
 
@@ -41,88 +42,25 @@ def tree_tables(net: Network) -> RoutingTable:
     return shortest_path_tables(net)
 
 
-def _router_links(net: Network, allowed: LinkPredicate | None) -> np.ndarray:
-    """Indices of the router-to-router links ``allowed`` admits (all of
-    them when it is None)."""
-    arr = net.link_arrays()
-    links = np.flatnonzero(arr.src_is_router & arr.dst_is_router)
-    if allowed is not None:
-        ids = net.indices().link_ids
-        links = links[np.array([allowed(net.link(ids[i])) for i in links.tolist()], dtype=bool)]
-    return links
-
-
-def _level_array(net: Network, root: str, links: np.ndarray) -> np.ndarray:
-    """Every router's BFS level from ``root`` over ``links``, -1 where
-    it is not reached."""
+def _bfs_levels(
+    net: Network, root: str, allowed: LinkPredicate | None = None
+) -> dict[str, int]:
     if root not in net or not net.node(root).is_router:
         raise ValueError(
             f"root {root!r} is not a router of {net.name!r}; pass a router id "
             "or omit root to use the smallest router id"
         )
-    arr = net.link_arrays()
-    src, dst = arr.src[links], arr.dst[links]
-    level = np.full(arr.num_routers, -1, dtype=np.int64)
-    frontier = np.zeros(arr.num_routers, dtype=bool)
-    frontier[net.indices().router_index[root]] = True
-    depth = 0
-    while frontier.any():
-        level[frontier] = depth
-        reached = dst[frontier[src]]
-        frontier[:] = False
-        frontier[reached[level[reached] < 0]] = True
-        depth += 1
-    return level
-
-
-def _bfs_levels(
-    net: Network, root: str, allowed: LinkPredicate | None = None
-) -> dict[str, int]:
-    """BFS level of every router reachable from ``root`` over the allowed
-    router links."""
-    level = _level_array(net, root, _router_links(net, allowed))
-    ids = net.indices().router_ids
-    return {ids[r]: int(level[r]) for r in np.flatnonzero(level >= 0).tolist()}
-
-
-#: "no path" in the up*/down* distance arrays
-_FAR = np.iinfo(np.int64).max // 4
-
-
-def _down_bfs(roots, R, src, port, dst) -> tuple[np.ndarray, np.ndarray]:
-    """Per root (a column), the all-down distance of every router to it
-    and the port of its first hop: ``(dist, ports)``, each columns x
-    routers, ``_FAR`` / -1 where there is no down path.
-
-    ``src -> dst`` on ``port`` are the down links, sorted by destination
-    and then by its port, the order a FIFO BFS over ``in_links`` meets
-    them.  Every column's BFS runs at once, one level per pass: the
-    frontier is kept in discovery order, and the first (frontier router,
-    link) to reach an undiscovered router wins, as in the queue.
-    """
-    C = roots.size
-    dist = np.full((C, R), _FAR, dtype=np.int64)
-    ports = np.full((C, R), -1, dtype=np.int64)
-    counts = np.bincount(dst, minlength=R)
-    starts = np.cumsum(counts) - counts
-    col, node = np.arange(C), roots
-    dist[col, node] = 0
-    step = 0
-    while node.size:
-        step += 1
-        n = counts[node]
-        # every frontier entry's in-links, in (frontier, link) order
-        edge = np.repeat(starts[node] - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
-        col = np.repeat(col, n)
-        fresh = dist[col, src[edge]] == _FAR
-        col, edge = col[fresh], edge[fresh]
-        _, first = np.unique(col * R + src[edge], return_index=True)
-        first.sort()  # discovery order, column by column
-        col, edge = col[first], edge[first]
-        node = src[edge]
-        dist[col, node] = step
-        ports[col, node] = port[edge]
-    return dist, ports
+    levels = {root: 0}
+    queue: deque[str] = deque([root])
+    while queue:
+        current = queue.popleft()
+        for link in net.out_links(current):
+            if allowed is not None and not allowed(link):
+                continue
+            if net.node(link.dst).is_router and link.dst not in levels:
+                levels[link.dst] = levels[current] + 1
+                queue.append(link.dst)
+    return levels
 
 
 def up_down_tables(
@@ -146,16 +84,6 @@ def up_down_tables(
     on the destination's router alone, so each router's column is
     computed once and shared by the end nodes attached to it.
 
-    The construction runs on the network's link arrays, every destination
-    router's column at once.  Its ties are broken as a per-router search
-    breaks them: the all-down first hop is the one a FIFO BFS over each
-    router's incoming links (in port order) finds first, and the up hop
-    the one that rounds of relaxation -- routers in insertion order, up
-    links in port order, a strictly shorter distance replacing the
-    recorded one -- settle on.  Up links point to a smaller (level, id)
-    key, so they form a DAG, and processing it from the root's end shows
-    when (in which round) each router's distance becomes final.
-
     ``allowed`` restricts which router-to-router links may be used (the
     ServerNet path-disable mechanism, and how the recovery subsystem
     routes around failed links): disallowed links are invisible to both
@@ -167,86 +95,88 @@ def up_down_tables(
     if not routers:
         raise RoutingError("network has no routers")
     root = root or min(routers)
-    links = _router_links(net, allowed)
-    level = _level_array(net, root, links)
-    if (level < 0).any():
+    levels = _bfs_levels(net, root, allowed)
+    if len(levels) != len(routers):
         raise RoutingError(
             "router fabric is not connected"
             + (" over the allowed links" if allowed is not None else "")
         )
-    idx = net.indices()
-    arr = net.link_arrays()
-    R = arr.num_routers
-    src, dst = arr.src[links].astype(np.int64), arr.dst[links].astype(np.int64)
-    src_port, dst_port = arr.src_port[links], arr.dst_port[links]
 
-    # orientation: up when the (level, id) key drops
-    rank = np.empty(R, dtype=np.int64)
-    rank[sorted(range(R), key=idx.router_ids.__getitem__)] = np.arange(R)
-    key = level * R + rank
-    up = key[dst] < key[src]
+    def is_up(src: str, dst: str) -> bool:
+        """Orientation of the link src -> dst (True when heading rootward)."""
+        return (levels[dst], dst) < (levels[src], src)
 
-    ej = ejections(net)
-    dests = sorted_unique(ej.router[ej.router >= 0])  # a column per destination router
-    C = dests.size
-    down = np.flatnonzero(~up)
-    down = down[np.lexsort((dst_port[down], dst[down]))]
-    down_dist, down_port = _down_bfs(dests, R, src[down], src_port[down], dst[down])
+    # The allowed router-to-router links (every router has a level by
+    # now), split by orientation once, in port order: (src, port) down
+    # links into each router, (dst, port) up links out of each.
+    down_in: dict[str, list[tuple[str, int]]] = {r: [] for r in routers}
+    up_out: dict[str, list[tuple[str, int]]] = {r: [] for r in routers}
+    for router in routers:
+        for link in net.out_links(router):
+            if link.dst not in levels or (allowed is not None and not allowed(link)):
+                continue
+            if is_up(router, link.dst):
+                up_out[router].append((link.dst, link.src_port))
+    for router in routers:
+        for link in net.in_links(router):
+            if link.src not in levels or (allowed is not None and not allowed(link)):
+                continue
+            if not is_up(link.src, router):
+                down_in[router].append((link.src, link.src_port))
 
-    # up links by their source's height in the up DAG (its longest up
-    # path), then source, then port: a link's target is always lower
-    ups = np.flatnonzero(up)
-    height = np.zeros(R, dtype=np.int64)
-    while True:
-        higher = np.zeros(R, dtype=np.int64)
-        np.maximum.at(higher, src[ups], height[dst[ups]] + 1)
-        if (higher == height).all():
-            break
-        height = higher
-    ups = ups[np.lexsort((src_port[ups], src[ups], height[src[ups]]))]
-    u_src, u_dst, u_port = src[ups], dst[ups], src_port[ups]
+    def column(dest_router: str) -> dict[str, int]:
+        """Output port toward ``dest_router`` at every other router."""
+        # Phase 1: shortest all-down distances to dest_router (BFS over
+        # reversed down links).
+        down_dist: dict[str, int] = {dest_router: 0}
+        down_port: dict[str, int] = {}
+        queue: deque[str] = deque([dest_router])
+        while queue:
+            current = queue.popleft()
+            for src, port in down_in[current]:
+                if src not in down_dist:
+                    down_dist[src] = down_dist[current] + 1
+                    down_port[src] = port
+                    queue.append(src)
 
-    # per column and router: the shortest up*/down* distance, the round
-    # of relaxation in which it becomes final (1 when it is the all-down
-    # distance, which holds from the start), and the up port recorded
-    dist = down_dist.copy()
-    final = np.where(down_dist < _FAR, 1, _FAR)
-    up_port = np.full((C, R), -1, dtype=np.int64)
-    for h in range(1, int(height.max(initial=0)) + 1):
-        sel = np.flatnonzero(height[u_src] == h)
-        s, t = u_src[sel], u_dst[sel]
-        first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # each source's links
-        head, size = s[first], np.diff(np.r_[first, sel.size])
-        cand = np.where(dist[:, t] < _FAR, dist[:, t] + 1, _FAR)
-        best = np.minimum(down_dist[:, head], np.minimum.reduceat(cand, first, axis=1))
-        # a link offers the best distance from the round its target is
-        # final in, or one round later when the target is scanned after
-        # its source; the earliest offer wins, then the lowest port
-        ready = np.where(down_dist[:, t] == dist[:, t], 1, final[:, t] + (t > s))
-        within = np.arange(sel.size) - np.repeat(first, size)
-        offers = (cand == np.repeat(best, size, axis=1)) & (cand < _FAR)
-        pick = np.minimum.reduceat(np.where(offers, ready * sel.size + within, _FAR), first, axis=1)
-        moved = (best < _FAR) & (best < down_dist[:, head])
-        final[:, head] = np.where(moved, pick // sel.size, final[:, head])
-        link = sel[first + np.where(moved, pick % sel.size, 0)]
-        up_port[:, head] = np.where(moved & (down_dist[:, head] == _FAR), u_port[link], -1)
-        dist[:, head] = best
+        # Phase 2: routers with no all-down path climb; distance counts the
+        # up hops until a router with an all-down path is reached.
+        up_dist: dict[str, int] = dict(down_dist)
+        up_port: dict[str, int] = {}
+        # Process routers from the root outward is not sufficient in general
+        # graphs, so relax until fixpoint (up links form a DAG, so this
+        # terminates in at most |routers| sweeps; fabrics are small).
+        changed = True
+        while changed:
+            changed = False
+            for router in routers:
+                for nxt, port in up_out[router]:
+                    if nxt in up_dist:
+                        cand = up_dist[nxt] + 1
+                        if router not in up_dist or cand < up_dist[router]:
+                            up_dist[router] = cand
+                            if router not in down_dist:
+                                up_port[router] = port
+                            changed = True
+        return {**up_port, **down_port}
 
-    column = np.where(down_port >= 0, down_port, up_port)
-    column[np.arange(C), dests] = 0  # the ejection entries are written per end
-    col_of = np.searchsorted(dests, ej.router)
-    bad = ej.router < 0
-    bad[~bad] = (column < 0).any(axis=1)[col_of[~bad]]
-    if bad.any():
-        e = int(np.argmax(bad))
-        dest = idx.end_ids[e]
-        ej.require(net, dest)  # raises for an end not on one router
-        r = int(np.argmax(column[col_of[e]] < 0))
-        raise RoutingError(f"{idx.router_ids[r]!r} cannot reach {dest!r} via up*/down*")
-    table = RoutingTable.empty(net)
-    table.ports[:] = column.T[:, col_of]
-    table.ports[ej.router, np.arange(ej.router.size)] = ej.port
-    return table
+    # each destination router's column, in router order, is written over
+    # the columns of the end nodes attached to it
+    tables = RoutingTable(net)
+    columns: dict[str, np.ndarray] = {}
+    for e, (dest, dest_router, port, _) in enumerate(ejections(net).ends(net)):
+        ports = columns.get(dest_router)
+        if ports is None:
+            found = column(dest_router)
+            found[dest_router] = -1  # the ejection port is set per end
+            if len(found) < len(routers):
+                router = next(r for r in routers if r not in found)
+                raise RoutingError(f"{router!r} cannot reach {dest!r} via up*/down*")
+            ports = np.fromiter(map(found.__getitem__, routers), np.int64, len(routers))
+            columns[dest_router] = ports
+        tables.ports[:, e] = ports
+        tables.set(dest_router, dest, port)
+    return tables
 
 
 def fat_tree_tables(net: Network) -> RoutingTable:

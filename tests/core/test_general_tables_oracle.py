@@ -292,25 +292,29 @@ def test_unused_missing_links_are_not_errors(shape):
     assert _outcome(general_tables, net) == expected
 
 
-@pytest.mark.parametrize("shape", [SHAPES[2], SHAPES[5]], ids=str)
-def test_address_past_the_shape_raises_oracle_error(shape):
-    """An end whose address lies past the fabric needs an up link from the
-    top level, which does not exist: the same error as the oracle's."""
+@pytest.mark.parametrize("address", [10_000, 2**40, -2, -(2**40)])
+@pytest.mark.parametrize("shape", [SHAPES[2], SHAPES[5], SHAPES[10]], ids=str)
+def test_address_outside_the_shape_raises_oracle_error(shape, address):
+    """An end whose address lies outside the fabric, however far, needs an
+    up link from the top level, which does not exist: the same error as
+    the oracle's."""
     net = _build(shape)
-    net.node(net.end_node_ids()[3]).attrs["address"] = 10_000
+    net.node(net.end_node_ids()[3]).attrs["address"] = address
     expected = _outcome(oracle_general_tables, net)
     assert expected.startswith("RoutingError: no link")
     assert _outcome(general_tables, net) == expected
 
 
-def test_shared_or_negative_address_raises():
-    """No canonical column holds two end nodes, or a negative address."""
-    net = _build(SHAPES[2])
-    n0, n1, n5 = (net.node(f"n{i}") for i in (0, 1, 5))
-    n5.attrs["address"] = 1
-    with pytest.raises(RoutingError, match="end nodes 'n1' and 'n5' share address 1"):
-        general_tables(net)
-    n5.attrs["address"] = 5
-    n0.attrs["address"] = -2
-    with pytest.raises(RoutingError, match="end node 'n0' has negative address -2"):
-        general_tables(net)
+@pytest.mark.parametrize("ends", [(0, 1), (5, 1), (0, 1, 2, 3)], ids=str)
+@pytest.mark.parametrize("shape", [SHAPES[2], SHAPES[3], SHAPES[5], SHAPES[10]], ids=str)
+def test_shared_address_matches_oracle(shape, ends):
+    """End nodes given one address share its column but at the router
+    that ejects to them: a table when they all hang on that router (n0
+    and n1 do), else that router's missing link."""
+    net = _build(shape)
+    first, *rest = (net.node(f"n{i}") for i in ends)
+    for node in rest:
+        node.attrs["address"] = first.attrs["address"]
+    expected = _outcome(oracle_general_tables, net)
+    assert isinstance(expected, bytes) == (ends == (0, 1)), expected
+    assert _outcome(general_tables, net) == expected

@@ -111,8 +111,10 @@ def test_fingerprint_reads_attrs_content_not_identity(template):
 
 
 def test_spliced_attrs_text_equals_whole_list_text():
-    """The splice matches one encode of the whole list, tagged or not."""
+    """The splice matches one encode of the whole list, tagged or not;
+    each list is also taken ten times over, past the splice's threshold."""
     a, b, c = {"k": 1}, {"k": (1, 2)}, {"k": [1, 2], "s": "x[y"}
-    for dicts in ([a] * 5, [a, b] * 4, [a, c, a, a], [b] * 3 + [c] * 3, [c], []):
-        assert _shared_attrs_json(dicts) == _attrs_json(dicts)
-        assert _shared_attrs_json(dicts) == _attrs_json([dict(d) for d in dicts])
+    for short in ([a] * 5, [a, b] * 4, [a, c, a, a], [b] * 3 + [c] * 3, [c], []):
+        for dicts in (short, short * 10):
+            assert _shared_attrs_json(dicts) == _attrs_json(dicts)
+            assert _shared_attrs_json(dicts) == _attrs_json([dict(d) for d in dicts])

@@ -1,12 +1,11 @@
-"""up*/down* tables against two oracles.
+"""up*/down* tables against a per-destination oracle.
 
-``up_down_tables`` computes every destination router's column at once on
-the network's link arrays.  The first oracle below is the straightforward
-form: both phases recomputed for every destination end node, over the raw
-link lists.  The second is the dict loop the array form replaced: one
-column per destination router, shared among the end nodes on it.  All
-three must agree byte for byte on the port matrix, dtype included, and
-raise the same error on fabrics that up*/down* cannot route.
+``up_down_tables`` computes each destination router's column once and
+writes it over the end nodes on that router.  The oracle below is the
+straightforward form it replaced: both phases recomputed for every
+destination end node, over the raw link lists.  The two must agree byte
+for byte on the port matrix, dtype included, and raise the same error on
+fabrics that up*/down* cannot route.
 """
 
 from collections import deque
@@ -16,7 +15,7 @@ import pytest
 
 from repro.core.fractahedron import fat_fractahedron
 from repro.network.graph import NetworkError
-from repro.routing.base import RoutingError, RoutingTable, ejections
+from repro.routing.base import RoutingError, RoutingTable
 from repro.routing.tree_routing import up_down_tables
 from repro.topology.ccc import cube_connected_cycles
 from repro.topology.registry import build_topology
@@ -99,92 +98,6 @@ def oracle_up_down_tables(net, root=None, allowed=None):
     return tables
 
 
-def dict_up_down_tables(net, root=None, allowed=None):
-    """One column per destination router, in dicts (the construction the
-    array form replaced)."""
-    routers = net.router_ids()
-    if not routers:
-        raise RoutingError("network has no routers")
-    root = root or min(routers)
-    levels = {root: 0}
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        for link in net.out_links(current):
-            if allowed is not None and not allowed(link):
-                continue
-            if net.node(link.dst).is_router and link.dst not in levels:
-                levels[link.dst] = levels[current] + 1
-                queue.append(link.dst)
-    if len(levels) != len(routers):
-        raise RoutingError(
-            "router fabric is not connected"
-            + (" over the allowed links" if allowed is not None else "")
-        )
-
-    def is_up(src, dst):
-        return (levels[dst], dst) < (levels[src], src)
-
-    # (src, port) down links into each router, (dst, port) up links out
-    down_in = {r: [] for r in routers}
-    up_out = {r: [] for r in routers}
-    for router in routers:
-        for link in net.out_links(router):
-            if link.dst not in levels or (allowed is not None and not allowed(link)):
-                continue
-            if is_up(router, link.dst):
-                up_out[router].append((link.dst, link.src_port))
-    for router in routers:
-        for link in net.in_links(router):
-            if link.src not in levels or (allowed is not None and not allowed(link)):
-                continue
-            if not is_up(link.src, router):
-                down_in[router].append((link.src, link.src_port))
-
-    def column(dest_router):
-        down_dist = {dest_router: 0}
-        down_port = {}
-        queue = deque([dest_router])
-        while queue:
-            current = queue.popleft()
-            for src, port in down_in[current]:
-                if src not in down_dist:
-                    down_dist[src] = down_dist[current] + 1
-                    down_port[src] = port
-                    queue.append(src)
-        up_dist = dict(down_dist)
-        up_port = {}
-        changed = True
-        while changed:
-            changed = False
-            for router in routers:
-                for nxt, port in up_out[router]:
-                    if nxt in up_dist:
-                        cand = up_dist[nxt] + 1
-                        if router not in up_dist or cand < up_dist[router]:
-                            up_dist[router] = cand
-                            if router not in down_dist:
-                                up_port[router] = port
-                            changed = True
-        return {**up_port, **down_port}
-
-    tables = RoutingTable(net)
-    columns = {}
-    for dest, dest_router, port, _ in ejections(net).ends(net):
-        tables.set(dest_router, dest, port)
-        ports = columns.get(dest_router)
-        if ports is None:
-            ports = columns[dest_router] = column(dest_router)
-        for router in routers:
-            if router == dest_router:
-                continue
-            port = ports.get(router)
-            if port is None:
-                raise RoutingError(f"{router!r} cannot reach {dest!r} via up*/down*")
-            tables.set(router, dest, port)
-    return tables
-
-
 FABRICS = {
     "fat-fracta-1": lambda: fat_fractahedron(1),
     "fat-fracta-2": lambda: fat_fractahedron(2, fanout_width=2),
@@ -222,7 +135,6 @@ def test_disconnected_remnant_raises_oracle_error():
     allowed = lambda link: link.link_id not in cut  # noqa: E731
     expected = _outcome(oracle_up_down_tables, net, allowed)
     assert expected.startswith("RoutingError: router fabric is not connected")
-    assert _outcome(dict_up_down_tables, net, allowed) == expected
     assert _outcome(up_down_tables, net, allowed) == expected
 
 
@@ -236,23 +148,23 @@ def test_end_node_root_is_rejected_with_remedy():
 
 @pytest.mark.parametrize("cuts", [0, 1, 4, 12, "third"])
 @pytest.mark.parametrize("name", sorted(PARAMS))
-def test_matches_dict_loop_oracle(name, cuts):
+def test_registry_cuts_match_oracle(name, cuts):
     """Registry topologies with seeded sets of disabled links: the larger
     sets leave some fabrics disconnected or some routers unable to
-    reach a destination, and both forms must raise the same error."""
+    reach a destination, and both must raise the same error."""
     net = build_topology(name, **PARAMS[name])
     links = sorted(l.link_id for l in net.router_links())
     size = len(links) // 3 if cuts == "third" else min(cuts, len(links))
     rng = np.random.default_rng([size, len(links)])
     off = set(rng.choice(links, size=size, replace=False).tolist())
     allowed = (lambda link: link.link_id not in off) if off else None
-    expected = _outcome(dict_up_down_tables, net, allowed)
+    expected = _outcome(oracle_up_down_tables, net, allowed)
     assert _outcome(up_down_tables, net, allowed) == expected
     if not off:
         assert isinstance(expected, tuple), expected
         root = max(net.router_ids())
         assert _outcome(up_down_tables, net, None, root=root) == _outcome(
-            dict_up_down_tables, net, None, root=root
+            oracle_up_down_tables, net, None, root=root
         )
 
 
@@ -272,11 +184,11 @@ def test_seeded_cuts_reach_both_errors():
     assert "RoutingError: router fabric is not connected " in texts
 
 
-def test_end_on_two_routers_raises_like_the_dict_loop():
+def test_end_on_two_routers_raises_like_the_oracle():
     net = ring(4, nodes_per_router=1)
     net.add_end_node("stray", 2)
     net.connect_next_free("stray", "R1")
     net.connect_next_free("stray", "R2")
-    expected = _outcome(dict_up_down_tables, net, None)
+    expected = _outcome(oracle_up_down_tables, net, None)
     assert expected.startswith("NetworkError")
     assert _outcome(up_down_tables, net, None) == expected
